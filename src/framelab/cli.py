@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import argparse
+import math
 import os
 import sys
 from pathlib import Path
@@ -47,6 +48,14 @@ def _max_order() -> int:
     if value < 1:
         raise ParseError(f"FRAME_LAB_MAX_ORDER={raw!r} must be positive")
     return value
+
+
+def _check_numeric_args(args) -> None:
+    """Reject a tolerance or sample count under which a result means nothing."""
+    if not (math.isfinite(args.tol) and args.tol > 0):
+        raise ParseError(f"--tol must be positive and finite, got {args.tol!r}")
+    if args.command == "verify" and args.samples < 1:
+        raise ParseError(f"--samples must be at least 1, got {args.samples}")
 
 
 def _write(text: str, out: str | None) -> None:
@@ -221,6 +230,7 @@ def main(argv=None) -> int:
         "verify": _cmd_verify,
     }
     try:
+        _check_numeric_args(args)
         return handlers[args.command](args)
     except (DimMismatchError, GroupMismatchError) as exc:
         sys.stderr.write(f"error: {exc}\n")

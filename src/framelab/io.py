@@ -53,11 +53,18 @@ def load_generator(path) -> np.ndarray:
         if arr.shape[0] == 0:
             raise ParseError(f"generator file {path} holds no values")
         dim = payload.get("dim")
-        if dim is not None and int(dim) != arr.shape[0]:
-            raise ParseError(
-                f"generator file {path} says dim={dim} but holds {arr.shape[0]} values"
-            )
-        return arr
+        if dim is not None:
+            try:
+                dim = int(dim)
+            except (TypeError, ValueError, OverflowError) as exc:
+                raise ParseError(
+                    f"generator file {path} has a non-integer dim {payload['dim']!r}"
+                ) from exc
+            if dim != arr.shape[0]:
+                raise ParseError(
+                    f"generator file {path} says dim={dim} but holds {arr.shape[0]} values"
+                )
+        return _finite(arr, path)
     rows = []
     for line_no, line in enumerate(text.splitlines(), start=1):
         line = line.strip()
@@ -76,7 +83,13 @@ def load_generator(path) -> np.ndarray:
             ) from exc
     if not rows:
         raise ParseError(f"generator file {path} holds no values")
-    return np.asarray(rows, dtype=np.complex128)
+    return _finite(np.asarray(rows, dtype=np.complex128), path)
+
+
+def _finite(arr: np.ndarray, path: Path) -> np.ndarray:
+    if not np.isfinite(arr).all():
+        raise ParseError(f"generator file {path} holds a non-finite value")
+    return arr
 
 
 def pairs_from_complex(values: np.ndarray) -> list[list[float]]:

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -20,7 +21,7 @@ from .groups import (
     group_function,
     make_abelian_group,
 )
-from .vnalgebra import ConvolutionOperator, lambda_matrix, operator_from_coefficients
+from .vnalgebra import ConvolutionOperator, operator_from_coefficients
 
 __all__ = [
     "DEFAULT_MAX_DIM",
@@ -44,18 +45,39 @@ DEFAULT_MAX_DIM = 4096
 _EXHAUSTIVE_PAIR_ORDER = 64
 _RANDOM_PAIR_COUNT = 200
 
+# Pairs per batch when checking the group law are chosen so one batch holds
+# about this many entries, whatever the dimension.
+_LAW_BATCH_ENTRIES = 1 << 20
+
 
 @dataclass(frozen=True, eq=False)
 class UnitaryRepresentation:
-    """A family of unitary matrices indexed by group elements."""
+    """A monomial unitary action: (U(g) v)[x] = phase[g, x] * v[src[g, x]].
+
+    Every representation built here permutes coordinates and multiplies them
+    by unit phases, so two read-only (order, dim) arrays hold the whole
+    action and the orbit of psi is the single gather phase * psi[src].
+    """
 
     group: FiniteGroup
     dim: int
-    matrices: np.ndarray  # (order, dim, dim) complex
+    src: np.ndarray  # (order, dim) int64, the coordinate each output reads
+    phase: np.ndarray  # (order, dim) complex128
     label: str
 
     def matrix(self, g: int) -> np.ndarray:
-        return self.matrices[g]
+        """The dense (dim, dim) matrix of one element."""
+        mat = np.zeros((self.dim, self.dim), dtype=np.complex128)
+        mat[np.arange(self.dim), self.src[g]] = self.phase[g]
+        return _freeze(mat)
+
+    @cached_property
+    def matrices(self) -> np.ndarray:
+        """All dense matrices as an (order, dim, dim) tensor, built on first use."""
+        order = self.group.order
+        mats = np.zeros((order, self.dim, self.dim), dtype=np.complex128)
+        mats[np.arange(order)[:, None], np.arange(self.dim), self.src] = self.phase
+        return _freeze(mats)
 
 
 @dataclass(frozen=True, eq=False)
@@ -91,14 +113,22 @@ def _as_generator(rep: UnitaryRepresentation, vec) -> np.ndarray:
         raise DimMismatchError(
             f"generator has length {arr.shape[0]}, representation dim is {rep.dim}"
         )
+    if not np.isfinite(arr).all():
+        raise ParseError("generator holds a non-finite value")
     return arr
 
 
 def regular_representation(group: FiniteGroup) -> UnitaryRepresentation:
-    """Left translation on functions over the group."""
-    mats = np.stack([lambda_matrix(group, g) for g in group.elements()])
+    """Left translation on functions over the group.
+
+    lambda(g) maps delta_y to delta_{g y}, so (lambda(g) v)[x] = v[g^-1 x].
+    """
+    src = group.table[group.inverses]
+    phase = np.ones(src.shape, dtype=np.complex128)
     label = f"regular:{group.spec}" if group.spec else "regular"
-    return UnitaryRepresentation(group, group.order, _freeze(mats), label)
+    return UnitaryRepresentation(
+        group, group.order, _freeze(src), _freeze(phase), label
+    )
 
 
 def shift_model_representation(
@@ -117,11 +147,11 @@ def shift_model_representation(
     if dim > max_dim:
         raise DimTooLargeError(f"dimension {dim} exceeds cap {max_dim}")
     group = make_abelian_group([n])
-    mats = np.zeros((n, dim, dim), dtype=np.complex128)
-    x = np.arange(dim)
-    for k in range(n):
-        mats[k, x, (x - k * m) % dim] = 1.0
-    return UnitaryRepresentation(group, dim, _freeze(mats), f"shift:{n},{m}")
+    src = (np.arange(dim) - m * np.arange(n)[:, None]) % dim
+    phase = np.ones((n, dim), dtype=np.complex128)
+    return UnitaryRepresentation(
+        group, dim, _freeze(src), _freeze(phase), f"shift:{n},{m}"
+    )
 
 
 def gabor_representation(
@@ -144,15 +174,34 @@ def gabor_representation(
         raise DimTooLargeError(f"dimension {dim} exceeds cap {max_dim}")
     group = make_abelian_group([l, m])
     roots = np.exp(-2j * np.pi * np.arange(dim) / dim)
-    mats = np.zeros((group.order, dim, dim), dtype=np.complex128)
+    # Element index is k * m + j for translation k and modulation j.
+    k, j = np.divmod(np.arange(group.order)[:, None], m)
     x = np.arange(dim)
-    for k in range(l):
-        for j in range(m):
-            idx = k * m + j
-            mats[idx, x, (x - m * k) % dim] = roots[(l * j * x) % dim]
-    rep = UnitaryRepresentation(group, dim, _freeze(mats), f"gabor:{l},{m}")
+    src = (x - m * k) % dim
+    phase = roots[(l * j * x) % dim]
+    rep = UnitaryRepresentation(
+        group, dim, _freeze(src), _freeze(phase), f"gabor:{l},{m}"
+    )
     _construction_guard(rep)
     return rep
+
+
+def _law_deviation(
+    rep: UnitaryRepresentation, a: np.ndarray, b: np.ndarray
+) -> np.ndarray:
+    """Per pair (a, b), the largest entry of |U(a) U(b) - U(ab)|.
+
+    U(a) U(b) reads coordinate src[b][src[a]] with phase
+    phase[a] * phase[b][src[a]].  A source that differs from src[ab] moves a
+    unit entry, so it counts as a deviation of at least 1.
+    """
+    via = rep.src[a]
+    src = np.take_along_axis(rep.src[b], via, axis=1)
+    phase = rep.phase[a] * np.take_along_axis(rep.phase[b], via, axis=1)
+    ab = rep.group.table[a, b]
+    dev = np.abs(phase - rep.phase[ab]).max(axis=1)
+    moved = (src != rep.src[ab]).any(axis=1)
+    return np.where(moved, np.maximum(dev, 1.0), dev)
 
 
 def _construction_guard(rep: UnitaryRepresentation, tol: float = 1e-12) -> None:
@@ -162,50 +211,53 @@ def _construction_guard(rep: UnitaryRepresentation, tol: float = 1e-12) -> None:
     pairs = min(n * n, 16)
     a = rng.integers(0, n, size=pairs)
     b = rng.integers(0, n, size=pairs)
-    for g1, g2 in zip(a, b):
-        prod = rep.matrices[g1] @ rep.matrices[g2]
-        target = rep.matrices[rep.group.product(int(g1), int(g2))]
-        if np.abs(prod - target).max() > tol:
-            raise HomomorphismFailure(
-                f"{rep.label}: group law fails at pair ({g1}, {g2})"
-            )
+    bad = np.flatnonzero(_law_deviation(rep, a, b) > tol)
+    if bad.size:
+        i = bad[0]
+        raise HomomorphismFailure(
+            f"{rep.label}: group law fails at pair ({a[i]}, {b[i]})"
+        )
 
 
 def verify_representation(
     rep: UnitaryRepresentation, tol: float = 1e-12, seed: int = 0
 ) -> RepVerification:
-    """Check the identity, unitarity of every matrix, and the group law.
+    """Check the identity, unitarity of every element, and the group law.
 
     All pairs are checked when the group order is at most 64; otherwise a
-    seeded sample of pairs is used.
+    seeded sample of pairs is used.  A wrong source coordinate counts as a
+    deviation of at least 1.
     """
-    group, mats = rep.group, rep.matrices
+    group, src, phase = rep.group, rep.src, rep.phase
     n, d = group.order, rep.dim
-    eye = np.eye(d)
+    coords = np.arange(d)
 
-    id_dev = float(np.abs(mats[group.identity] - eye).max())
-    unit_dev = 0.0
-    for g in range(n):
-        unit_dev = max(
-            unit_dev, float(np.abs(mats[g] @ mats[g].conj().T - eye).max())
-        )
+    e = group.identity
+    id_dev = float(np.abs(phase[e] - 1.0).max())
+    if not np.array_equal(src[e], coords):
+        id_dev = max(id_dev, 1.0)
+    # U(g) is unitary exactly when src[g] is a permutation and |phase| is 1.
+    unit_dev = float(np.abs(np.abs(phase) - 1.0).max())
+    if not (np.sort(src, axis=1) == coords).all():
+        unit_dev = max(unit_dev, 1.0)
 
     exhaustive = n <= _EXHAUSTIVE_PAIR_ORDER
     if exhaustive:
-        pairs = [(a, b) for a in range(n) for b in range(n)]
+        a, b = (idx.ravel() for idx in np.indices((n, n)))
     else:
         rng = np.random.default_rng(seed)
-        draws = rng.integers(0, n, size=(_RANDOM_PAIR_COUNT, 2))
-        pairs = [(int(a), int(b)) for a, b in draws]
+        a, b = rng.integers(0, n, size=(_RANDOM_PAIR_COUNT, 2)).T
 
-    hom_dev = 0.0
-    worst: tuple[int, int] | None = None
-    for a, b in pairs:
-        dev = float(
-            np.abs(mats[a] @ mats[b] - mats[group.table[a, b]]).max()
-        )
-        if dev > hom_dev:
-            hom_dev, worst = dev, (a, b)
+    step = max(1, _LAW_BATCH_ENTRIES // d)
+    devs = np.concatenate(
+        [
+            _law_deviation(rep, a[i : i + step], b[i : i + step])
+            for i in range(0, a.size, step)
+        ]
+    )
+    at = int(np.argmax(devs))
+    hom_dev = float(devs[at])
+    worst = (int(a[at]), int(b[at])) if hom_dev > 0 else None
 
     max_dev = max(id_dev, unit_dev, hom_dev)
     passed = max_dev <= tol
@@ -214,7 +266,7 @@ def verify_representation(
         identity_deviation=id_dev,
         unitarity_deviation=unit_dev,
         homomorphism_deviation=hom_dev,
-        checked_pairs=len(pairs),
+        checked_pairs=int(a.size),
         exhaustive=exhaustive,
         passed=passed,
         failing_pair=None if passed else worst,
@@ -223,8 +275,9 @@ def verify_representation(
 
 def orbit_matrix(orbit: OrbitSystem) -> np.ndarray:
     """Synthesis matrix whose column g is the generator moved by element g."""
-    psi = _as_generator(orbit.rep, orbit.generator)
-    vecs = orbit.rep.matrices @ psi  # (order, dim)
+    rep = orbit.rep
+    psi = _as_generator(rep, orbit.generator)
+    vecs = rep.phase * psi[rep.src]  # (order, dim)
     return vecs.T.copy()
 
 
@@ -234,7 +287,7 @@ def correlation_function(
     """g -> <phi, U(g) psi>, with the inner product linear in phi."""
     phi = _as_generator(rep, phi)
     psi = _as_generator(rep, psi)
-    moved = rep.matrices @ psi  # (order, dim)
+    moved = rep.phase * psi[rep.src]  # (order, dim)
     vals = moved.conj() @ phi
     return group_function(rep.group, vals)
 

@@ -305,6 +305,70 @@ def test_custom_table_group_through_cli(tmp_path, capsys):
     assert json.loads(out)["verdict"] == "riesz"
 
 
+# ------------------------------------------------------- rejected inputs
+
+
+def _assert_clean_parse_error(code, err):
+    assert code == 2
+    assert err.startswith("error: ")
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("value", ["NaN", "Infinity", "-Infinity"])
+def test_non_finite_generator_exits_2(tmp_path, capsys, value):
+    path = tmp_path / "psi.json"
+    path.write_text(f'{{"values": [[1.0, 0.0], [{value}, 0.0]]}}')
+    code, out, err = run_cli(capsys, "analyze", "--rep", "regular:Z2", "--psi", str(path))
+    _assert_clean_parse_error(code, err)
+    assert out == ""
+    assert "generator file" in err and "non-finite" in err
+
+
+def test_non_finite_csv_generator_exits_2(tmp_path, capsys):
+    path = tmp_path / "psi.csv"
+    path.write_text("1.0,0.0\n0.0,nan\n")
+    code, _, err = run_cli(capsys, "bracket", "--rep", "regular:Z2", "--psi", str(path))
+    _assert_clean_parse_error(code, err)
+    assert "generator file" in err and "non-finite" in err
+
+
+@pytest.mark.parametrize("dim", ['"four"', "[2]", "Infinity"])
+def test_non_integer_dim_exits_2(tmp_path, capsys, dim):
+    path = tmp_path / "psi.json"
+    path.write_text(f'{{"dim": {dim}, "values": [[1.0, 0.0], [0.5, 0.0]]}}')
+    code, _, err = run_cli(capsys, "analyze", "--rep", "regular:Z2", "--psi", str(path))
+    _assert_clean_parse_error(code, err)
+    assert "dim" in err
+
+
+@pytest.mark.parametrize("tol", ["nan", "inf", "-1", "0"])
+def test_bad_tolerance_exits_2(tmp_path, capsys, tol):
+    psi = _write_psi(tmp_path, [1.0, 0.5, 0.0, 0.0])
+    for argv in (
+        ("analyze", "--rep", "regular:Z4", "--psi", psi),
+        ("bracket", "--rep", "regular:Z4", "--psi", psi),
+        ("verify", "--groups", "Z2", "--samples", "1"),
+    ):
+        code, out, err = run_cli(capsys, *argv, "--tol", tol)
+        _assert_clean_parse_error(code, err)
+        assert out == ""
+        assert "--tol" in err
+
+
+@pytest.mark.parametrize("samples", ["0", "-3"])
+def test_verify_rejects_too_few_samples(capsys, samples):
+    code, out, err = run_cli(capsys, "verify", "--groups", "Z2", "--samples", samples)
+    _assert_clean_parse_error(code, err)
+    assert out == ""
+    assert "--samples" in err
+
+
+def test_verify_accepts_one_sample(capsys):
+    code, out, _ = run_cli(capsys, "verify", "--groups", "Z2", "--samples", "1")
+    assert code == 0
+    assert json.loads(out)["passed"] is True
+
+
 # ------------------------------------------------------------ console script
 
 PYPROJECT = Path(__file__).resolve().parents[1] / "pyproject.toml"

@@ -1,5 +1,7 @@
 """Concrete unitary representations and orbit brackets."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -133,9 +135,9 @@ def test_verify_samples_pairs_for_large_groups():
 
 def test_verify_flags_corrupted_matrix():
     rep = gabor_representation(2, 2)
-    mats = rep.matrices.copy()
-    mats[3] = mats[3] * 1.001
-    broken = type(rep)(group=rep.group, dim=rep.dim, matrices=mats, label=rep.label)
+    phase = rep.phase.copy()
+    phase[3] = phase[3] * 1.001
+    broken = dataclasses.replace(rep, phase=phase)
     result = verify_representation(broken)
     assert not result.passed
     assert result.max_deviation > 1e-4
