@@ -83,20 +83,18 @@ def _cmd_analyze(args) -> int:
     return EXIT_OK
 
 
-def _bracket_oracle(args, psi: np.ndarray, values: np.ndarray) -> float:
+def _bracket_oracle(rep, op, psi: np.ndarray, values: np.ndarray) -> float:
     """Recompute the bracket along an independent route; return max deviation."""
-    head, _, tail = args.rep.strip().partition(":")
-    if head == "shift":
-        n, m = (int(p) for p in tail.split(","))
-        other = periodization_bracket(psi, n, m).values
-    elif head == "gabor":
-        l, m = (int(p) for p in tail.split(","))
+    kind = rep.label.partition(":")[0]
+    if kind == "shift":
+        n = rep.group.order
+        other = periodization_bracket(psi, n, rep.dim // n).values
+    elif kind == "gabor":
+        l, m = rep.group.abelian.invariant_factors
         other = gabor_bracket_via_zak(psi, psi, l, m).values
     else:
         # Self-brackets are positive, so the multiplier values must match the
         # (real) spectrum of the operator matrix as a sorted list.
-        rep = parse_rep_spec(args.rep, max_order=_max_order())
-        op = bracket_operator(rep, psi, psi)
         eig = np.linalg.eigvalsh((op.matrix + op.matrix.conj().T) / 2.0)
         got = np.sort(values.real)
         scale = max(1.0, float(np.abs(eig).max(initial=0.0)))
@@ -111,8 +109,13 @@ def _cmd_bracket(args) -> int:
     op = bracket_operator(rep, psi, psi)
 
     if rep.group.abelian is None:
+        if rep.group.is_abelian:
+            needs = "cyclic-product coordinates"
+            skipped = "group has no cyclic-product coordinates"
+        else:
+            needs, skipped = "an abelian group", "group is not abelian"
         sys.stderr.write(
-            "notice: the multiplier transform needs an abelian group; "
+            f"notice: the multiplier transform needs {needs}; "
             "emitting the operator kernel and spectrum instead\n"
         )
         spectrum = np.linalg.eigvalsh((op.matrix + op.matrix.conj().T) / 2.0)
@@ -130,7 +133,7 @@ def _cmd_bracket(args) -> int:
             "kind": "operator_kernel",
             "kernel": pairs_from_complex(op.coefficients.values),
             "spectrum": [float(x) for x in spectrum],
-            "notice": "multiplier transform skipped: group is not abelian",
+            "notice": f"multiplier transform skipped: {skipped}",
         }
         _write(dump_json(payload), args.out)
         return EXIT_OK
@@ -139,7 +142,7 @@ def _cmd_bracket(args) -> int:
     code = EXIT_OK
     oracle_dev = None
     if args.oracle:
-        oracle_dev = _bracket_oracle(args, psi, mult.values)
+        oracle_dev = _bracket_oracle(rep, op, psi, mult.values)
         if oracle_dev > _ORACLE_TOL:
             code = EXIT_FAIL
     if args.format == "csv":

@@ -251,7 +251,11 @@ def analyze_orbit(orbit: OrbitSystem, tol: float = 1e-10) -> FrameReport:
     any disagreement of derived bounds.
     """
     psi = orbit.generator
-    if float(np.linalg.norm(psi)) <= 1e-12:
+    # The verdict depends on the spectrum relative to lambda_max, not on the
+    # scale of psi; only a squared norm that is zero or has lost precision
+    # below the smallest normal float leaves nothing to classify.
+    norm_sq = float(np.vdot(psi, psi).real)
+    if not norm_sq >= np.finfo(float).tiny:
         raise ZeroGeneratorError("orbit generator is numerically zero")
 
     gram = gram_matrix(vector_system(orbit_matrix(orbit)))

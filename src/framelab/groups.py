@@ -15,6 +15,7 @@ from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import (
     EmptyFactorsError,
@@ -54,6 +55,10 @@ DEFAULT_MAX_ORDER = 4096
 # to randomized triples.
 _EXHAUSTIVE_ASSOC_ORDER = 512
 _RANDOM_ASSOC_TRIPLES = 100_000
+
+# Rows per block when a product law is evaluated into a table are chosen so
+# one block holds about this many entries, whatever the order.
+_TABLE_BATCH_ENTRIES = 1 << 18
 
 
 @dataclass(frozen=True, eq=False)
@@ -147,6 +152,50 @@ def _mixed_radix_coords(factors: tuple[int, ...]) -> np.ndarray:
     return coords
 
 
+def _cyclic_sums(d: int, scale: int) -> np.ndarray:
+    """The (d, d) array scale * ((x + y) mod d), as windows of one short row."""
+    wrapped = (np.arange(2 * d, dtype=np.int64) % d) * scale
+    return sliding_window_view(wrapped, d)[:d]
+
+
+def _cyclic_product_table(factors: tuple[int, ...]) -> np.ndarray:
+    """Multiplication table of Z_d1 x ... x Z_dk, last factor fastest.
+
+    The table grows from the last factor outward inside its own top-left
+    corner.  When the corner of side n holds the table of the suffix group
+    G, prepending Z_d gives
+
+        table[(x, a), (y, b)] = n * ((x + y) mod d) + table_G[a, b].
+
+    Rows x >= 1 are written from the corner; row x = 0 is then copied from
+    row x = 1, because (0, y) = (1, y - 1) for y >= 1.  Every source lies in
+    rows its target does not touch, so no step copies its input and the
+    build needs the memory of one table.
+    """
+    order = math.prod(factors)
+    table = np.empty((order, order), dtype=np.int64)
+    n = factors[-1]
+    table[:n, :n] = _cyclic_sums(n, 1)
+    for d in reversed(factors[:-1]):
+        corner = table[:n, :n]
+        rows = table[n : d * n, : d * n].reshape(d - 1, n, d, n)
+        steps = _cyclic_sums(d, n)[1:]
+        np.add(corner[None, :, None, :], steps[:, None, :, None], out=rows)
+        table[:n, n : d * n] = table[n : 2 * n, : (d - 1) * n]
+        n *= d
+    return table
+
+
+def _blocked_table(order: int, law) -> np.ndarray:
+    """Fill a table by calling law(rows, out) on blocks of consecutive rows."""
+    table = np.empty((order, order), dtype=np.int64)
+    step = max(1, _TABLE_BATCH_ENTRIES // order)
+    for start in range(0, order, step):
+        stop = min(start + step, order)
+        law(np.arange(start, stop), table[start:stop])
+    return table
+
+
 def make_abelian_group(
     factors, max_order: int = DEFAULT_MAX_ORDER
 ) -> FiniteGroup:
@@ -161,12 +210,9 @@ def make_abelian_group(
     if order > max_order:
         raise OrderTooLargeError(f"order {order} exceeds cap {max_order}")
 
+    table = _cyclic_product_table(factors)
     dims = np.asarray(factors, dtype=np.int64)
     coords = _mixed_radix_coords(factors)
-    table = np.empty((order, order), dtype=np.int64)
-    for a in range(order):
-        summed = (coords[a] + coords) % dims
-        table[a] = np.ravel_multi_index(tuple(summed.T), factors)
     inverses = np.ravel_multi_index(tuple(((-coords) % dims).T), factors)
 
     spec = "x".join(f"Z{d}" for d in factors)
@@ -198,17 +244,25 @@ def dihedral_group(n: int, max_order: int = DEFAULT_MAX_ORDER) -> FiniteGroup:
 
     idx = np.arange(order)
     k, j = idx % n, idx // n
-    k1, j1 = k[:, None], j[:, None]
-    k2, j2 = k[None, :], j[None, :]
-    kp = (k1 + np.where(j1 == 1, -k2, k2)) % n
-    jp = (j1 + j2) % 2
-    table = jp * n + kp
+    rot = k[:n]
+
+    def law(rows: np.ndarray, out: np.ndarray) -> None:
+        # out[row, j2, k2]: j2 only flips the reflection part of the product,
+        # and the rotation part (k1 +- k2) mod n is the same for both j2.
+        k1, j1 = k[rows, None], j[rows, None]
+        kp = (1 - 2 * j1) * rot
+        kp += k1
+        np.remainder(kp, n, out=kp)
+        jp = (j1 ^ np.arange(2)) * n
+        np.add(jp[:, :, None], kp[:, None, :], out=out.reshape(-1, 2, n))
+
+    table = _blocked_table(order, law)
     inv_k = np.where(j == 0, (-k) % n, k)
     inverses = j * n + inv_k
 
     return FiniteGroup(
         order=order,
-        table=_freeze(table.astype(np.int64)),
+        table=_freeze(table),
         inverses=_freeze(inverses.astype(np.int64)),
         identity=0,
         is_abelian=bool(n <= 2),
@@ -233,12 +287,22 @@ def heisenberg_group(p: int, max_order: int = DEFAULT_MAX_ORDER) -> FiniteGroup:
 
     coords = _mixed_radix_coords((p, p, p))
     a, b, c = coords[:, 0], coords[:, 1], coords[:, 2]
-    table = np.empty((order, order), dtype=np.int64)
-    for i in range(order):
-        aa = (a[i] + a) % p
-        bb = (b[i] + b) % p
-        cc = (c[i] + c + a[i] * b) % p
-        table[i] = (aa * p + bb) * p + cc
+
+    digits = np.arange(p)
+    c_sums = _cyclic_sums(p, 1)
+
+    def law(rows: np.ndarray, out: np.ndarray) -> None:
+        # out[row, a', b', c']: the a and b digits add mod p on their own, and
+        # the c digit is a shift of c' by c + a*b' mod p.
+        ra, rb, rc = a[rows, None], b[rows, None], c[rows, None]
+        high = (ra + digits) % p * (p * p)
+        mid = (rb + digits) % p * p
+        shift = (rc + ra * digits) % p
+        view = out.reshape(-1, p, p, p)
+        np.add(high[:, :, None, None], mid[:, None, :, None], out=view)
+        view += c_sums[shift][:, None, :, :]
+
+    table = _blocked_table(order, law)
     inverses = (((-a) % p) * p + ((-b) % p)) * p + ((-c + a * b) % p)
 
     return FiniteGroup(

@@ -14,7 +14,7 @@ import pytest
 import framelab
 from framelab.cli import main
 from framelab.io import dump_json, load_generator, spectrum_csv, values_csv
-from framelab import ParseError
+from framelab import ParseError, make_abelian_group
 
 
 def _write_psi(tmp_path, values, name="psi.json"):
@@ -199,6 +199,55 @@ def test_bracket_nonabelian_fallback(tmp_path, capsys):
     assert "abelian" in err
 
 
+def test_bracket_oracle_parses_the_spec_once(tmp_path, capsys, monkeypatch):
+    calls = []
+    real = framelab.cli.parse_rep_spec
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(framelab.cli, "parse_rep_spec", counted)
+    psi = _write_psi(tmp_path, np.arange(1.0, 13.0))
+    code, out, _ = run_cli(
+        capsys, "bracket", "--rep", "regular:Z3xZ4", "--psi", psi, "--oracle"
+    )
+    assert code == 0
+    assert json.loads(out)["oracle_deviation"] < 1e-12
+    assert len(calls) == 1
+
+
+def _z2xz2_table(tmp_path):
+    path = tmp_path / "klein.json"
+    path.write_text(json.dumps({"table": make_abelian_group([2, 2]).table.tolist()}))
+    return f"regular:table:{path}"
+
+
+_NO_COORDINATES = ("cyclic-product coordinates", "group has no cyclic-product coordinates")
+_NOT_ABELIAN = ("an abelian group", "group is not abelian")
+
+
+@pytest.mark.parametrize(
+    "rep,wording",
+    [("regular:D2", _NO_COORDINATES), ("klein", _NO_COORDINATES), ("regular:D3", _NOT_ABELIAN)],
+)
+def test_bracket_kernel_fallback_notice(tmp_path, capsys, rep, wording):
+    needs, skipped = wording
+    if rep == "klein":
+        rep = _z2xz2_table(tmp_path)
+    group_order = 6 if rep == "regular:D3" else 4
+    psi = _write_psi(tmp_path, [1.0, 0.5, 0.25] + [0.0] * (group_order - 3))
+    code, out, err = run_cli(capsys, "bracket", "--rep", rep, "--psi", psi)
+    assert code == 0
+    payload = json.loads(out)
+    assert payload["kind"] == "operator_kernel"
+    assert payload["notice"] == f"multiplier transform skipped: {skipped}"
+    assert err == (
+        f"notice: the multiplier transform needs {needs}; "
+        "emitting the operator kernel and spectrum instead\n"
+    )
+
+
 def test_bracket_nonabelian_csv_writes_spectrum_sidecar(tmp_path, capsys):
     rng = np.random.default_rng(17)
     psi = _write_psi(tmp_path, rng.standard_normal(8) + 1j * rng.standard_normal(8))
@@ -281,6 +330,16 @@ def test_exit_code_zero_generator(tmp_path, capsys):
     psi = _write_psi(tmp_path, [0.0, 0.0, 0.0, 0.0])
     code, _, _ = run_cli(capsys, "analyze", "--rep", "regular:Z4", "--psi", psi)
     assert code == 4
+
+
+def test_tiny_generator_is_classified_like_its_unit_scale(tmp_path, capsys):
+    values = np.array([1.0, 0.5, 0.2, 0.0])
+    unit = _write_psi(tmp_path, values, name="unit.json")
+    tiny = _write_psi(tmp_path, values * 1e-13, name="tiny.json")
+    code, out, _ = run_cli(capsys, "analyze", "--rep", "regular:Z4", "--psi", unit)
+    assert code == 0 and json.loads(out)["verdict"] == "riesz"
+    code, out, _ = run_cli(capsys, "analyze", "--rep", "regular:Z4", "--psi", tiny)
+    assert code == 0 and json.loads(out)["verdict"] == "riesz"
 
 
 def test_env_var_caps_group_order(tmp_path, capsys, monkeypatch):

@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, strategies as st
+from hypothesis.extra.numpy import arrays
 
 from framelab import (
     GAP_GUARD,
@@ -21,6 +23,7 @@ from framelab import (
     heisenberg_group,
     make_abelian_group,
     make_builtin_group,
+    parse_rep_spec,
     regular_representation,
     riesz_bounds,
     shift_model_representation,
@@ -368,3 +371,60 @@ def test_zero_verdict_constant_exported():
 def test_vector_system_validation():
     with pytest.raises(ValueError):
         vector_system(np.ones(3))
+
+
+_SCALE_REPS = {
+    spec: parse_rep_spec(spec)
+    for spec in (
+        "regular:Z4",
+        "regular:Z2xZ3",
+        "regular:D3",
+        "regular:H2",
+        "shift:4,2",
+        "gabor:2,3",
+    )
+}
+_COEFFICIENTS = st.one_of(
+    st.just(0.0), st.floats(1e-3, 1.0), st.floats(-1.0, -1e-3)
+)
+
+
+@given(
+    spec=st.sampled_from(sorted(_SCALE_REPS)),
+    k=st.integers(-100, 100),
+    data=st.data(),
+)
+def test_analyze_orbit_verdict_is_scale_free(spec, k, data):
+    rep = _SCALE_REPS[spec]
+    parts = data.draw(
+        arrays(np.float64, (2, rep.dim), elements=_COEFFICIENTS), label="psi"
+    )
+    psi = parts[0] + 1j * parts[1]
+    assume(np.any(psi != 0))
+    base = analyze_orbit(OrbitSystem(rep, psi))
+    w, lam_max = base.gram_spectrum, float(base.gram_spectrum[-1])
+    for edge in (base.tolerance * lam_max, GAP_GUARD * base.tolerance * lam_max):
+        assume(not np.any((w > edge / 10) & (w < edge * 10)))
+
+    c = 10.0**k
+    scaled = analyze_orbit(OrbitSystem(rep, c * psi))
+    assert scaled.verdict == base.verdict
+    assert scaled.kernel_dim == base.kernel_dim
+    # Eigenvalues are accurate relative to lambda_max, so a small kept bound
+    # is compared on that scale; the largest one is held to rel 1e-9 itself.
+    c2 = c * c
+    for got, want in ((scaled.riesz_bounds, base.riesz_bounds),
+                      (scaled.frame_bounds, base.frame_bounds)):
+        assert (got is None) == (want is None)
+        if want is not None:
+            assert got == pytest.approx(
+                (c2 * want[0], c2 * want[1]), rel=1e-9, abs=1e-9 * c2 * lam_max
+            )
+
+
+def test_analyze_orbit_rejects_underflowing_norm():
+    rep = regular_representation(make_abelian_group([3]))
+    with pytest.raises(ZeroGeneratorError):
+        analyze_orbit(OrbitSystem(rep, [1e-160, 0.0, 0.0]))
+    report = analyze_orbit(OrbitSystem(rep, [1e-150, 0.0, 0.0]))
+    assert report.verdict == VERDICT_RIESZ

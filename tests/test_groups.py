@@ -1,7 +1,12 @@
 """Group arithmetic, duals, and convolution."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
+
+import framelab.groups as groups_module
 
 from framelab import (
     EmptyFactorsError,
@@ -324,3 +329,128 @@ def test_tables_are_read_only():
         g.table[0, 0] = 1
     with pytest.raises(ValueError):
         character_table(g)[0, 0] = 0.0
+
+
+# ------------------------------- tables against the former direct builders
+
+
+def _loop_abelian(factors):
+    """Cyclic-product table, inverses and coordinates, one row at a time."""
+    order = int(np.prod(factors))
+    dims = np.asarray(factors, dtype=np.int64)
+    coords = np.stack(np.unravel_index(np.arange(order), factors), axis=1)
+    table = np.empty((order, order), dtype=np.int64)
+    for a in range(order):
+        summed = (coords[a] + coords) % dims
+        table[a] = np.ravel_multi_index(tuple(summed.T), factors)
+    inverses = np.ravel_multi_index(tuple(((-coords) % dims).T), factors)
+    return table, inverses, coords
+
+
+def _broadcast_dihedral(n):
+    """D_n table and inverses, index j*n + k for r^k s^j, as one broadcast."""
+    idx = np.arange(2 * n)
+    k, j = idx % n, idx // n
+    k1, j1 = k[:, None], j[:, None]
+    k2, j2 = k[None, :], j[None, :]
+    kp = (k1 + np.where(j1 == 1, -k2, k2)) % n
+    jp = (j1 + j2) % 2
+    inverses = j * n + np.where(j == 0, (-k) % n, k)
+    return jp * n + kp, inverses
+
+
+def _loop_heisenberg(p):
+    """H_p table and inverses, index (a*p + b)*p + c, one row at a time."""
+    coords = np.stack(np.unravel_index(np.arange(p**3), (p, p, p)), axis=1)
+    a, b, c = coords.T
+    table = np.empty((p**3, p**3), dtype=np.int64)
+    for i in range(p**3):
+        aa = (a[i] + a) % p
+        bb = (b[i] + b) % p
+        cc = (c[i] + c + a[i] * b) % p
+        table[i] = (aa * p + bb) * p + cc
+    inverses = (((-a) % p) * p + ((-b) % p)) * p + ((-c + a * b) % p)
+    return table, inverses
+
+
+@st.composite
+def factor_lists(draw):
+    """One to six cyclic factors whose product is at most 1000."""
+    count = draw(st.integers(1, 6))
+    budget, factors = 1000, []
+    for i in range(count):
+        d = draw(st.integers(2, budget // 2 ** (count - 1 - i)))
+        factors.append(d)
+        budget //= d
+    return factors
+
+
+def _assert_fields(group, table, inverses, tag, spec, is_abelian):
+    assert group.table.dtype == np.int64
+    assert np.array_equal(group.table, table)
+    assert np.array_equal(group.inverses, inverses)
+    assert group.identity == 0
+    assert group.is_abelian is is_abelian
+    assert group.structure_tag == tag
+    assert group.spec == spec
+    assert not group.table.flags.writeable
+
+
+@given(factors=factor_lists())
+def test_abelian_table_matches_row_loop(factors):
+    group = make_abelian_group(factors)
+    table, inverses, coords = _loop_abelian(factors)
+    spec = "x".join(f"Z{d}" for d in factors)
+    _assert_fields(group, table, inverses, "cyclic-product", spec, True)
+    assert np.array_equal(group.abelian.coords, coords)
+    assert group.abelian.invariant_factors == tuple(factors)
+
+
+@given(n=st.integers(2, 100))
+def test_dihedral_table_matches_row_loop(n):
+    table, inverses = _broadcast_dihedral(n)
+    _assert_fields(dihedral_group(n), table, inverses, "dihedral", f"D{n}", n <= 2)
+    assert dihedral_group(n).abelian is None
+
+
+@given(p=st.integers(2, 7))
+def test_heisenberg_table_matches_row_loop(p):
+    table, inverses = _loop_heisenberg(p)
+    group = heisenberg_group(p)
+    _assert_fields(group, table, inverses, "heisenberg", f"H{p}", False)
+    assert group.abelian is None
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: make_abelian_group([4096]),
+        lambda: make_abelian_group([64, 64]),
+        lambda: make_abelian_group([2] * 12),
+        lambda: dihedral_group(2048),
+        lambda: heisenberg_group(16),
+    ],
+    ids=["Z4096", "Z64xZ64", "Z2^12", "D2048", "H16"],
+)
+def test_table_build_peaks_near_one_table(build):
+    tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        before = tracemalloc.get_traced_memory()[0]
+        group = build()
+        peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+    assert group.order == 4096
+    assert peak <= 1.25 * group.table.nbytes
+
+
+@pytest.mark.parametrize("entries", [1, 100, 1000])
+def test_blocked_tables_match_across_block_sizes(monkeypatch, entries):
+    monkeypatch.setattr(groups_module, "_TABLE_BATCH_ENTRIES", entries)
+    for n in (2, 7, 50):
+        table, inverses = _broadcast_dihedral(n)
+        assert np.array_equal(dihedral_group(n).table, table)
+    for p in (2, 3, 5):
+        table, inverses = _loop_heisenberg(p)
+        assert np.array_equal(heisenberg_group(p).table, table)
