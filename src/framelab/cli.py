@@ -19,6 +19,7 @@ from .errors import (
     DimMismatchError,
     FrameLabError,
     GroupMismatchError,
+    NonFiniteResultError,
     ParseError,
     ZeroGeneratorError,
 )
@@ -58,6 +59,11 @@ def _check_numeric_args(args) -> None:
         raise ParseError(f"--samples must be at least 1, got {args.samples}")
 
 
+def _require_finite(values, what: str) -> None:
+    if not np.isfinite(values).all():
+        raise NonFiniteResultError(f"{what} of this generator overflows a float")
+
+
 def _write(text: str, out: str | None) -> None:
     if out:
         Path(out).write_text(text)
@@ -83,6 +89,16 @@ def _cmd_analyze(args) -> int:
     return EXIT_OK
 
 
+def _hermitian_spectrum(op) -> np.ndarray:
+    """Eigenvalues of the hermitized operator matrix (F + F*) / 2.
+
+    Halving before the sum is exact and keeps a kernel near the largest
+    float from overflowing.
+    """
+    half = op.matrix / 2.0
+    return np.linalg.eigvalsh(half + half.conj().T)
+
+
 def _bracket_oracle(rep, op, psi: np.ndarray, values: np.ndarray) -> float:
     """Recompute the bracket along an independent route; return max deviation."""
     kind = rep.label.partition(":")[0]
@@ -95,7 +111,7 @@ def _bracket_oracle(rep, op, psi: np.ndarray, values: np.ndarray) -> float:
     else:
         # Self-brackets are positive, so the multiplier values must match the
         # (real) spectrum of the operator matrix as a sorted list.
-        eig = np.linalg.eigvalsh((op.matrix + op.matrix.conj().T) / 2.0)
+        eig = _hermitian_spectrum(op)
         got = np.sort(values.real)
         scale = max(1.0, float(np.abs(eig).max(initial=0.0)))
         return float(np.abs(got - eig).max()) / scale
@@ -103,12 +119,18 @@ def _bracket_oracle(rep, op, psi: np.ndarray, values: np.ndarray) -> float:
     return float(np.abs(values - other).max()) / scale
 
 
+# An overflow surfaces as NonFiniteResultError from the checks on each
+# result, so numpy's warnings would only repeat it.
+@np.errstate(over="ignore", invalid="ignore")
 def _cmd_bracket(args) -> int:
     rep = parse_rep_spec(args.rep, max_order=_max_order())
     psi = load_generator(args.psi)
     op = bracket_operator(rep, psi, psi)
+    _require_finite(op.coefficients.values, "the bracket kernel")
 
     if rep.group.abelian is None:
+        spectrum = _hermitian_spectrum(op)
+        _require_finite(spectrum, "the bracket spectrum")
         if rep.group.is_abelian:
             needs = "cyclic-product coordinates"
             skipped = "group has no cyclic-product coordinates"
@@ -118,7 +140,6 @@ def _cmd_bracket(args) -> int:
             f"notice: the multiplier transform needs {needs}; "
             "emitting the operator kernel and spectrum instead\n"
         )
-        spectrum = np.linalg.eigvalsh((op.matrix + op.matrix.conj().T) / 2.0)
         if args.format == "csv":
             _write(values_csv(op.coefficients.values), args.out)
             if args.out:
@@ -139,6 +160,7 @@ def _cmd_bracket(args) -> int:
         return EXIT_OK
 
     mult = lambda_multiplier(op)
+    _require_finite(mult.values, "the bracket")
     code = EXIT_OK
     oracle_dev = None
     if args.oracle:

@@ -16,6 +16,7 @@ __all__ = [
     "MalformedTableError",
     "NoIdentityError",
     "NoInverseError",
+    "NonFiniteResultError",
     "NotAbelianError",
     "NotAssociativeError",
     "NotRealValuedError",
@@ -92,6 +93,10 @@ class HomomorphismFailure(FrameLabError):
 
 class ZeroGeneratorError(FrameLabError):
     """Orbit analysis was asked to run on a (numerically) zero generator."""
+
+
+class NonFiniteResultError(FrameLabError):
+    """A bound, spectrum or bracket value does not fit in a finite float."""
 
 
 class BadLengthError(FrameLabError):

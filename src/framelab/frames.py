@@ -13,11 +13,13 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import NotAbelianError, ZeroGeneratorError
-from .representations import OrbitSystem, bracket_operator, orbit_matrix
-from .vnalgebra import trace_tau
+from .errors import NonFiniteResultError, NotAbelianError, ZeroGeneratorError
+from .groups import group_function
+from .representations import OrbitSystem, bracket_operator, orbit_matrix, orbit_rows
+from .vnalgebra import block_spectrum, operator_from_coefficients, trace_tau
 
 __all__ = [
+    "BLOCK_SPECTRUM_ORDER",
     "BracketGramianCheck",
     "DualLemmaReport",
     "FrameReport",
@@ -44,6 +46,15 @@ VERDICT_ZERO = "zero_system"
 # zero threshold for the riesz / frame-not-riesz split to be trustworthy; the
 # verdict degrades to bessel_only_degenerate there.
 GAP_GUARD = 1e3
+
+# Above this group order, analyze_orbit takes the spectrum of a cyclic
+# product or D<n> under its regular representation from the irreducible
+# blocks of the correlation kernel instead of two dense O(order^3)
+# eigensolves.  Every order the self-checks and examples use lies below it,
+# where the dense routes decide and their output keeps its bytes.
+BLOCK_SPECTRUM_ORDER = 64
+# Gram columns compared against operator columns on the block route.
+_BLOCK_CHECK_COLUMNS = 4
 
 
 @dataclass(frozen=True, eq=False)
@@ -240,27 +251,37 @@ def _verdict_from_spectrum(
     return VERDICT_FRAME_NOT_RIESZ, None, (a, b), kernel_dim, gap
 
 
-def analyze_orbit(orbit: OrbitSystem, tol: float = 1e-10) -> FrameReport:
-    """Classify the orbit of a generator under a representation.
+def _power_of_two_scaled(psi: np.ndarray) -> tuple[np.ndarray, int]:
+    """psi / 2^e with its largest component in [0.5, 1), and e.
 
-    Three routes produce the same spectral data: the Gram matrix of the
-    orbit, the operator whose kernel is the correlation function, and (for
-    commutative groups) its multiplier transform.  The report's verdict and
-    bounds come from the Gram route; route_agreement records how far the
-    other routes stray, as max deviation relative to lambda_max, folding in
-    any disagreement of derived bounds.
+    Dividing by a power of two is exact, so the Gram and operator matrices
+    of the scaled generator are exactly 4^-e times those of psi (short of
+    underflow in entries far below the largest), and neither can overflow.
     """
-    psi = orbit.generator
-    # The verdict depends on the spectrum relative to lambda_max, not on the
-    # scale of psi; only a squared norm that is zero or has lost precision
-    # below the smallest normal float leaves nothing to classify.
-    norm_sq = float(np.vdot(psi, psi).real)
-    if not norm_sq >= np.finfo(float).tiny:
-        raise ZeroGeneratorError("orbit generator is numerically zero")
+    peak = max(float(np.abs(psi.real).max()), float(np.abs(psi.imag).max()))
+    exp = int(np.frexp(peak)[1])
+    scaled = np.empty_like(psi)
+    scaled.real = np.ldexp(psi.real, -exp)
+    scaled.imag = np.ldexp(psi.imag, -exp)
+    return scaled, exp
 
+
+def _scalar_route(op, w: np.ndarray, lam_max: float) -> float:
+    """Deviation of the character-table multiplier from the spectrum w."""
+    from .abelian import lambda_multiplier
+
+    mult = lambda_multiplier(op)
+    vals = np.sort(mult.values.real)
+    dev_scalar = float(np.abs(vals - w).max()) / lam_max
+    dev_imag = float(np.abs(mult.values.imag).max()) / lam_max
+    return max(dev_scalar, dev_imag)
+
+
+def _dense_routes(orbit: OrbitSystem) -> tuple[np.ndarray, dict[str, float]]:
+    """Spectrum from the dense Gram matrix, checked against the operator matrix."""
+    psi = orbit.generator
     gram = gram_matrix(vector_system(orbit_matrix(orbit)))
     w = _sorted_spectrum(gram)
-    verdict, rb, fb, kernel_dim, gap = _verdict_from_spectrum(w, tol)
     lam_max = max(float(w[-1]), 1e-300)
 
     op = bracket_operator(orbit.rep, psi, psi)
@@ -270,18 +291,99 @@ def analyze_orbit(orbit: OrbitSystem, tol: float = 1e-10) -> FrameReport:
     routes = {"bracket": max(dev_matrix, dev_spec)}
 
     if orbit.rep.group.is_abelian and orbit.rep.group.abelian is not None:
-        from .abelian import lambda_multiplier
+        routes["scalar"] = _scalar_route(op, w, lam_max)
+    return w, routes
 
-        mult = lambda_multiplier(op)
-        vals = np.sort(mult.values.real)
-        dev_scalar = float(np.abs(vals - w).max()) / lam_max
-        dev_imag = float(np.abs(mult.values.imag).max()) / lam_max
-        routes["scalar"] = max(dev_scalar, dev_imag)
+
+def _block_routes(orbit: OrbitSystem) -> tuple[np.ndarray, dict[str, float]]:
+    """Spectrum from the irreducible blocks of the bracket kernel.
+
+    No order x order matrix is formed.  The bracket route checks the paper's
+    identity on what is left: Gram against operator on a few seeded columns,
+    and the trace and squared Frobenius norm of the Gram matrix against the
+    first two moments of the block spectrum.
+    """
+    psi, group = orbit.generator, orbit.rep.group
+    order = group.order
+    moved = orbit_rows(orbit)  # row g is U(g) psi
+    # c(g) = <psi, U(g) psi> = conj(moved[g] @ conj(psi)), which is also the
+    # Gram column of the identity; conjugating the short side spares a copy
+    # of moved.
+    c = (moved @ psi.conj()).conj()
+    op = operator_from_coefficients(group_function(group, c))
+    w = block_spectrum(op.coefficients)
+    lam_max = max(float(w[-1]), 1e-300)
+
+    cols = np.random.default_rng(0).choice(order, _BLOCK_CHECK_COLUMNS, replace=False)
+    gram_cols = (moved @ moved[cols].conj().T).conj()  # moved.conj() @ moved[j]
+    op_cols = c[group.table[group.inverses[cols]]].T  # F[x, j] = c(j^-1 x)
+    dev_cols = float(np.abs(gram_cols - op_cols).max()) / lam_max
+    trace = float(c[group.identity].real)
+    dev_trace = abs(float(w.sum()) - order * trace) / (order * lam_max)
+    frobenius = float(np.sum(np.abs(c) ** 2))
+    dev_frob = abs(float(np.sum(w**2)) - order * frobenius) / (order * lam_max**2)
+    routes = {"bracket": max(dev_cols, dev_trace, dev_frob)}
+
+    if group.abelian is not None:
+        routes["scalar"] = _scalar_route(op, w, lam_max)
+    return w, routes
+
+
+def _uses_blocks(rep) -> bool:
+    return (
+        rep.group.order > BLOCK_SPECTRUM_ORDER
+        and rep.label.partition(":")[0] == "regular"
+        and rep.group.structure_tag in ("cyclic-product", "dihedral")
+    )
+
+
+def analyze_orbit(orbit: OrbitSystem, tol: float = 1e-10) -> FrameReport:
+    """Classify the orbit of a generator under a representation.
+
+    Three routes produce the same spectral data: the Gram matrix of the
+    orbit, the operator whose kernel is the correlation function, and (for
+    commutative groups) its multiplier transform.  Up to order
+    BLOCK_SPECTRUM_ORDER, and for every group other than a cyclic product or
+    D<n> under its regular representation, the verdict and bounds come from
+    the Gram route and route_agreement records how far the other routes
+    stray, as max deviation relative to lambda_max.  Above it the spectrum
+    comes from the irreducible blocks of the correlation kernel
+    (block_spectrum); "bracket" then holds the Gram-vs-operator deviation on
+    a few seeded columns and the trace and Frobenius-norm deviations of that
+    spectrum, and "scalar" the character-table multiplier against it.
+    """
+    psi = np.asarray(orbit.generator, dtype=np.complex128).reshape(-1)
+    # The verdict depends on the spectrum relative to lambda_max, not on the
+    # scale of psi; only a squared norm that is zero or has lost precision
+    # below the smallest normal float leaves nothing to classify.
+    norm_sq = float(np.vdot(psi, psi).real)
+    if not norm_sq >= np.finfo(float).tiny:
+        raise ZeroGeneratorError("orbit generator is numerically zero")
+
+    scaled, exp = _power_of_two_scaled(psi)
+    scaled_orbit = OrbitSystem(orbit.rep, scaled)
+    routes_of = _block_routes if _uses_blocks(orbit.rep) else _dense_routes
+    w, routes = routes_of(scaled_orbit)
+    verdict, rb, fb, kernel_dim, gap = _verdict_from_spectrum(w, tol)
+
+    # The verdict is read off the scaled spectrum; values go back to the
+    # scale of psi, where the largest may no longer fit in a float.
+    with np.errstate(over="ignore"):
+        w = np.ldexp(w, 2 * exp)
+    if not np.isfinite(w).all():
+        raise NonFiniteResultError(
+            "the Gram spectrum of this generator overflows a float"
+        )
+
+    def unscaled(bounds):
+        if bounds is None:
+            return None
+        return tuple(float(np.ldexp(x, 2 * exp)) for x in bounds)
 
     return FrameReport(
         verdict=verdict,
-        riesz_bounds=rb,
-        frame_bounds=fb,
+        riesz_bounds=unscaled(rb),
+        frame_bounds=unscaled(fb),
         gram_spectrum=w,
         kernel_dim=kernel_dim,
         route_agreement=routes,

@@ -60,6 +60,10 @@ _RANDOM_ASSOC_TRIPLES = 100_000
 # one block holds about this many entries, whatever the order.
 _TABLE_BATCH_ENTRIES = 1 << 18
 
+# Longest digit run a spec may use for one count; int() refuses runs past
+# sys.get_int_max_str_digits(), and any count this long is far above a cap.
+_MAX_COUNT_DIGITS = 100
+
 
 @dataclass(frozen=True, eq=False)
 class AbelianStructure:
@@ -342,18 +346,24 @@ def _check_associative(table: np.ndarray) -> None:
 
 def make_group_from_table(table, max_order: int = DEFAULT_MAX_ORDER) -> FiniteGroup:
     """Build a group from an explicit multiplication table, verifying the axioms."""
-    arr = np.asarray(table)
+    try:
+        arr = np.asarray(table)
+    except ValueError as exc:
+        raise MalformedTableError("table rows are ragged") from exc
     if arr.ndim != 2 or arr.shape[0] != arr.shape[1] or arr.shape[0] == 0:
         raise MalformedTableError(f"table has shape {arr.shape}, expected square")
-    if not np.issubdtype(arr.dtype, np.integer):
-        if not np.all(arr == np.floor(arr)):
-            raise MalformedTableError("table entries are not integers")
-    arr = arr.astype(np.int64)
+    # Booleans, strings and objects (such as ints beyond int64) are not
+    # element indices; floats are, when they hold whole numbers.
+    if arr.dtype.kind not in "iuf" or (
+        arr.dtype.kind == "f" and not np.all(arr == np.floor(arr))
+    ):
+        raise MalformedTableError("table entries are not integers")
     n = arr.shape[0]
     if n > max_order:
         raise OrderTooLargeError(f"order {n} exceeds cap {max_order}")
     if arr.min() < 0 or arr.max() >= n:
         raise MalformedTableError("table entries fall outside 0..order-1")
+    arr = arr.astype(np.int64)
 
     idx = np.arange(n)
     identity = None
@@ -384,6 +394,14 @@ def make_group_from_table(table, max_order: int = DEFAULT_MAX_ORDER) -> FiniteGr
     )
 
 
+def _is_count(text: str) -> bool:
+    """True for a run of ASCII digits short enough for int() to read.
+
+    str.isdigit alone also accepts digits such as '²' that int() rejects.
+    """
+    return text.isascii() and text.isdigit() and len(text) <= _MAX_COUNT_DIGITS
+
+
 def make_builtin_group(name: str, max_order: int = DEFAULT_MAX_ORDER) -> FiniteGroup:
     """Build a group from a name: Z<n>, Z<n>x...xZ<m>, D<n>, or H<p>."""
     name = name.strip()
@@ -393,21 +411,21 @@ def make_builtin_group(name: str, max_order: int = DEFAULT_MAX_ORDER) -> FiniteG
         parts = name.split("x")
         factors = []
         for part in parts:
-            if len(part) < 2 or part[0] != "Z" or not part[1:].isdigit():
+            if len(part) < 2 or part[0] != "Z" or not _is_count(part[1:]):
                 raise ParseError(f"bad cyclic factor {part!r} in {name!r}")
             factors.append(int(part[1:]))
         if any(d < 2 for d in factors):
             raise ParseError(f"cyclic factors must be at least 2 in {name!r}")
         return make_abelian_group(factors, max_order=max_order)
     if name[0] == "D":
-        if not name[1:].isdigit():
+        if not _is_count(name[1:]):
             raise ParseError(f"bad dihedral spec {name!r}")
         n = int(name[1:])
         if n < 2:
             raise ParseError(f"dihedral parameter must be at least 2 in {name!r}")
         return dihedral_group(n, max_order=max_order)
     if name[0] == "H":
-        if not name[1:].isdigit():
+        if not _is_count(name[1:]):
             raise ParseError(f"bad heisenberg spec {name!r}")
         p = int(name[1:])
         if p < 2:
@@ -422,10 +440,13 @@ def group_from_spec(spec: str, max_order: int = DEFAULT_MAX_ORDER) -> FiniteGrou
     if spec.startswith("table:"):
         path = Path(spec[len("table:"):])
         try:
-            payload = json.loads(path.read_text())
-        except OSError as exc:
+            text = path.read_text(encoding="utf-8")
+        except (OSError, ValueError) as exc:
+            # ValueError covers UnicodeDecodeError and a path holding a NUL.
             raise ParseError(f"cannot read table file {path}: {exc}") from exc
-        except json.JSONDecodeError as exc:
+        try:
+            payload = json.loads(text)
+        except (json.JSONDecodeError, RecursionError) as exc:
             raise MalformedTableError(f"table file {path} is not valid JSON") from exc
         if isinstance(payload, dict):
             payload = payload.get("table", None)

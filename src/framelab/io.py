@@ -3,11 +3,12 @@
 from __future__ import annotations
 
 import json
+from itertools import chain
 from pathlib import Path
 
 import numpy as np
 
-from .errors import ParseError
+from .errors import NonFiniteResultError, ParseError
 
 __all__ = [
     "SCHEMA",
@@ -20,46 +21,56 @@ __all__ = [
 
 SCHEMA = "frame-lab/1"
 
+_JSON_NUMBER_TYPES = frozenset((int, float))
+
 
 def load_generator(path) -> np.ndarray:
     """Read a complex vector from a JSON or CSV generator file.
 
-    JSON files carry {"dim": n, "values": [[re, im], ...]}; CSV files carry
-    one `re,im` pair per line.
+    JSON files carry {"dim": n, "values": [[re, im], ...]} with every re, im
+    a JSON number; CSV files carry one `re,im` pair per line.
     """
     path = Path(path)
     try:
-        text = path.read_text()
-    except OSError as exc:
+        text = path.read_text(encoding="utf-8")
+    except (OSError, ValueError) as exc:
+        # ValueError covers UnicodeDecodeError and a path holding a NUL.
         raise ParseError(f"cannot read generator file {path}: {exc}") from exc
     stripped = text.lstrip()
     if path.suffix.lower() == ".json" or stripped.startswith("{"):
         try:
             payload = json.loads(text)
-        except json.JSONDecodeError as exc:
+        except (json.JSONDecodeError, RecursionError) as exc:
             raise ParseError(f"generator file {path} is not valid JSON") from exc
         if not isinstance(payload, dict) or "values" not in payload:
             raise ParseError(f"generator file {path} lacks a 'values' field")
         values = payload["values"]
         try:
-            arr = np.asarray(
-                [complex(float(re), float(im)) for re, im in values],
-                dtype=np.complex128,
-            )
-        except (TypeError, ValueError) as exc:
+            # A string or boolean is not a number, though float() and numpy
+            # would read one.
+            if not isinstance(values, list) or not _JSON_NUMBER_TYPES.issuperset(
+                map(type, chain.from_iterable(values))
+            ):
+                raise TypeError("values must be JSON numbers")
+            parts = np.asarray(values, dtype=np.float64)
+            if parts.size and parts.shape != (len(values), 2):
+                raise ValueError("values must be pairs")
+        except (TypeError, ValueError, OverflowError) as exc:
             raise ParseError(
-                f"generator file {path} values must be [re, im] pairs"
+                f"generator file {path} values must be [re, im] pairs of numbers"
             ) from exc
+        arr = parts.reshape(-1, 2).view(np.complex128).reshape(-1)
         if arr.shape[0] == 0:
             raise ParseError(f"generator file {path} holds no values")
         dim = payload.get("dim")
         if dim is not None:
-            try:
-                dim = int(dim)
-            except (TypeError, ValueError, OverflowError) as exc:
+            if isinstance(dim, bool) or not (
+                isinstance(dim, int) or (isinstance(dim, float) and dim.is_integer())
+            ):
                 raise ParseError(
-                    f"generator file {path} has a non-integer dim {payload['dim']!r}"
-                ) from exc
+                    f"generator file {path} has a non-integer dim {dim!r}"
+                )
+            dim = int(dim)
             if dim != arr.shape[0]:
                 raise ParseError(
                     f"generator file {path} says dim={dim} but holds {arr.shape[0]} values"
@@ -113,5 +124,12 @@ def spectrum_csv(values: np.ndarray) -> str:
 
 
 def dump_json(payload: dict) -> str:
-    """Canonical JSON rendering: sorted keys, two-space indent, trailing newline."""
-    return json.dumps(payload, sort_keys=True, indent=2) + "\n"
+    """Canonical JSON rendering: sorted keys, two-space indent, trailing newline.
+
+    A NaN or infinity has no JSON spelling, so it is refused rather than
+    written as a bare NaN.
+    """
+    try:
+        return json.dumps(payload, sort_keys=True, indent=2, allow_nan=False) + "\n"
+    except ValueError as exc:
+        raise NonFiniteResultError(f"output holds a non-finite number: {exc}") from exc

@@ -17,6 +17,7 @@ from .groups import (
     DEFAULT_MAX_ORDER,
     FiniteGroup,
     GroupFunction,
+    _is_count,
     group_from_spec,
     group_function,
     make_abelian_group,
@@ -32,6 +33,7 @@ __all__ = [
     "correlation_function",
     "gabor_representation",
     "orbit_matrix",
+    "orbit_rows",
     "parse_rep_spec",
     "regular_representation",
     "shift_model_representation",
@@ -273,12 +275,16 @@ def verify_representation(
     )
 
 
-def orbit_matrix(orbit: OrbitSystem) -> np.ndarray:
-    """Synthesis matrix whose column g is the generator moved by element g."""
+def orbit_rows(orbit: OrbitSystem) -> np.ndarray:
+    """(order, dim) array whose row g is the generator moved by element g."""
     rep = orbit.rep
     psi = _as_generator(rep, orbit.generator)
-    vecs = rep.phase * psi[rep.src]  # (order, dim)
-    return vecs.T.copy()
+    return rep.phase * psi[rep.src]
+
+
+def orbit_matrix(orbit: OrbitSystem) -> np.ndarray:
+    """Synthesis matrix whose column g is the generator moved by element g."""
+    return orbit_rows(orbit).T.copy()
 
 
 def correlation_function(
@@ -318,7 +324,7 @@ def parse_rep_spec(
         return regular_representation(group)
     if head in ("shift", "gabor"):
         parts = tail.split(",")
-        if len(parts) != 2 or not all(p.strip().isdigit() for p in parts):
+        if len(parts) != 2 or not all(_is_count(p.strip()) for p in parts):
             raise ParseError(f"{head} spec needs two integers, got {tail!r}")
         a, b = (int(p) for p in parts)
         if head == "shift":

@@ -26,6 +26,7 @@ __all__ = [
     "ConvolutionOperator",
     "ProjectionOperator",
     "SpectralData",
+    "block_spectrum",
     "fourier_coefficient",
     "identity_operator",
     "is_positive",
@@ -225,6 +226,40 @@ def spectral_data(op: ConvolutionOperator, tol: float = 1e-12) -> SpectralData:
     w.setflags(write=False)
     v.setflags(write=False)
     return SpectralData(w, v, tol)
+
+
+def block_spectrum(kernel: GroupFunction) -> np.ndarray:
+    """Ascending spectrum of a selfadjoint convolution operator, block by block.
+
+    The group algebra splits into one block per irreducible representation
+    pi, and the operator with kernel c has spectrum the union of the spectra
+    of pi(c), each counted dim(pi) times.  For a cyclic product every irrep
+    is a character, so the spectrum is the mixed-radix DFT of c.  For D<n>,
+    with A and B the DFTs of c on the rotations r^k and the reflections
+    r^k s, the 1-dimensional irreps give A[0] +- B[0] (and A[n/2] +- B[n/2]
+    for even n) and the 2-dimensional irrep h gives the block
+    [[A[h], B[h]], [B[-h], A[-h]]].  The kernel must be selfadjoint,
+    c(g^-1) = conj(c(g)), as every self-bracket is.
+    """
+    group, c = kernel.group, kernel.values
+    if group.structure_tag == "cyclic-product":
+        w = np.fft.fftn(c.reshape(group.abelian.invariant_factors)).real.ravel()
+    elif group.structure_tag == "dihedral":
+        n = group.order // 2
+        a, b = np.fft.fft(c[:n]), np.fft.fft(c[n:])
+        ends = [0, n // 2] if n % 2 == 0 else [0]
+        h = np.arange(1, (n + 1) // 2)
+        blocks = np.stack([a[h], b[h], b[-h], a[-h]], axis=-1).reshape(-1, 2, 2)
+        w = np.concatenate(
+            [(a[ends] + b[ends]).real, (a[ends] - b[ends]).real,
+             np.repeat(np.linalg.eigvalsh(blocks).ravel(), 2)]
+        )
+    else:
+        raise ValueError(
+            "irreducible blocks are known for cyclic products and D<n>, "
+            f"not {group.structure_tag}"
+        )
+    return np.sort(w)
 
 
 def is_positive(op: ConvolutionOperator, tol: float = 1e-10) -> bool:

@@ -1,0 +1,187 @@
+"""Irreducible-block spectra against the dense Gram eigensolve they replace."""
+
+import dataclasses
+import math
+
+import numpy as np
+import pytest
+from hypothesis import given, settings, strategies as st
+
+import framelab.frames as frames
+from framelab import (
+    BLOCK_SPECTRUM_ORDER,
+    OrbitSystem,
+    analyze_orbit,
+    block_spectrum,
+    correlation_function,
+    dihedral_group,
+    gram_matrix,
+    heisenberg_group,
+    make_abelian_group,
+    orbit_matrix,
+    orbit_rows,
+    parse_rep_spec,
+    regular_representation,
+    vector_system,
+)
+
+
+def _right_invariant(group, f, h):
+    """Sum of f(x h^j) over the powers of h: constant on the cosets x<h>.
+
+    Left translates stay constant on those cosets, so the orbit spans at most
+    order/|<h>| dimensions and the Gram matrix has a kernel.
+    """
+    psi, x = np.zeros_like(f), group.identity
+    while True:
+        psi += f[group.table[:, x]]
+        x = group.table[x, h]
+        if x == group.identity:
+            return psi
+
+
+def _psi(data, group):
+    seed = data.draw(st.integers(0, 2**32 - 1), label="seed")
+    rng = np.random.default_rng(seed)
+    psi = rng.standard_normal(group.order) + 1j * rng.standard_normal(group.order)
+    h = data.draw(st.integers(0, group.order - 1), label="h")
+    return _right_invariant(group, psi, h)
+
+
+def _assert_matches_dense(rep, psi):
+    kernel = correlation_function(rep, psi, psi)
+    blocks = block_spectrum(kernel)
+    synthesis = orbit_matrix(OrbitSystem(rep, psi))
+    dense = np.linalg.eigvalsh(gram_matrix(vector_system(synthesis)))
+    assert blocks.shape == dense.shape
+    assert np.all(np.diff(blocks) >= 0)
+    assert np.abs(blocks - dense).max() <= 1e-12 * dense[-1]
+
+
+@given(n=st.integers(2, 200), data=st.data())
+def test_dihedral_blocks_match_dense_spectrum(n, data):
+    rep = regular_representation(dihedral_group(n))
+    _assert_matches_dense(rep, _psi(data, rep.group))
+
+
+@st.composite
+def _cyclic_factors(draw, max_order=512):
+    factors = []
+    while not factors or draw(st.booleans()):
+        room = max_order // math.prod(factors)
+        if room < 2:
+            break
+        factors.append(draw(st.integers(2, room)))
+    return factors
+
+
+@settings(max_examples=60)
+@given(factors=_cyclic_factors(), data=st.data())
+def test_cyclic_product_blocks_match_dense_spectrum(factors, data):
+    rep = regular_representation(make_abelian_group(factors))
+    _assert_matches_dense(rep, _psi(data, rep.group))
+
+
+def test_block_spectrum_rejects_groups_without_known_blocks():
+    rep = regular_representation(heisenberg_group(3))
+    kernel = correlation_function(rep, np.ones(rep.dim), np.ones(rep.dim))
+    with pytest.raises(ValueError):
+        block_spectrum(kernel)
+
+
+_BLOCK_SPECS = (
+    "regular:Z72", "regular:Z2xZ6xZ8", "regular:Z5xZ13", "regular:D33", "regular:D40"
+)
+
+
+@pytest.mark.parametrize("spec", _BLOCK_SPECS)
+def test_block_route_agrees_with_dense_route(spec, monkeypatch):
+    rep = parse_rep_spec(spec)
+    assert rep.group.order > BLOCK_SPECTRUM_ORDER
+    rng = np.random.default_rng(7)
+    f = rng.standard_normal(rep.dim) + 1j * rng.standard_normal(rep.dim)
+    verdicts = set()
+    for psi in (f, _right_invariant(rep.group, f, rep.group.order - 1)):
+        blocks = analyze_orbit(OrbitSystem(rep, psi))
+        monkeypatch.setattr(frames, "BLOCK_SPECTRUM_ORDER", 10**9)
+        dense = analyze_orbit(OrbitSystem(rep, psi))
+        monkeypatch.undo()
+        lam = float(dense.gram_spectrum[-1])
+        assert blocks.verdict == dense.verdict
+        assert blocks.kernel_dim == dense.kernel_dim
+        assert np.abs(blocks.gram_spectrum - dense.gram_spectrum).max() <= 1e-12 * lam
+        for got, want in ((blocks.riesz_bounds, dense.riesz_bounds),
+                          (blocks.frame_bounds, dense.frame_bounds)):
+            assert (got is None) == (want is None)
+            if want is not None:
+                assert got == pytest.approx(want, rel=1e-9, abs=1e-12 * lam)
+        assert blocks.route_agreement.keys() == dense.route_agreement.keys()
+        assert max(blocks.route_agreement.values()) < 1e-12
+        verdicts.add(blocks.verdict)
+    assert verdicts == {"riesz", "frame_not_riesz"}
+
+
+@pytest.mark.parametrize(
+    "spec,calls", [("regular:Z72", 0), ("regular:Z2xZ6xZ8", 0), ("regular:D40", 1)]
+)
+def test_block_route_skips_dense_eigensolves(spec, calls, monkeypatch):
+    rep = parse_rep_spec(spec)
+    psi = np.random.default_rng(1).standard_normal(rep.dim)
+    seen = []
+    eigvalsh = np.linalg.eigvalsh
+
+    def counting(a, *args, **kwargs):
+        seen.append(np.shape(a))
+        return eigvalsh(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", counting)
+    analyze_orbit(OrbitSystem(rep, psi))
+    assert len(seen) == calls
+    assert all(shape[-2:] == (2, 2) for shape in seen)
+
+
+def test_block_route_flags_a_broken_representation():
+    rep = parse_rep_spec("regular:D40")
+    phase = rep.phase.copy()
+    phase[np.arange(1, rep.group.order)] *= 1j  # not a representation any more
+    phase.setflags(write=False)
+    broken = dataclasses.replace(rep, phase=phase)
+    psi = np.random.default_rng(2).standard_normal(rep.dim)
+    assert analyze_orbit(OrbitSystem(rep, psi)).route_agreement["bracket"] < 1e-12
+    assert analyze_orbit(OrbitSystem(broken, psi)).route_agreement["bracket"] > 1e-3
+
+
+@pytest.mark.parametrize("corrupt", ["negate", "spread"])
+def test_block_route_checks_the_moments_of_its_spectrum(corrupt, monkeypatch):
+    # Negating one eigenvalue keeps the sum of squares but not the trace;
+    # spreading two apart keeps the trace but not the Frobenius norm.  D<n>
+    # has no scalar route to catch either.
+    rep = parse_rep_spec("regular:D40")
+    psi = np.random.default_rng(3).standard_normal(rep.dim)
+
+    def corrupted(kernel):
+        w = block_spectrum(kernel).copy()
+        if corrupt == "negate":
+            w[w.size // 2] *= -1
+        else:
+            w[0] -= 1e-6 * w[-1]
+            w[-1] += 1e-6 * w[-1]
+        return np.sort(w)
+
+    monkeypatch.setattr(frames, "block_spectrum", corrupted)
+    assert analyze_orbit(OrbitSystem(rep, psi)).route_agreement["bracket"] > 1e-8
+
+
+@pytest.mark.parametrize("spec", ["regular:Z4", "regular:D5", *_BLOCK_SPECS])
+@given(data=st.data())
+def test_verdict_is_invariant_under_translating_psi(spec, data):
+    rep = parse_rep_spec(spec)
+    psi = _psi(data, rep.group)
+    g = data.draw(st.integers(0, rep.group.order - 1), label="g")
+    moved = orbit_rows(OrbitSystem(rep, psi))[g]
+    base = analyze_orbit(OrbitSystem(rep, psi))
+    other = analyze_orbit(OrbitSystem(rep, moved))
+    lam = float(base.gram_spectrum[-1])
+    assert other.verdict == base.verdict
+    assert other.kernel_dim == base.kernel_dim
+    assert np.abs(other.gram_spectrum - base.gram_spectrum).max() <= 1e-12 * lam

@@ -6,6 +6,7 @@ import os
 import subprocess
 import sys
 import sysconfig
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -14,7 +15,7 @@ import pytest
 import framelab
 from framelab.cli import main
 from framelab.io import dump_json, load_generator, spectrum_csv, values_csv
-from framelab import ParseError, make_abelian_group
+from framelab import NonFiniteResultError, ParseError, make_abelian_group
 
 
 def _write_psi(tmp_path, values, name="psi.json"):
@@ -51,6 +52,15 @@ def test_load_generator_json_and_csv(tmp_path):
         '{"values": [[1.0]]}',
         '{"dim": 3, "values": [[1.0, 0.0]]}',
         '{"values": []}',
+        '{"values": [["1", 0], [0.5, 0]]}',
+        '{"values": [[true, 0], [0.5, 0]]}',
+        '{"values": [[1.0, false]]}',
+        '{"values": ["12"]}',
+        '{"values": [[1%s, 0]]}' % ("0" * 400),
+        '{"dim": "2", "values": [[1.0, 0.0], [0.5, 0.0]]}',
+        '{"dim": true, "values": [[1.0, 0.0]]}',
+        '{"dim": 1.5, "values": [[1.0, 0.0]]}',
+        '{"values": %s}' % ("[" * 100000),
     ],
 )
 def test_load_generator_rejects_bad_json(tmp_path, content):
@@ -75,6 +85,20 @@ def test_load_generator_rejects_bad_csv(tmp_path):
         load_generator(tmp_path / "missing.csv")
 
 
+def test_load_generator_accepts_integral_numbers(tmp_path):
+    path = tmp_path / "g.json"
+    path.write_text('{"dim": 2.0, "values": [[1, 0], [0.5, -2]]}')
+    np.testing.assert_array_equal(load_generator(path), [1.0, 0.5 - 2.0j])
+
+
+@pytest.mark.parametrize("name", ["psi.csv", "psi.json"])
+def test_load_generator_rejects_non_utf8(tmp_path, name):
+    path = tmp_path / name
+    path.write_bytes(b"\xff\xfe")
+    with pytest.raises(ParseError, match="cannot read"):
+        load_generator(path)
+
+
 def test_csv_headers_are_stable():
     assert values_csv(np.array([2.25 + 0j])).splitlines()[0] == "index,re,im"
     assert spectrum_csv(np.array([1.0])).splitlines()[0] == "eig_index,value"
@@ -84,6 +108,12 @@ def test_dump_json_is_sorted_and_newline_terminated():
     text = dump_json({"b": 1, "a": [1.5]})
     assert text.endswith("\n")
     assert text.index('"a"') < text.index('"b"')
+
+
+def test_dump_json_refuses_non_finite_numbers():
+    for bad in (float("nan"), float("inf"), -float("inf")):
+        with pytest.raises(NonFiniteResultError):
+            dump_json({"a": [1.0, bad]})
 
 
 # ------------------------------------------------------------------- analyze
@@ -398,6 +428,76 @@ def test_non_integer_dim_exits_2(tmp_path, capsys, dim):
     code, _, err = run_cli(capsys, "analyze", "--rep", "regular:Z2", "--psi", str(path))
     _assert_clean_parse_error(code, err)
     assert "dim" in err
+
+
+def test_non_utf8_generator_and_table_exit_2(tmp_path, capsys):
+    bad = tmp_path / "bad.csv"
+    bad.write_bytes(b"\xff\xfe")
+    code, out, err = run_cli(capsys, "analyze", "--rep", "regular:Z2", "--psi", str(bad))
+    _assert_clean_parse_error(code, err)
+    assert out == "" and "generator file" in err
+    psi = _write_psi(tmp_path, [1.0, 0.0])
+    table = tmp_path / "table.json"
+    table.write_bytes(b"\xff\xfe")
+    code, out, err = run_cli(
+        capsys, "analyze", "--rep", f"regular:table:{table}", "--psi", psi
+    )
+    _assert_clean_parse_error(code, err)
+    assert out == "" and "table file" in err
+
+
+@pytest.mark.parametrize(
+    "rep,values",
+    [
+        ("regular:Z2", [1e155, 0.0]),
+        ("regular:Z4", [1e200, 0.0, 0.0, 0.0]),
+        ("regular:D4", [1e200] + [0.0] * 7),
+        ("shift:4,2", [1e200] + [0.0] * 7),
+        # The kernel fits, but its spectrum or multiplier (sums of 8 kernel
+        # values) does not.
+        ("regular:D4", [4.7e153] * 8),
+        ("regular:Z8", [4.7e153] * 8),
+    ],
+)
+@pytest.mark.parametrize(
+    "command",
+    [("analyze",), ("bracket",), ("bracket", "--oracle"), ("bracket", "--format", "csv")],
+)
+def test_overflowing_generator_exits_2(tmp_path, capsys, rep, values, command):
+    psi = _write_psi(tmp_path, values)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out, err = run_cli(
+            capsys, command[0], "--rep", rep, "--psi", psi, *command[1:]
+        )
+    _assert_clean_parse_error(code, err)
+    assert out == ""
+    assert "overflows a float" in err
+
+
+def test_bracket_oracle_near_the_largest_float(tmp_path, capsys):
+    # c(e) = 1.69e308 fits, but F + F* would not before halving.
+    psi = _write_psi(tmp_path, [1.3e154, 0.0])
+    code, out, err = run_cli(
+        capsys, "bracket", "--rep", "regular:Z2", "--psi", psi, "--oracle"
+    )
+    assert code == 0, err
+    assert json.loads(out)["oracle_deviation"] < 1e-15
+
+
+def test_large_generator_that_fits_is_classified(tmp_path, capsys):
+    values = np.array([1.0, 0.5, 0.2, 0.0])
+    unit = _write_psi(tmp_path, values, name="unit.json")
+    large = _write_psi(tmp_path, values * 2.0**500, name="large.json")
+    code, out, _ = run_cli(capsys, "analyze", "--rep", "regular:Z4", "--psi", unit)
+    want = json.loads(out)
+    code, out, _ = run_cli(capsys, "analyze", "--rep", "regular:Z4", "--psi", large)
+    got = json.loads(out)
+    assert code == 0
+    assert got["verdict"] == want["verdict"] == "riesz"
+    # A power-of-two scale is exact, so every value scales by 4^500 exactly.
+    assert got["spectrum"] == [x * 2.0**1000 for x in want["spectrum"]]
+    assert got["routes"] == want["routes"]
 
 
 @pytest.mark.parametrize("tol", ["nan", "inf", "-1", "0"])

@@ -11,6 +11,7 @@ from framelab import (
     VERDICT_FRAME_NOT_RIESZ,
     VERDICT_RIESZ,
     VERDICT_ZERO,
+    NonFiniteResultError,
     OrbitSystem,
     ZeroGeneratorError,
     analyze_orbit,
@@ -391,7 +392,7 @@ _COEFFICIENTS = st.one_of(
 
 @given(
     spec=st.sampled_from(sorted(_SCALE_REPS)),
-    k=st.integers(-100, 100),
+    k=st.integers(-300, 300),
     data=st.data(),
 )
 def test_analyze_orbit_verdict_is_scale_free(spec, k, data):
@@ -407,18 +408,32 @@ def test_analyze_orbit_verdict_is_scale_free(spec, k, data):
         assume(not np.any((w > edge / 10) & (w < edge * 10)))
 
     c = 10.0**k
-    scaled = analyze_orbit(OrbitSystem(rep, c * psi))
+    scaled_psi = c * psi
+    # Three regimes: the squared norm underflows (nothing to classify), the
+    # largest eigenvalue c^2 * lambda_max overflows (a typed error), or both
+    # fit and the verdict and bounds are those at unit scale.
+    if not float(np.vdot(scaled_psi, scaled_psi).real) >= np.finfo(float).tiny:
+        with pytest.raises(ZeroGeneratorError):
+            analyze_orbit(OrbitSystem(rep, scaled_psi))
+        return
+    if not np.isfinite(lam_max * c * c):
+        with pytest.raises(NonFiniteResultError):
+            analyze_orbit(OrbitSystem(rep, scaled_psi))
+        return
+    scaled = analyze_orbit(OrbitSystem(rep, scaled_psi))
     assert scaled.verdict == base.verdict
     assert scaled.kernel_dim == base.kernel_dim
     # Eigenvalues are accurate relative to lambda_max, so a small kept bound
     # is compared on that scale; the largest one is held to rel 1e-9 itself.
-    c2 = c * c
+    # c^2 itself overflows or underflows at |k| > 154, so c multiplies twice.
     for got, want in ((scaled.riesz_bounds, base.riesz_bounds),
                       (scaled.frame_bounds, base.frame_bounds)):
         assert (got is None) == (want is None)
         if want is not None:
             assert got == pytest.approx(
-                (c2 * want[0], c2 * want[1]), rel=1e-9, abs=1e-9 * c2 * lam_max
+                (want[0] * c * c, want[1] * c * c),
+                rel=1e-9,
+                abs=1e-9 * lam_max * c * c,
             )
 
 
