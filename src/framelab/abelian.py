@@ -17,13 +17,18 @@ import numpy as np
 from .errors import (
     BadFactorizationError,
     BadLengthError,
-    InvalidPError,
     NotAbelianError,
     NotRealValuedError,
 )
 from .groups import FiniteGroup, character_table, group_function, make_abelian_group
-from .representations import UnitaryRepresentation, bracket_operator
-from .vnalgebra import ConvolutionOperator, operator_from_coefficients, support_projection
+from .representations import UnitaryRepresentation, bracket_operator, correlation_function
+from .vnalgebra import (
+    ConvolutionOperator,
+    _convolution_matrices,
+    _exponent,
+    _support_projections,
+    operator_from_coefficients,
+)
 
 __all__ = [
     "DualFunction",
@@ -91,8 +96,16 @@ def _require_abelian(group: FiniteGroup) -> None:
 def fourier_on_group(u) -> DualFunction:
     """Fourier transform on the group: u -> sum_g u(g) conj(alpha(g))."""
     _require_abelian(u.group)
-    table = character_table(u.group)
-    return DualFunction(u.group, _freeze(np.conj(table) @ u.values))
+    return DualFunction(u.group, _freeze(_multipliers(u.group, u.values)))
+
+
+def _multipliers(group: FiniteGroup, kernels: np.ndarray) -> np.ndarray:
+    """Fourier transform of one kernel or of each row of a (k, order) stack.
+
+    A stack runs the same matrix-vector product per row as one kernel does.
+    """
+    table = character_table(group)
+    return (np.conj(table) @ kernels[..., None])[..., 0]
 
 
 def lambda_multiplier(op: ConvolutionOperator) -> DualFunction:
@@ -104,23 +117,36 @@ def lambda_multiplier(op: ConvolutionOperator) -> DualFunction:
 def inverse_lambda(mult: DualFunction) -> ConvolutionOperator:
     """Rebuild the convolution operator whose multiplier is the given function."""
     _require_abelian(mult.group)
-    table = character_table(mult.group)
-    kernel = (mult.values @ table) / mult.group.order
-    return operator_from_coefficients(group_function(mult.group, kernel))
+    return operator_from_coefficients(
+        group_function(mult.group, _inverse_multipliers(mult.group, mult.values))
+    )
+
+
+def _inverse_multipliers(group: FiniteGroup, values: np.ndarray) -> np.ndarray:
+    """Kernels whose multipliers are one row or each row of a (k, order) stack."""
+    table = character_table(group)
+    return (values[..., None, :] @ table)[..., 0, :] / group.order
 
 
 def dual_lp_norm(mult: DualFunction, p: float) -> float:
     """L^p norm on the dual under the normalized counting measure."""
-    try:
-        p = float(p)
-    except (TypeError, ValueError) as exc:
-        raise InvalidPError(f"p-norm exponent {p!r} is not a number") from exc
-    if np.isnan(p) or p < 1:
-        raise InvalidPError(f"p-norm exponent {p} is outside [1, inf]")
-    mags = np.abs(mult.values)
-    if np.isinf(p):
-        return float(mags.max(initial=0.0))
-    return float((np.mean(mags**p)) ** (1.0 / p))
+    return float(_dual_lp_norms(mult.values[None], (p,))[0, 0])
+
+
+def _dual_lp_norms(values: np.ndarray, p_values) -> np.ndarray:
+    """dual_lp_norm of each row of a (k, order) stack, one column per exponent.
+
+    The root is taken per value as a scalar power, as in vnalgebra._lp_norms.
+    """
+    ps = [_exponent(p) for p in p_values]
+    mags = np.abs(values)
+    out = np.empty((values.shape[0], len(ps)))
+    for i, p in enumerate(ps):
+        if np.isinf(p):
+            out[:, i] = mags.max(axis=1, initial=0.0)
+        else:
+            out[:, i] = [m ** (1.0 / p) for m in np.mean(mags**p, axis=1)]
+    return out
 
 
 def scalar_bracket(rep: UnitaryRepresentation, phi, psi) -> DualFunction:
@@ -191,17 +217,22 @@ def gabor_bracket_via_zak(phi, psi, l: int, m: int) -> DualFunction:
 
 def support_indicator(mult: DualFunction, tol: float = 1e-10) -> DualFunction:
     """0/1 indicator of where a real multiplier exceeds the zero threshold."""
-    vals = mult.values
-    imag_max = float(np.abs(vals.imag).max(initial=0.0))
-    scale = max(1.0, float(np.abs(vals).max(initial=0.0)))
-    if imag_max > 1e-10 * scale:
-        raise NotRealValuedError(
-            f"multiplier has imaginary part up to {imag_max:.3e}"
-        )
-    real = vals.real
-    thresh = tol * max(float(real.max(initial=0.0)), 1.0)
-    indicator = (real > thresh).astype(np.complex128)
+    indicator = _support_indicators(mult.values[None], tol)[0]
     return DualFunction(mult.group, _freeze(indicator))
+
+
+def _support_indicators(values: np.ndarray, tol: float) -> np.ndarray:
+    """support_indicator of each row of a (k, order) stack of multipliers."""
+    imag_max = np.abs(values.imag).max(axis=1, initial=0.0)
+    scale = np.maximum(1.0, np.abs(values).max(axis=1, initial=0.0))
+    bad = np.flatnonzero(imag_max > 1e-10 * scale)
+    if bad.size:
+        raise NotRealValuedError(
+            f"multiplier has imaginary part up to {imag_max[bad[0]]:.3e}"
+        )
+    real = values.real
+    thresh = tol * np.maximum(real.max(axis=1, initial=0.0), 1.0)
+    return (real > thresh[:, None]).astype(np.complex128)
 
 
 def check_sandwich_equivalence(
@@ -215,32 +246,50 @@ def check_sandwich_equivalence(
     Both sides share the tolerance scale max(1, lambda_max).
     """
     _require_abelian(rep.group)
-    op = bracket_operator(rep, psi, psi)
-    mat = op.matrix
-    herm = (mat + mat.conj().T) / 2.0
-    lam_max = float(np.linalg.eigvalsh(herm)[-1]) if herm.size else 0.0
-    scale = max(1.0, lam_max)
-    slack = tol * scale
+    kernel = correlation_function(rep, psi, psi).values
+    bounds = np.array([[a], [b]], dtype=float)
+    operator_ok, scalar_ok, deviations = _sandwich_sides(
+        rep.group, kernel[None], *bounds, tol
+    )
+    return SandwichReport(
+        operator_side=bool(operator_ok[0]),
+        scalar_side=bool(scalar_ok[0]),
+        deviations={name: float(dev[0]) for name, dev in deviations.items()},
+    )
 
-    proj = support_projection(op, tol).matrix
-    lower_op = float(np.linalg.eigvalsh(herm - a * proj)[0])
-    upper_op = float(np.linalg.eigvalsh(b * proj - herm)[0])
-    operator_ok = lower_op >= -slack and upper_op >= -slack
 
-    mult = lambda_multiplier(op)
-    chi = support_indicator(mult, tol)
-    vals = mult.values.real
-    ind = chi.values.real
-    lower_sc = float((vals - a * ind).min(initial=0.0))
-    upper_sc = float((b * ind - vals).min(initial=0.0))
-    scalar_ok = lower_sc >= -slack and upper_sc >= -slack
+def _sandwich_sides(
+    group: FiniteGroup, kernels: np.ndarray, a: np.ndarray, b: np.ndarray, tol: float
+) -> tuple[np.ndarray, np.ndarray, dict[str, np.ndarray]]:
+    """check_sandwich_equivalence for each bracket kernel of a (k, order) stack.
+
+    Row i is tested against the bounds a[i] and b[i].  Returns the operator
+    side, the scalar side and the deviations, one entry per row; one eigh
+    (inside the support projections) and one eigvalsh serve the whole stack.
+    """
+    _require_abelian(group)
+    k = kernels.shape[0]
+    mats = _convolution_matrices(group, kernels)
+    herm = (mats + mats.conj().transpose(0, 2, 1)) / 2.0
+    proj = _convolution_matrices(group, _support_projections(group, mats, tol))
+    lower = a[:, None, None] * proj
+    upper = b[:, None, None] * proj
+    w = np.linalg.eigvalsh(np.concatenate([herm, herm - lower, upper - herm]))
+    slack = tol * np.maximum(1.0, w[:k, -1])
+    lower_op, upper_op = w[k : 2 * k, 0], w[2 * k :, 0]
+    operator_ok = (lower_op >= -slack) & (upper_op >= -slack)
+
+    mult = _multipliers(group, kernels)
+    vals = mult.real
+    ind = _support_indicators(mult, tol).real
+    lower_sc = (vals - a[:, None] * ind).min(axis=1, initial=0.0)
+    upper_sc = (b[:, None] * ind - vals).min(axis=1, initial=0.0)
+    scalar_ok = (lower_sc >= -slack) & (upper_sc >= -slack)
 
     deviations = {
-        "operator_lower": max(0.0, -lower_op),
-        "operator_upper": max(0.0, -upper_op),
-        "scalar_lower": max(0.0, -lower_sc),
-        "scalar_upper": max(0.0, -upper_sc),
+        "operator_lower": np.maximum(0.0, -lower_op),
+        "operator_upper": np.maximum(0.0, -upper_op),
+        "scalar_lower": np.maximum(0.0, -lower_sc),
+        "scalar_upper": np.maximum(0.0, -upper_sc),
     }
-    return SandwichReport(
-        operator_side=operator_ok, scalar_side=scalar_ok, deviations=deviations
-    )
+    return operator_ok, scalar_ok, deviations

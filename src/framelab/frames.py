@@ -15,8 +15,16 @@ import numpy as np
 
 from .errors import NonFiniteResultError, NotAbelianError, ZeroGeneratorError
 from .groups import group_function
-from .representations import OrbitSystem, bracket_operator, orbit_matrix, orbit_rows
-from .vnalgebra import block_spectrum, operator_from_coefficients, trace_tau
+from .representations import (
+    OrbitSystem,
+    _as_generator,
+    _correlation_values,
+    _orbit_stack,
+    bracket_operator,
+    orbit_matrix,
+    orbit_rows,
+)
+from .vnalgebra import _convolution_matrices, block_spectrum, operator_from_coefficients
 
 __all__ = [
     "BLOCK_SPECTRUM_ORDER",
@@ -194,6 +202,18 @@ def check_duallemma(
     independently from its own eigenvalue computation; deviations record the
     worst violation per test, scaled decisions use tol * max(1, B, |G|).
     """
+    return _duallemma_reports(k_matrix, (a,), b, tol)[0]
+
+
+def _duallemma_reports(
+    k_matrix, lower_bounds, b: float, tol: float = 1e-10
+) -> list[DualLemmaReport]:
+    """check_duallemma for one K and upper bound B at each lower bound A.
+
+    The SVD, G, F, G^2, both projections and the B-side matrices are formed
+    once; every margin then comes from one eigvalsh over the rows x rows
+    stack and one over the cols x cols stack.
+    """
     k = np.asarray(k_matrix, dtype=np.complex128)
     g = k.conj().T @ k
     f = k @ k.conj().T
@@ -205,34 +225,60 @@ def check_duallemma(
     p_ran_kstar = vh[:rank].conj().T @ vh[:rank]
     scale = max(1.0, float(b), lam_max)
     slack = tol * scale
+    g2 = g @ g
+    count = len(lower_bounds)
 
-    def psd_margin(mat: np.ndarray) -> float:
-        w = np.linalg.eigvalsh((mat + mat.conj().T) / 2.0)
-        return float(w[0]) if w.size else 0.0
+    def hermitized(mats: list[np.ndarray]) -> np.ndarray:
+        stack = np.stack(mats)
+        return (stack + stack.conj().transpose(0, 2, 1)) / 2.0
 
-    m_i = min(psd_margin(f - a * p_ran_k), psd_margin(b * p_ran_k - f))
-    m_ii = min(psd_margin(g @ g - a * g), psd_margin(b * g - g @ g))
-    m_iv = min(psd_margin(g - a * p_ran_kstar), psd_margin(b * p_ran_kstar - g))
-
-    w_g = np.linalg.eigvalsh(g)
+    # rows x rows: f - a P_ran(K) per a, then b P_ran(K) - f.
+    on_rows = hermitized([f - a * p_ran_k for a in lower_bounds] + [b * p_ran_k - f])
+    # cols x cols: the (ii) pairs, then the (iv) pairs, then G itself.
+    on_cols = np.concatenate([
+        hermitized(
+            [g2 - a * g for a in lower_bounds]
+            + [b * g - g2]
+            + [g - a * p_ran_kstar for a in lower_bounds]
+            + [b * p_ran_kstar - g]
+        ),
+        g[None],
+    ])
+    w_rows = np.linalg.eigvalsh(on_rows)
+    w_cols = np.linalg.eigvalsh(on_cols)
+    rows_margin = w_rows[:, 0] if w_rows.shape[1] else np.zeros(len(on_rows))
+    cols_margin = w_cols[:, 0] if w_cols.shape[1] else np.zeros(len(on_cols))
+    upper_i = float(rows_margin[count])
+    upper_ii = float(cols_margin[count])
+    upper_iv = float(cols_margin[2 * count + 1])
+    w_g = w_cols[-1]
     dist_zero = np.abs(w_g)
-    dist_band = np.maximum(a - w_g, w_g - b)
-    m_iii = -float(np.minimum(dist_zero, np.maximum(dist_band, 0.0)).max(initial=0.0))
 
-    margins = {
-        "frame_operator_sandwich": m_i,
-        "gram_quadratic_sandwich": m_ii,
-        "gram_spectrum_in_band": m_iii,
-        "gram_projection_sandwich": m_iv,
-    }
-    deviations = {name: max(0.0, -m) for name, m in margins.items()}
-    return DualLemmaReport(
-        frame_operator_sandwich=m_i >= -slack,
-        gram_quadratic_sandwich=m_ii >= -slack,
-        gram_spectrum_in_band=m_iii >= -slack,
-        gram_projection_sandwich=m_iv >= -slack,
-        deviations=deviations,
-    )
+    reports = []
+    for j, a in enumerate(lower_bounds):
+        m_i = min(float(rows_margin[j]), upper_i)
+        m_ii = min(float(cols_margin[j]), upper_ii)
+        m_iv = min(float(cols_margin[count + 1 + j]), upper_iv)
+        dist_band = np.maximum(a - w_g, w_g - b)
+        m_iii = -float(
+            np.minimum(dist_zero, np.maximum(dist_band, 0.0)).max(initial=0.0)
+        )
+        margins = {
+            "frame_operator_sandwich": m_i,
+            "gram_quadratic_sandwich": m_ii,
+            "gram_spectrum_in_band": m_iii,
+            "gram_projection_sandwich": m_iv,
+        }
+        reports.append(
+            DualLemmaReport(
+                frame_operator_sandwich=m_i >= -slack,
+                gram_quadratic_sandwich=m_ii >= -slack,
+                gram_spectrum_in_band=m_iii >= -slack,
+                gram_projection_sandwich=m_iv >= -slack,
+                deviations={name: max(0.0, -m) for name, m in margins.items()},
+            )
+        )
+    return reports
 
 
 def _verdict_from_spectrum(
@@ -402,10 +448,30 @@ def verify_bracket_equals_gramian(
     of the orbit.  Also checks that the operator trace equals the squared
     generator norm.
     """
-    psi = orbit.generator
-    gram = gram_matrix(vector_system(orbit_matrix(orbit)))
-    op = bracket_operator(orbit.rep, psi, psi)
-    max_dev = float(np.abs(op.matrix - gram).max())
-    norm_sq = float(np.linalg.norm(psi) ** 2)
-    trace_dev = abs(complex(trace_tau(op)) - norm_sq)
-    return BracketGramianCheck(max_deviation=max_dev, trace_deviation=trace_dev)
+    psi = _as_generator(orbit.rep, orbit.generator)
+    max_dev, trace_dev = _bracket_gramian_deviations(orbit.rep, psi[None])
+    return BracketGramianCheck(
+        max_deviation=float(max_dev[0]), trace_deviation=float(trace_dev[0])
+    )
+
+
+def _bracket_gramian_deviations(
+    rep, psis: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """verify_bracket_equals_gramian for each generator of a (k, dim) stack.
+
+    Returns the entrywise and the trace deviation per generator.
+    """
+    moved = _orbit_stack(rep, psis)  # (k, order, dim)
+    synthesis = moved.transpose(0, 2, 1).copy()
+    gram = synthesis.conj().transpose(0, 2, 1) @ synthesis
+    kernels = _correlation_values(rep, psis, psis)
+    max_dev = np.abs(_convolution_matrices(rep.group, kernels) - gram).max(axis=(1, 2))
+    # The squared norm as np.linalg.norm(psi) ** 2 forms it, one scalar power
+    # per generator.
+    real, imag = psis.real, psis.imag
+    sq = (real[:, None, :] @ real[:, :, None] + imag[:, None, :] @ imag[:, :, None])
+    norm_sq = [float(r**2) for r in np.sqrt(sq[:, 0, 0])]
+    trace = kernels[:, rep.group.identity]
+    trace_dev = np.array([abs(complex(t) - n) for t, n in zip(trace, norm_sq)])
+    return max_dev, trace_dev

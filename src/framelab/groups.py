@@ -501,7 +501,14 @@ def convolve(u: GroupFunction, v: GroupFunction) -> GroupFunction:
     """Group convolution (u*v)(g) = sum_h u(g h^-1) v(h)."""
     if not same_group(u.group, v.group):
         raise GroupMismatchError("convolution needs both functions on one group")
-    g = u.group
-    idx = g.table[:, g.inverses]  # idx[x, h] = x * h^-1
-    vals = u.values[idx] @ v.values
-    return GroupFunction(g, _freeze(vals))
+    return GroupFunction(u.group, _freeze(_convolve_values(u.group, u.values, v.values)))
+
+
+def _convolve_values(group: FiniteGroup, u: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """u * v for the last axis of two value arrays, one row pair at a time.
+
+    A stack of rows goes through one matmul that runs the same matrix-vector
+    product per row as a single pair does, so each row keeps its bits.
+    """
+    idx = group.table[:, group.inverses]  # idx[x, h] = x * h^-1
+    return (u[..., idx] @ v[..., None])[..., 0]

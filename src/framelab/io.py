@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import re
 from itertools import chain
 from pathlib import Path
 
@@ -22,6 +23,14 @@ __all__ = [
 SCHEMA = "frame-lab/1"
 
 _JSON_NUMBER_TYPES = frozenset((int, float))
+
+# A CSV number is a plain decimal or exponent number, or a spelling of NaN or
+# infinity that the finiteness check then reports.  float() alone would also
+# read digit-group underscores ("1_0" as 10.0) and non-ASCII digits.
+_CSV_NUMBER = re.compile(
+    r"[+-]?(?:(?:\d+\.?\d*|\.\d+)(?:e[+-]?\d+)?|nan|inf(?:inity)?)",
+    re.ASCII | re.IGNORECASE,
+)
 
 
 def load_generator(path) -> np.ndarray:
@@ -86,12 +95,10 @@ def load_generator(path) -> np.ndarray:
             raise ParseError(
                 f"generator file {path} line {line_no}: expected 're,im'"
             )
-        try:
-            rows.append(complex(float(parts[0]), float(parts[1])))
-        except ValueError as exc:
-            raise ParseError(
-                f"generator file {path} line {line_no}: bad number"
-            ) from exc
+        tokens = [part.strip() for part in parts]
+        if not all(_CSV_NUMBER.fullmatch(token) for token in tokens):
+            raise ParseError(f"generator file {path} line {line_no}: bad number")
+        rows.append(complex(float(tokens[0]), float(tokens[1])))
     if not rows:
         raise ParseError(f"generator file {path} holds no values")
     return _finite(np.asarray(rows, dtype=np.complex128), path)

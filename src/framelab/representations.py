@@ -120,16 +120,20 @@ def _as_generator(rep: UnitaryRepresentation, vec) -> np.ndarray:
     return arr
 
 
+def _trivial_phase(shape: tuple[int, int]) -> np.ndarray:
+    """All-ones phases of a permutation action, as a read-only view of one value."""
+    return np.broadcast_to(np.complex128(1), shape)
+
+
 def regular_representation(group: FiniteGroup) -> UnitaryRepresentation:
     """Left translation on functions over the group.
 
     lambda(g) maps delta_y to delta_{g y}, so (lambda(g) v)[x] = v[g^-1 x].
     """
     src = group.table[group.inverses]
-    phase = np.ones(src.shape, dtype=np.complex128)
     label = f"regular:{group.spec}" if group.spec else "regular"
     return UnitaryRepresentation(
-        group, group.order, _freeze(src), _freeze(phase), label
+        group, group.order, _freeze(src), _trivial_phase(src.shape), label
     )
 
 
@@ -150,9 +154,8 @@ def shift_model_representation(
         raise DimTooLargeError(f"dimension {dim} exceeds cap {max_dim}")
     group = make_abelian_group([n])
     src = (np.arange(dim) - m * np.arange(n)[:, None]) % dim
-    phase = np.ones((n, dim), dtype=np.complex128)
     return UnitaryRepresentation(
-        group, dim, _freeze(src), _freeze(phase), f"shift:{n},{m}"
+        group, dim, _freeze(src), _trivial_phase(src.shape), f"shift:{n},{m}"
     )
 
 
@@ -188,22 +191,40 @@ def gabor_representation(
     return rep
 
 
-def _law_deviation(
+def _product_action(
     rep: UnitaryRepresentation, a: np.ndarray, b: np.ndarray
-) -> np.ndarray:
-    """Per pair (a, b), the largest entry of |U(a) U(b) - U(ab)|.
+) -> tuple[np.ndarray, np.ndarray]:
+    """Sources and phases of U(a) U(b) for each pair (a, b).
 
     U(a) U(b) reads coordinate src[b][src[a]] with phase
-    phase[a] * phase[b][src[a]].  A source that differs from src[ab] moves a
-    unit entry, so it counts as a deviation of at least 1.
+    phase[a] * phase[b][src[a]]; each entry of the dense product is that one
+    product of phases.
     """
     via = rep.src[a]
     src = np.take_along_axis(rep.src[b], via, axis=1)
     phase = rep.phase[a] * np.take_along_axis(rep.phase[b], via, axis=1)
-    ab = rep.group.table[a, b]
-    dev = np.abs(phase - rep.phase[ab]).max(axis=1)
-    moved = (src != rep.src[ab]).any(axis=1)
+    return src, phase
+
+
+def _action_deviation(
+    src: np.ndarray, phase: np.ndarray, other_src: np.ndarray, other_phase: np.ndarray
+) -> np.ndarray:
+    """Per row, the largest entry of the difference of two monomial matrices.
+
+    A source that differs moves a unit entry, so it counts as a deviation of
+    at least 1.
+    """
+    dev = np.abs(phase - other_phase).max(axis=1)
+    moved = (src != other_src).any(axis=1)
     return np.where(moved, np.maximum(dev, 1.0), dev)
+
+
+def _law_deviation(
+    rep: UnitaryRepresentation, a: np.ndarray, b: np.ndarray
+) -> np.ndarray:
+    """Per pair (a, b), the largest entry of |U(a) U(b) - U(ab)|."""
+    ab = rep.group.table[a, b]
+    return _action_deviation(*_product_action(rep, a, b), rep.src[ab], rep.phase[ab])
 
 
 def _construction_guard(rep: UnitaryRepresentation, tol: float = 1e-12) -> None:
@@ -277,9 +298,16 @@ def verify_representation(
 
 def orbit_rows(orbit: OrbitSystem) -> np.ndarray:
     """(order, dim) array whose row g is the generator moved by element g."""
-    rep = orbit.rep
-    psi = _as_generator(rep, orbit.generator)
-    return rep.phase * psi[rep.src]
+    return _orbit_stack(orbit.rep, _as_generator(orbit.rep, orbit.generator))
+
+
+def _orbit_stack(rep: UnitaryRepresentation, psis: np.ndarray) -> np.ndarray:
+    """orbit_rows of one generator, or of each row of a (k, dim) stack.
+
+    np.take keeps each (order, dim) block C-contiguous, as BLAS needs it to
+    run the products on it exactly as on a single generator.
+    """
+    return rep.phase * np.take(psis, rep.src, axis=-1)
 
 
 def orbit_matrix(orbit: OrbitSystem) -> np.ndarray:
@@ -293,9 +321,19 @@ def correlation_function(
     """g -> <phi, U(g) psi>, with the inner product linear in phi."""
     phi = _as_generator(rep, phi)
     psi = _as_generator(rep, psi)
-    moved = rep.phase * psi[rep.src]  # (order, dim)
-    vals = moved.conj() @ phi
-    return group_function(rep.group, vals)
+    return group_function(rep.group, _correlation_values(rep, phi, psi))
+
+
+def _correlation_values(
+    rep: UnitaryRepresentation, phis: np.ndarray, psis: np.ndarray
+) -> np.ndarray:
+    """correlation_function values of one generator pair or of (k, dim) stacks.
+
+    A stack runs the same matrix-vector product per row as a single pair, so
+    each row keeps its bits.
+    """
+    moved = _orbit_stack(rep, psis)  # (..., order, dim)
+    return (moved.conj() @ phis[..., None])[..., 0]
 
 
 def bracket_operator(

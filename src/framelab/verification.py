@@ -13,28 +13,28 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .abelian import (
-    dual_lp_norm,
+    _dual_lp_norms,
+    _inverse_multipliers,
+    _multipliers,
+    _sandwich_sides,
+    _support_indicators,
     gabor_bracket_via_zak,
-    inverse_lambda,
-    lambda_multiplier,
     periodization_bracket,
     scalar_bracket,
-    support_indicator,
-    check_sandwich_equivalence,
-    DualFunction,
 )
-from .frames import check_duallemma, verify_bracket_equals_gramian
-from .groups import FiniteGroup, group_from_spec, group_function
+from .frames import _bracket_gramian_deviations, _duallemma_reports
+from .groups import FiniteGroup, _convolve_values, group_from_spec
 from .representations import (
-    OrbitSystem,
     UnitaryRepresentation,
-    bracket_operator,
+    _action_deviation,
+    _correlation_values,
+    _product_action,
     gabor_representation,
     regular_representation,
     shift_model_representation,
     verify_representation,
 )
-from .vnalgebra import lp_norm, operator_from_coefficients, support_projection
+from .vnalgebra import _convolution_matrices, _lp_norms, _support_projections
 
 __all__ = [
     "CheckResult",
@@ -66,6 +66,11 @@ class CheckResult:
     samples: int
     details: dict = field(default_factory=dict)
 
+    def __post_init__(self):
+        # A check that ran no sample has shown nothing.
+        if self.samples < 1:
+            object.__setattr__(self, "passed", False)
+
     def to_json_dict(self) -> dict:
         payload = {
             "name": self.name,
@@ -86,8 +91,14 @@ def _cvec(rng: np.random.Generator, n: int) -> np.ndarray:
     return rng.standard_normal(n) + 1j * rng.standard_normal(n)
 
 
-def _random_operator(rng: np.random.Generator, group: FiniteGroup):
-    return operator_from_coefficients(group_function(group, _cvec(rng, group.order)))
+def _cvecs(rng: np.random.Generator, shape: tuple[int, ...], n: int) -> np.ndarray:
+    """An array of _cvec(rng, n) draws, the last axis of shape running fastest.
+
+    A Generator draws values in sequence, so this consumes the stream exactly
+    as the same _cvec calls in order would.
+    """
+    draws = rng.standard_normal((*shape, 2, n))
+    return draws[..., 0, :] + 1j * draws[..., 1, :]
 
 
 def check_representation_validity(
@@ -114,8 +125,9 @@ def check_gabor_commutativity(models=((2, 3),)) -> CheckResult:
     For the (l, m) model the composed action of (k, j) then (k', j') carries
     the integer phase l j x + l j' (x - m k) mod n.  Commutativity is exact
     when swapping the pair leaves all phases and shifts unchanged as
-    integers, which avoids trusting bitwise floating products.  The dense
-    matrices are also compared with a strict tolerance.
+    integers, which avoids trusting bitwise floating products.  The two
+    products U(a) U(b) and U(b) U(a) are also compared with a strict
+    tolerance, entry by entry on their monomial form.
     """
     worst = 0.0
     exact = True
@@ -124,23 +136,15 @@ def check_gabor_commutativity(models=((2, 3),)) -> CheckResult:
         n = l * m
         x = np.arange(n)
         rep = gabor_representation(l, m)
-        for k1 in range(l):
-            for j1 in range(m):
-                for k2 in range(l):
-                    for j2 in range(m):
-                        t12 = (l * j1 * x + l * j2 * ((x - m * k1) % n)) % n
-                        t21 = (l * j2 * x + l * j1 * ((x - m * k2) % n)) % n
-                        if not np.array_equal(t12, t21):
-                            exact = False
-                        a, b = k1 * m + j1, k2 * m + j2
-                        dev = float(
-                            np.abs(
-                                rep.matrices[a] @ rep.matrices[b]
-                                - rep.matrices[b] @ rep.matrices[a]
-                            ).max()
-                        )
-                        worst = max(worst, dev)
-                        count += 1
+        # One row per (k1, j1, k2, j2), the last running fastest.
+        k1, j1, k2, j2 = (i.reshape(-1, 1) for i in np.indices((l, m, l, m)))
+        t12 = (l * j1 * x + l * j2 * ((x - m * k1) % n)) % n
+        t21 = (l * j2 * x + l * j1 * ((x - m * k2) % n)) % n
+        exact = exact and bool(np.array_equal(t12, t21))
+        a, b = (k1 * m + j1).ravel(), (k2 * m + j2).ravel()
+        dev = _action_deviation(*_product_action(rep, a, b), *_product_action(rep, b, a))
+        worst = max(worst, float(dev.max()))
+        count += a.size
     tol = 1e-14
     return CheckResult(
         "gabor_commutativity",
@@ -166,17 +170,13 @@ def check_bracket_gramian(
     count = 0
     for spec in group_specs:
         rep = regular_representation(group_from_spec(spec))
-        for _ in range(samples):
-            psi = _cvec(rng, rep.dim)
-            orbit = OrbitSystem(rep, psi)
-            check = verify_bracket_equals_gramian(orbit)
-            dev = check.max_deviation
-            if inject_fault:
-                # Deliberate bias so failure paths stay testable end to end.
-                dev += 1e-6
-            worst = max(worst, dev)
-            worst_trace = max(worst_trace, check.trace_deviation)
-            count += 1
+        dev, trace_dev = _bracket_gramian_deviations(rep, _cvecs(rng, (samples,), rep.dim))
+        if inject_fault:
+            # Deliberate bias so failure paths stay testable end to end.
+            dev = dev + 1e-6
+        worst = max(worst, float(dev.max(initial=0.0)))
+        worst_trace = max(worst_trace, float(trace_dev.max(initial=0.0)))
+        count += samples
     passed = worst <= tol and worst_trace <= trace_tol
     return CheckResult(
         "bracket_equals_gramian",
@@ -216,15 +216,15 @@ def check_duallemma_suite(
         k, s2 = _random_factor_matrix(rng, max_dim)
         a = float(s2.min()) * (1.0 - 1e-3)
         b = float(s2.max()) * (1.0 + 1e-3)
-        report = check_duallemma(k, a, b, tol=tol)
+        distinct = np.unique(s2)
+        ceiling = float(distinct[1]) if distinct.size > 1 else b
+        a_bad = float(s2.min()) + 0.5 * (ceiling - float(s2.min()))
+        # The flipped bound shares K and B, so one evaluation serves both.
+        report, flipped = _duallemma_reports(k, (a, a_bad), b, tol=tol)
         if not report.consistent:
             disagreements += 1
         if not all(report.as_tuple()):
             false_negatives += 1
-        distinct = np.unique(s2)
-        ceiling = float(distinct[1]) if distinct.size > 1 else b
-        a_bad = float(s2.min()) + 0.5 * (ceiling - float(s2.min()))
-        flipped = check_duallemma(k, a_bad, b, tol=tol)
         if not flipped.consistent:
             disagreements += 1
         if any(flipped.as_tuple()):
@@ -244,15 +244,24 @@ def check_duallemma_suite(
     )
 
 
-def _greedy_multiset_deviation(left: np.ndarray, right: np.ndarray) -> float:
-    """Largest distance in a greedy matching of two complex multisets."""
-    right = list(right)
-    worst = 0.0
-    for val in left:
-        gaps = [abs(val - r) for r in right]
-        idx = int(np.argmin(gaps))
-        worst = max(worst, float(gaps[idx]))
-        right.pop(idx)
+def _greedy_multiset_deviation(left: np.ndarray, right: np.ndarray) -> np.ndarray:
+    """Per row of two (k, n) stacks, the largest distance in a greedy matching.
+
+    Each left value in turn takes the nearest right value not yet taken, the
+    first one on a tie.  Distances are np.hypot, which rounds like abs() of a
+    complex scalar.
+    """
+    k, n = left.shape
+    rows = np.arange(k)
+    taken = np.zeros((k, n), dtype=bool)
+    worst = np.zeros(k)
+    for i in range(n):
+        diff = left[:, i, None] - right
+        gaps = np.hypot(diff.real, diff.imag)
+        gaps[taken] = np.inf
+        idx = gaps.argmin(axis=1)
+        worst = np.maximum(worst, gaps[rows, idx])
+        taken[rows, idx] = True
     return worst
 
 
@@ -270,41 +279,41 @@ def check_lambda_structure(
         group = group_from_spec(spec)
         if not group.is_abelian or group.abelian is None:
             continue
-        for _ in range(pairs):
-            f1 = _random_operator(rng, group)
-            f2 = _random_operator(rng, group)
-            m1 = lambda_multiplier(f1).values
-            m2 = lambda_multiplier(f2).values
-            prod_dev = float(
-                np.abs(lambda_multiplier(f1 @ f2).values - m1 * m2).max()
-            ) / max(1.0, float(np.abs(m1 * m2).max()))
-            star_dev = float(
-                np.abs(lambda_multiplier(f1.adjoint()).values - np.conj(m1)).max()
-            ) / max(1.0, float(np.abs(m1).max()))
-            worst = max(worst, prod_dev, star_dev)
-            for p in p_values:
-                a = lp_norm(f1, p)
-                b = dual_lp_norm(DualFunction(group, m1), p)
-                worst = max(worst, abs(a - b) / max(1.0, a))
-            eig = np.linalg.eigvals(f1.matrix)
-            spec_dev = _greedy_multiset_deviation(m1, eig) / max(
-                1.0, float(np.abs(m1).max())
-            )
-            worst = max(worst, spec_dev)
-            count += 1
+        c1, c2 = _cvecs(rng, (pairs, 2), group.order).transpose(1, 0, 2)
+        m1 = _multipliers(group, c1)
+        m2 = _multipliers(group, c2)
+        prod = m1 * m2
+        # F_c1 F_c2 has kernel c2 * c1.
+        m12 = _multipliers(group, _convolve_values(group, c2, c1))
+        prod_dev = np.abs(m12 - prod).max(axis=1) / np.maximum(
+            1.0, np.abs(prod).max(axis=1)
+        )
+        m1_scale = np.maximum(1.0, np.abs(m1).max(axis=1))
+        m_star = _multipliers(group, np.conj(c1[:, group.inverses]))
+        star_dev = np.abs(m_star - np.conj(m1)).max(axis=1) / m1_scale
+        mats = _convolution_matrices(group, c1)
+        a = _lp_norms(mats, group.identity, p_values)
+        b = _dual_lp_norms(m1, p_values)
+        norm_dev = np.abs(a - b) / np.maximum(1.0, a)
+        spec_dev = _greedy_multiset_deviation(m1, np.linalg.eigvals(mats)) / m1_scale
+        for dev in (prod_dev, star_dev, norm_dev, spec_dev):
+            worst = max(worst, float(dev.max(initial=0.0)))
+        count += pairs
     return CheckResult("lambda_structure", worst <= tol, worst, tol, count)
 
 
-def _random_psd_operator(rng: np.random.Generator, group: FiniteGroup, masked: bool):
+def _random_psd_draw(rng: np.random.Generator, group: FiniteGroup, masked: bool):
+    """One positive operator's draw: masked multiplier values or a generator.
+
+    A generator stands for its self-bracket under the regular representation.
+    """
     if masked:
         vals = rng.uniform(0.5, 2.0, size=group.order)
         mask = rng.integers(0, 2, size=group.order).astype(bool)
         if mask.all():
             mask[int(rng.integers(0, group.order))] = False
-        vals = np.where(mask, 0.0, vals)
-        return inverse_lambda(DualFunction(group, vals.astype(np.complex128)))
-    rep = regular_representation(group)
-    return bracket_operator(rep, *(2 * [_cvec(rng, group.order)]))
+        return np.where(mask, 0.0, vals).astype(np.complex128)
+    return _cvec(rng, group.order)
 
 
 def check_support_lemma(
@@ -321,16 +330,24 @@ def check_support_lemma(
         group = group_from_spec(spec)
         if not group.is_abelian or group.abelian is None:
             continue
-        for i in range(samples):
-            op = _random_psd_operator(rng, group, masked=(i % 2 == 0))
-            proj = support_projection(op, tol)
-            via_proj = lambda_multiplier(proj).values
-            chi = support_indicator(lambda_multiplier(op), tol).values
-            rounded = (via_proj.real > 0.5).astype(float)
-            if not np.array_equal(rounded, chi.real):
-                mismatches += 1
-            worst = max(worst, float(np.abs(via_proj - chi).max()))
-            count += 1
+        # Even samples are masked multipliers, odd ones self-brackets of a
+        # generator under the regular representation.
+        draws = [
+            _random_psd_draw(rng, group, masked=(i % 2 == 0)) for i in range(samples)
+        ]
+        if not draws:
+            continue
+        kernels = np.empty((samples, group.order), dtype=np.complex128)
+        kernels[0::2] = _inverse_multipliers(group, np.array(draws[0::2]))
+        psis = np.array(draws[1::2]).reshape(-1, group.order)
+        kernels[1::2] = _correlation_values(regular_representation(group), psis, psis)
+        mats = _convolution_matrices(group, kernels)
+        via_proj = _multipliers(group, _support_projections(group, mats, tol))
+        chi = _support_indicators(_multipliers(group, kernels), tol)
+        rounded = (via_proj.real > 0.5).astype(float)
+        mismatches += int((rounded != chi.real).any(axis=1).sum())
+        worst = max(worst, float(np.abs(via_proj - chi).max()))
+        count += samples
     return CheckResult(
         "support_lemma",
         mismatches == 0,
@@ -339,6 +356,32 @@ def check_support_lemma(
         count,
         {"mismatches": mismatches},
     )
+
+
+def _sandwich_bounds(
+    i: int, adversarial: bool, mult: np.ndarray, tol: float
+) -> tuple[float, float, bool]:
+    """Bounds A, B for case i of a self-bracket multiplier, and whether they hold.
+
+    Regular cases cycle through a bracketing pair, a raised lower bound and a
+    lowered upper bound; adversarial ones move a bound by 1e-6 across the
+    support's extreme values.
+    """
+    nonzero = mult[mult > tol * max(1.0, mult.max())]
+    lo, hi = float(nonzero.min()), float(nonzero.max())
+    if adversarial:
+        eps = 1e-6
+        if i % 2 == 0:
+            return lo * (1.0 - eps), hi * (1.0 + eps), True
+        return lo * (1.0 + eps), hi * (1.0 + eps), False
+    mode = i % 3
+    if mode == 0:
+        return 0.9 * lo, 1.1 * hi, True
+    if mode == 1:
+        return 1.5 * lo if hi > 1.6 * lo else 1.1 * hi, 1.1 * hi, False
+    if 0.9 * hi > lo:
+        return 0.9 * lo, 0.9 * hi, False
+    return 0.9 * lo, 1.1 * hi, True
 
 
 def check_sandwich_suite(
@@ -360,41 +403,23 @@ def check_sandwich_suite(
     if not reps:
         return CheckResult("sandwich_equivalence", True, 0.0, tol, 0, {"skipped": 1})
 
-    def run_case(rep, psi, a, b, expected):
-        nonlocal disagreements, wrong_calls, count
-        report = check_sandwich_equivalence(rep, psi, a, b, tol=tol)
-        if not report.consistent:
-            disagreements += 1
-        if expected is not None and report.operator_side != expected:
-            wrong_calls += 1
-        count += 1
-
-    for i in range(samples):
-        rep = reps[i % len(reps)]
-        psi = _cvec(rng, rep.dim)
-        mult = scalar_bracket(rep, psi, psi).values.real
-        nonzero = mult[mult > tol * max(1.0, mult.max())]
-        lo, hi = float(nonzero.min()), float(nonzero.max())
-        mode = i % 3
-        if mode == 0:
-            run_case(rep, psi, 0.9 * lo, 1.1 * hi, True)
-        elif mode == 1:
-            run_case(rep, psi, 1.5 * lo if hi > 1.6 * lo else 1.1 * hi, 1.1 * hi, False)
-        elif 0.9 * hi > lo:
-            run_case(rep, psi, 0.9 * lo, 0.9 * hi, False)
-        else:
-            run_case(rep, psi, 0.9 * lo, 1.1 * hi, True)
-    for i in range(adversarial):
-        rep = reps[i % len(reps)]
-        psi = _cvec(rng, rep.dim)
-        mult = scalar_bracket(rep, psi, psi).values.real
-        nonzero = mult[mult > tol * max(1.0, mult.max())]
-        lo, hi = float(nonzero.min()), float(nonzero.max())
-        eps = 1e-6
-        if i % 2 == 0:
-            run_case(rep, psi, lo * (1.0 - eps), hi * (1.0 + eps), True)
-        else:
-            run_case(rep, psi, lo * (1.0 + eps), hi * (1.0 + eps), False)
+    # Case i draws its generator for reps[i % len(reps)] in the order of the
+    # cases; each representation's cases are then tested as one stack.
+    cases = [(i, False) for i in range(samples)] + [(i, True) for i in range(adversarial)]
+    psis = [_cvec(rng, reps[i % len(reps)].dim) for i, _ in cases]
+    for r, rep in enumerate(reps):
+        at = [j for j, (i, _) in enumerate(cases) if i % len(reps) == r]
+        if not at:
+            continue
+        stack = np.array([psis[j] for j in at])
+        kernels = _correlation_values(rep, stack, stack)
+        mults = _multipliers(rep.group, kernels).real
+        bounds = [_sandwich_bounds(*cases[j], mult, tol) for j, mult in zip(at, mults)]
+        a, b, expected = (np.array(column) for column in zip(*bounds))
+        operator_ok, scalar_ok, _ = _sandwich_sides(rep.group, kernels, a, b, tol)
+        disagreements += int((operator_ok != scalar_ok).sum())
+        wrong_calls += int((operator_ok != expected).sum())
+        count += len(at)
     bad = disagreements + wrong_calls
     return CheckResult(
         "sandwich_equivalence",
@@ -471,11 +496,10 @@ def run_verification_suite(
     cap = DEFAULT_MAX_ORDER if max_order is None else max_order
     rng = np.random.default_rng(seed)
     specs = list(group_specs)
-    abelian_specs = [
-        s for s in specs if group_from_spec(s, max_order=cap).abelian is not None
-    ]
+    groups = [group_from_spec(s, max_order=cap) for s in specs]
+    abelian_specs = [s for s, g in zip(specs, groups) if g.abelian is not None]
 
-    reps = [regular_representation(group_from_spec(s, max_order=cap)) for s in specs]
+    reps = [regular_representation(g) for g in groups]
     models = []
     for kind, a, b in _DEFAULT_MODELS:
         if kind == "shift":
@@ -501,9 +525,14 @@ def run_verification_suite(
             )
         )
     else:
-        notices.append(
-            "no abelian groups given: multiplier, support, and sandwich checks skipped"
-        )
+        skipped = "multiplier, support, and sandwich checks skipped"
+        if any(g.is_abelian for g in groups):
+            notices.append(
+                "the multiplier transform needs cyclic-product coordinates, "
+                f"which no given group has: {skipped}"
+            )
+        else:
+            notices.append(f"no abelian groups given: {skipped}")
     results.append(check_periodization_calibration(rng, samples=samples))
     results.append(check_zak_calibration(rng, samples=samples))
 

@@ -63,9 +63,7 @@ class ConvolutionOperator:
     @property
     def matrix(self) -> np.ndarray:
         if self._matrix is None:
-            g = self.group
-            idx = g.table[g.inverses].T  # idx[x, y] = y^-1 x
-            mat = self.coefficients.values[idx]
+            mat = _convolution_matrices(self.group, self.coefficients.values)
             mat.setflags(write=False)
             self._matrix = mat
         return self._matrix
@@ -131,6 +129,12 @@ class SpectralData:
     tolerance: float
 
 
+def _convolution_matrices(group: FiniteGroup, kernels: np.ndarray) -> np.ndarray:
+    """Dense matrices F[x, y] = c(y^-1 x) of one kernel or a (k, order) stack."""
+    idx = group.table[group.inverses].T  # idx[x, y] = y^-1 x
+    return kernels[..., idx]
+
+
 def operator_from_coefficients(coefficients: GroupFunction) -> ConvolutionOperator:
     """Wrap a kernel as the operator sum_g c(g) rho(g)*."""
     return ConvolutionOperator(coefficients)
@@ -177,6 +181,17 @@ def fourier_coefficient(op: ConvolutionOperator, g: int) -> complex:
     return complex(op.matrix[e, op.group.inverse(g)])
 
 
+def _exponent(p) -> float:
+    """A p-norm exponent as a float in [1, inf]; anything else is InvalidPError."""
+    try:
+        p = float(p)
+    except (TypeError, ValueError) as exc:
+        raise InvalidPError(f"p-norm exponent {p!r} is not a number") from exc
+    if math.isnan(p) or p < 1:
+        raise InvalidPError(f"p-norm exponent {p} is outside [1, inf]")
+    return p
+
+
 def lp_norm(op: ConvolutionOperator, p: float) -> float:
     """Noncommutative p-norm tau(|F|^p)^(1/p); p = inf gives the operator norm.
 
@@ -185,47 +200,71 @@ def lp_norm(op: ConvolutionOperator, p: float) -> float:
     weights sum to 1, and for these group-algebra operators they add up to
     dim(eigenspace)/order on every eigenspace, which is checked in tests.
     """
-    try:
-        p = float(p)
-    except (TypeError, ValueError) as exc:
-        raise InvalidPError(f"p-norm exponent {p!r} is not a number") from exc
-    if math.isnan(p) or p < 1:
-        raise InvalidPError(f"p-norm exponent {p} is outside [1, inf]")
-    mat = op.matrix
-    if math.isinf(p):
-        return float(np.linalg.norm(mat, ord=2))
-    gram = mat.conj().T @ mat
-    w, v = np.linalg.eigh(gram)
-    mu = np.sqrt(np.clip(w, 0.0, None))
-    weights = np.abs(v[op.group.identity, :]) ** 2
-    return float((weights @ mu**p) ** (1.0 / p))
+    return float(_lp_norms(op.matrix[None], op.group.identity, (p,))[0, 0])
 
 
-def _selfadjoint_matrix(op: ConvolutionOperator, tol: float) -> np.ndarray:
-    mat = op.matrix
-    scale = max(1.0, float(np.abs(mat).max(initial=0.0)))
-    dev = float(np.abs(mat - mat.conj().T).max(initial=0.0))
-    if dev > tol * scale:
+def _lp_norms(mats: np.ndarray, identity: int, p_values) -> np.ndarray:
+    """lp_norm of each matrix in a (k, n, n) stack, one column per exponent.
+
+    One eigh serves every finite p and one singular-value call p = inf.  The
+    final root is taken per value as a scalar power: numpy's array power may
+    round differently in the last bit.
+    """
+    ps = [_exponent(p) for p in p_values]
+    out = np.empty((mats.shape[0], len(ps)))
+    if any(math.isinf(p) for p in ps):
+        norms = np.linalg.svd(mats, compute_uv=False).max(axis=-1)
+    if not all(math.isinf(p) for p in ps):
+        gram = mats.conj().transpose(0, 2, 1) @ mats
+        w, v = np.linalg.eigh(gram)
+        mu = np.sqrt(np.clip(w, 0.0, None))
+        weights = np.abs(v[:, identity, :]) ** 2
+    for i, p in enumerate(ps):
+        if math.isinf(p):
+            out[:, i] = norms
+        else:
+            sums = (weights[:, None, :] @ (mu**p)[:, :, None])[:, 0, 0]
+            out[:, i] = [s ** (1.0 / p) for s in sums]
+    return out
+
+
+def _check_selfadjoint(mats: np.ndarray, tol: float) -> None:
+    """NotSelfAdjointError unless every matrix of the stack is selfadjoint."""
+    scale = np.maximum(1.0, np.abs(mats).max(axis=(1, 2), initial=0.0))
+    dev = np.abs(mats - mats.conj().transpose(0, 2, 1)).max(axis=(1, 2), initial=0.0)
+    bad = np.flatnonzero(dev > tol * scale)
+    if bad.size:
         raise NotSelfAdjointError(
-            f"operator deviates from selfadjoint by {dev:.3e}"
+            f"operator deviates from selfadjoint by {dev[bad[0]]:.3e}"
         )
-    return mat
 
 
 def spectral_data(op: ConvolutionOperator, tol: float = 1e-12) -> SpectralData:
     """Eigendecomposition of a selfadjoint convolution operator."""
-    mat = _selfadjoint_matrix(op, tol)
-    w, v = np.linalg.eigh(mat)
-    recon = (v * w) @ v.conj().T
-    err = float(np.abs(recon - mat).max(initial=0.0))
-    bound = _RECONSTRUCTION_TOL * (1.0 + float(np.abs(w).max(initial=0.0)))
-    if err > bound:
-        raise NotSelfAdjointError(
-            f"eigendecomposition reconstruction error {err:.3e} exceeds {bound:.3e}"
-        )
+    w, v = _spectral_stack(op.matrix[None], tol)
+    w, v = w[0], v[0]
     w.setflags(write=False)
     v.setflags(write=False)
     return SpectralData(w, v, tol)
+
+
+def _spectral_stack(mats: np.ndarray, tol: float) -> tuple[np.ndarray, np.ndarray]:
+    """Eigenvalues and eigenvectors of a (k, n, n) selfadjoint stack.
+
+    Every matrix must be selfadjoint and rebuild from its decomposition.
+    """
+    _check_selfadjoint(mats, tol)
+    w, v = np.linalg.eigh(mats)
+    recon = (v * w[:, None, :]) @ v.conj().transpose(0, 2, 1)
+    err = np.abs(recon - mats).max(axis=(1, 2), initial=0.0)
+    bound = _RECONSTRUCTION_TOL * (1.0 + np.abs(w).max(axis=1, initial=0.0))
+    bad = np.flatnonzero(err > bound)
+    if bad.size:
+        i = bad[0]
+        raise NotSelfAdjointError(
+            f"eigendecomposition reconstruction error {err[i]:.3e} exceeds {bound[i]:.3e}"
+        )
+    return w, v
 
 
 def block_spectrum(kernel: GroupFunction) -> np.ndarray:
@@ -264,8 +303,9 @@ def block_spectrum(kernel: GroupFunction) -> np.ndarray:
 
 def is_positive(op: ConvolutionOperator, tol: float = 1e-10) -> bool:
     """True when the operator is selfadjoint with spectrum above -tol."""
+    mat = op.matrix
     try:
-        mat = _selfadjoint_matrix(op, max(tol, 1e-12))
+        _check_selfadjoint(mat[None], max(tol, 1e-12))
     except NotSelfAdjointError:
         return False
     w = np.linalg.eigvalsh(mat)
@@ -294,15 +334,27 @@ def operator_from_matrix(
     n = group.order
     if matrix.shape != (n, n):
         raise AffiliationError(f"matrix shape {matrix.shape} != ({n}, {n})")
-    kernel = matrix[group.identity, group.inverses]
-    op = ConvolutionOperator(group_function(group, kernel))
-    scale = max(1.0, float(np.abs(matrix).max(initial=0.0)))
-    dev = float(np.abs(op.matrix - matrix).max(initial=0.0))
-    if dev > tol * scale:
+    kernel, _ = _kernels_from_matrices(group, matrix[None], tol)
+    return ConvolutionOperator(group_function(group, kernel[0]))
+
+
+def _kernels_from_matrices(
+    group: FiniteGroup, mats: np.ndarray, tol: float
+) -> tuple[np.ndarray, np.ndarray]:
+    """Kernels of a (k, n, n) stack read off the identity row, and their matrices.
+
+    AffiliationError unless each rebuilt matrix reproduces its input.
+    """
+    kernels = mats[:, group.identity, group.inverses]
+    rebuilt = _convolution_matrices(group, kernels)
+    scale = np.maximum(1.0, np.abs(mats).max(axis=(1, 2), initial=0.0))
+    dev = np.abs(rebuilt - mats).max(axis=(1, 2), initial=0.0)
+    bad = np.flatnonzero(dev > tol * scale)
+    if bad.size:
         raise AffiliationError(
-            f"matrix is not a convolution operator (deviation {dev:.3e})"
+            f"matrix is not a convolution operator (deviation {dev[bad[0]]:.3e})"
         )
-    return op
+    return kernels, rebuilt
 
 
 def support_projection(
@@ -314,16 +366,30 @@ def support_projection(
     The projection is itself a convolution operator; that is verified by
     rebuilding it from its kernel.
     """
-    data = spectral_data(op)
-    w, v = data.eigenvalues, data.eigenvectors
-    norm_inf = float(np.abs(w).max(initial=0.0))
-    keep = np.abs(w) > tol * max(1.0, norm_inf)
-    basis = v[:, keep]
-    proj = basis @ basis.conj().T
-    kernel_op = operator_from_matrix(op.group, proj, tol=max(tol, 1e-10))
-    result = ProjectionOperator(kernel_op.coefficients)
-    mat = result.matrix
-    idem = float(np.abs(mat @ mat - mat).max(initial=0.0))
-    if idem > 1e-10 * max(1.0, float(np.abs(mat).max(initial=0.0))):
-        raise AffiliationError(f"support projection not idempotent ({idem:.3e})")
-    return result
+    kernel = _support_projections(op.group, op.matrix[None], tol)[0]
+    return ProjectionOperator(group_function(op.group, kernel))
+
+
+def _support_projections(group: FiniteGroup, mats: np.ndarray, tol: float) -> np.ndarray:
+    """Support projection kernels of a (k, n, n) stack of selfadjoint matrices.
+
+    Projections of equal rank are formed in one product, so each keeps the
+    bits of its own basis @ basis* product.
+    """
+    w, v = _spectral_stack(mats, 1e-12)
+    norm_inf = np.abs(w).max(axis=1, initial=0.0)
+    keep = np.abs(w) > tol * np.maximum(1.0, norm_inf)[:, None]
+    ranks = keep.sum(axis=1)
+    proj = np.empty_like(mats)
+    for rank in np.unique(ranks):
+        rows = np.flatnonzero(ranks == rank)
+        cols = np.nonzero(keep[rows])[1].reshape(rows.size, rank)
+        basis = np.take_along_axis(v[rows], cols[:, None, :], axis=2)
+        proj[rows] = basis @ basis.conj().transpose(0, 2, 1)
+    kernels, mat = _kernels_from_matrices(group, proj, max(tol, 1e-10))
+    idem = np.abs(mat @ mat - mat).max(axis=(1, 2), initial=0.0)
+    bound = 1e-10 * np.maximum(1.0, np.abs(mat).max(axis=(1, 2), initial=0.0))
+    bad = np.flatnonzero(idem > bound)
+    if bad.size:
+        raise AffiliationError(f"support projection not idempotent ({idem[bad[0]]:.3e})")
+    return kernels

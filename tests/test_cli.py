@@ -321,6 +321,26 @@ def test_verify_default_suite(tmp_path, capsys):
     assert payload["groups"] == ["Z4", "D4"]
 
 
+_SKIPPED = "multiplier, support, and sandwich checks skipped"
+
+
+@pytest.mark.parametrize(
+    "groups,notice",
+    [
+        (
+            "D2",
+            "the multiplier transform needs cyclic-product coordinates, "
+            f"which no given group has: {_SKIPPED}",
+        ),
+        ("D3,H3", f"no abelian groups given: {_SKIPPED}"),
+    ],
+)
+def test_verify_notice_names_what_the_groups_lack(capsys, groups, notice):
+    code, out, _ = run_cli(capsys, "verify", "--groups", groups, "--samples", "2")
+    assert code == 0
+    assert json.loads(out)["notices"] == [notice]
+
+
 def test_verify_inject_fault_fails(capsys):
     code, out, _ = run_cli(
         capsys, "verify", "--groups", "Z4", "--samples", "4", "--inject-fault"
@@ -419,6 +439,17 @@ def test_non_finite_csv_generator_exits_2(tmp_path, capsys):
     code, _, err = run_cli(capsys, "bracket", "--rep", "regular:Z2", "--psi", str(path))
     _assert_clean_parse_error(code, err)
     assert "generator file" in err and "non-finite" in err
+
+
+@pytest.mark.parametrize("token", ["1_0", "1_000.5", "1e1_0", "\u0661"])
+def test_csv_number_with_underscore_or_non_ascii_digit_exits_2(tmp_path, capsys, token):
+    # float() reads "1_0" as 10.0 and "\u0661" (Arabic-Indic one) as 1.0.
+    path = tmp_path / "psi.csv"
+    path.write_text(f"{token},0\n0,0\n", encoding="utf-8")
+    code, out, err = run_cli(capsys, "bracket", "--rep", "regular:Z2", "--psi", str(path))
+    _assert_clean_parse_error(code, err)
+    assert out == ""
+    assert "line 1: bad number" in err
 
 
 @pytest.mark.parametrize("dim", ['"four"', "[2]", "Infinity"])

@@ -15,6 +15,7 @@ from framelab import (
     OrbitSystem,
     ZeroGeneratorError,
     analyze_orbit,
+    bracket_operator,
     check_duallemma,
     dihedral_group,
     frame_bounds,
@@ -24,9 +25,11 @@ from framelab import (
     heisenberg_group,
     make_abelian_group,
     make_builtin_group,
+    orbit_matrix,
     parse_rep_spec,
     regular_representation,
     riesz_bounds,
+    scalar_bracket,
     shift_model_representation,
     vector_system,
     verify_bracket_equals_gramian,
@@ -347,6 +350,46 @@ def test_bracket_equals_gramian_random(rep_factory):
         check = verify_bracket_equals_gramian(OrbitSystem(rep, psi))
         assert check.max_deviation < 1e-11
         assert check.trace_deviation < 1e-12
+
+
+_cyclic_specs = st.lists(st.integers(2, 6), min_size=1, max_size=3).map(
+    lambda factors: "regular:" + "x".join(f"Z{n}" for n in factors)
+)
+_model_specs = st.one_of(
+    st.tuples(st.integers(2, 8), st.integers(1, 6)).map(lambda t: f"shift:{t[0]},{t[1]}"),
+    st.tuples(st.integers(2, 8), st.integers(2, 8)).map(lambda t: f"gabor:{t[0]},{t[1]}"),
+)
+# Every spec here has cyclic-product coordinates, so it has a multiplier.
+_abelian_specs = st.one_of(_cyclic_specs, _model_specs)
+_rep_specs = st.one_of(
+    _abelian_specs,
+    st.integers(2, 9).map(lambda n: f"regular:D{n}"),
+    st.integers(2, 4).map(lambda p: f"regular:H{p}"),
+)
+
+
+@given(spec=_rep_specs, seed=st.integers(0, 2**32 - 1))
+def test_bracket_operator_equals_gram_matrix(spec, seed):
+    rep = parse_rep_spec(spec)
+    psi = _cvec(np.random.default_rng(seed), rep.dim)
+    orbit = OrbitSystem(rep, psi)
+    gram = gram_matrix(vector_system(orbit_matrix(orbit)))
+    op = bracket_operator(rep, psi, psi)
+    norm_sq = float(np.vdot(psi, psi).real)
+    assert np.abs(op.matrix - gram).max() <= 1e-13 * norm_sq
+    check = verify_bracket_equals_gramian(orbit)
+    assert check.max_deviation <= 1e-13 * norm_sq
+    assert check.trace_deviation <= 1e-13 * norm_sq
+
+
+@given(spec=_abelian_specs, seed=st.integers(0, 2**32 - 1))
+def test_multiplier_values_are_the_gram_spectrum(spec, seed):
+    rep = parse_rep_spec(spec)
+    psi = _cvec(np.random.default_rng(seed), rep.dim)
+    w = np.linalg.eigvalsh(gram_matrix(vector_system(orbit_matrix(OrbitSystem(rep, psi)))))
+    values = scalar_bracket(rep, psi, psi).values
+    assert np.abs(np.sort(values.real) - w).max() <= 1e-12 * w[-1]
+    assert np.abs(values.imag).max() <= 1e-12 * w[-1]
 
 
 def test_gram_entries_follow_group_structure():

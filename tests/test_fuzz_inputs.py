@@ -97,6 +97,23 @@ def test_load_generator_on_json_shapes(write, payload):
         assert np.isfinite(arr).all()
 
 
+# Number-like tokens: digit-group underscores and non-ASCII digits, which
+# float() reads, next to the characters of plain decimal numbers.
+_csv_tokens = st.text(alphabet="0123456789_.eE+- \u0661\u00b2", max_size=8) | (
+    st.sampled_from(["1_0", "1_000.5", "\u0661", "1e3", "-.5", "nan", "inf"])
+)
+
+
+@given(re_token=_csv_tokens, im_token=_csv_tokens)
+def test_load_generator_on_csv_tokens(write, re_token, im_token):
+    path = write("g.csv", f"{re_token},{im_token}\n".encode())
+    arr = _expect_result_or_typed_error(lambda: load_generator(path))
+    if arr is not None:
+        for token in (re_token, im_token):
+            assert "_" not in token and token.strip().isascii()
+        assert arr.tolist() == [complex(float(re_token), float(im_token))]
+
+
 _spec_heads = st.sampled_from(
     ["", "regular:", "shift:", "gabor:", "regular:table:"]
     + ["regular:Z", "regular:D", "regular:H"]

@@ -18,6 +18,7 @@ from framelab import (
     lambda_matrix,
     make_abelian_group,
     orbit_matrix,
+    orbit_rows,
     parse_rep_spec,
     regular_representation,
     verify_representation,
@@ -113,6 +114,23 @@ def test_correlation_matches_dense_oracle():
         want = (rep.matrices @ psi).conj() @ phi
         got = correlation_function(rep, phi, psi).values
         np.testing.assert_allclose(got, want, rtol=0, atol=1e-13)
+
+
+@pytest.mark.parametrize("spec", ["regular:Z12", "regular:D5", "regular:H3", "shift:6,3"])
+def test_permutation_phases_are_a_view_of_one_value(spec):
+    rep = parse_rep_spec(spec)
+    order, dim = rep.group.order, rep.dim
+    assert rep.phase.shape == (order, dim) and rep.phase.dtype == np.complex128
+    # No (order, dim) buffer behind the phases: one 16-byte value, read-only.
+    assert rep.phase.strides == (0, 0)
+    low, high = np.lib.array_utils.byte_bounds(rep.phase)
+    assert high - low == 16
+    assert not rep.phase.flags.writeable
+    assert verify_representation(rep).passed
+    psi = np.random.default_rng(5).standard_normal((2, dim)).T @ [1.0, 1j]
+    want = np.ones((order, dim), dtype=np.complex128) * psi[rep.src]
+    got = orbit_rows(OrbitSystem(rep, psi))
+    assert np.array_equal(got.view(np.int64), want.view(np.int64))
 
 
 def test_dense_matrices_are_built_once_on_demand():

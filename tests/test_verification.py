@@ -125,3 +125,53 @@ def test_suite_respects_group_order_cap():
 
     with pytest.raises(OrderTooLargeError):
         run_verification_suite(group_specs=["Z128"], seed=0, samples=3, max_order=64)
+
+
+_NO_SAMPLE_RUNS = {
+    "bracket": lambda rng: check_bracket_gramian(["Z4", "D4"], rng, samples=0),
+    "duallemma": lambda rng: check_duallemma_suite(rng, samples=0),
+    "lambda-D4": lambda rng: check_lambda_structure(["D4"], rng),
+    "lambda-Z4": lambda rng: check_lambda_structure(["Z4"], rng, pairs=0),
+    "support-D4-H3": lambda rng: check_support_lemma(["D4", "H3"], rng),
+    "support-Z4": lambda rng: check_support_lemma(["Z4"], rng, samples=0),
+    "sandwich-D4": lambda rng: check_sandwich_suite(["D4"], rng),
+    "sandwich-Z4": lambda rng: check_sandwich_suite(["Z4"], rng, samples=0, adversarial=0),
+    "periodization": lambda rng: check_periodization_calibration(rng, samples=0),
+    "zak": lambda rng: check_zak_calibration(rng, samples=0),
+    "representations": lambda rng: check_representation_validity([]),
+    "gabor": lambda rng: check_gabor_commutativity(models=()),
+}
+
+
+@pytest.mark.parametrize("run", _NO_SAMPLE_RUNS.values(), ids=_NO_SAMPLE_RUNS.keys())
+def test_a_check_with_no_sample_fails(run):
+    result = run(np.random.default_rng(0))
+    assert result.samples == 0
+    assert result.passed is False
+    assert result.to_json_dict()["passed"] is False
+
+
+def test_zero_sample_suite_fails():
+    payload = run_verification_suite(seed=0, samples=0)
+    assert payload["passed"] is False
+    empty = [c for c in payload["checks"] if c["samples"] == 0]
+    assert {c["name"] for c in empty} == {
+        "bracket_equals_gramian",
+        "lambda_structure",
+        "support_lemma",
+        "periodization_calibration",
+        "zak_calibration",
+    }
+    assert not any(c["passed"] for c in empty)
+
+
+def test_support_lemma_counts_each_mismatching_sample(monkeypatch):
+    # A zero projection misses the whole support of every sample.
+    import framelab.verification as verification
+
+    monkeypatch.setattr(
+        verification, "_support_projections", lambda group, mats, tol: np.zeros(mats.shape[:2])
+    )
+    result = check_support_lemma(["Z4", "Z3xZ4"], np.random.default_rng(0), samples=6)
+    assert result.details["mismatches"] == 12
+    assert result.passed is False
