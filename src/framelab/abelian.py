@@ -169,10 +169,19 @@ def periodization_bracket(psi, n: int, m: int) -> DualFunction:
     arr = np.asarray(psi, dtype=np.complex128).reshape(-1)
     if arr.shape[0] != n * m:
         raise BadLengthError(f"signal length {arr.shape[0]} != N*M = {n * m}")
-    power = np.abs(np.fft.fft(arr)) ** 2
-    folded = power.reshape(m, n).sum(axis=0)
     group = make_abelian_group([n])
-    return DualFunction(group, _freeze(folded / m))
+    return DualFunction(group, _freeze(_periodization_values(arr, n, m)))
+
+
+def _periodization_values(psis: np.ndarray, n: int, m: int) -> np.ndarray:
+    """periodization_bracket values of one signal or of each row of a (k, n*m) stack.
+
+    Builds no group.  The FFT runs per row and the fold adds the m blocks in
+    order, so each row keeps the bits of a single signal.
+    """
+    power = np.abs(np.fft.fft(psis)) ** 2
+    folded = power.reshape(*psis.shape[:-1], m, n).sum(axis=-2)
+    return folded / m
 
 
 def zak_transform(psi, l: int, m: int) -> ZakArray:
@@ -180,13 +189,26 @@ def zak_transform(psi, l: int, m: int) -> ZakArray:
     l, m = int(l), int(m)
     if l < 1 or m < 1:
         raise BadFactorizationError(f"factors must be positive, got {l}, {m}")
+    values = _zak_rows(_zak_signal(psi, l, m), l, m).T
+    return ZakArray(l, m, _freeze(values.copy()))
+
+
+def _zak_signal(psi, l: int, m: int) -> np.ndarray:
+    """psi as a flat complex signal, refused unless its length is l*m."""
     arr = np.asarray(psi, dtype=np.complex128).reshape(-1)
     if arr.shape[0] != l * m:
         raise BadFactorizationError(
             f"signal length {arr.shape[0]} does not factor as {l}*{m}"
         )
-    values = np.fft.fft(arr.reshape(l, m), axis=0).T
-    return ZakArray(l, m, _freeze(values.copy()))
+    return arr
+
+
+def _zak_rows(psis: np.ndarray, l: int, m: int) -> np.ndarray:
+    """Zak coefficients of one signal or of each row of a stack, as (..., l, m).
+
+    Entry [m1, n] is the transposed ZakArray cell: frequency m1, position n.
+    """
+    return np.fft.fft(psis.reshape(*psis.shape[:-1], l, m), axis=-2)
 
 
 def inverse_zak(zak: ZakArray) -> np.ndarray:
@@ -207,12 +229,20 @@ def gabor_bracket_via_zak(phi, psi, l: int, m: int) -> DualFunction:
     l, m = int(l), int(m)
     if l < 2 or m < 2:
         raise BadFactorizationError(f"gabor model needs factors >= 2, got {l}, {m}")
-    zphi = zak_transform(phi, l, m)
-    zpsi = zak_transform(psi, l, m)
-    prod = zphi.values * np.conj(zpsi.values)  # (m, l), indexed [m2, m1]
-    values = m * prod.T.reshape(-1)  # character index m1 * m + m2
+    values = _zak_values(_zak_signal(phi, l, m), _zak_signal(psi, l, m), l, m)
     group = make_abelian_group([l, m])
     return DualFunction(group, _freeze(values))
+
+
+def _zak_values(phis: np.ndarray, psis: np.ndarray, l: int, m: int) -> np.ndarray:
+    """gabor_bracket_via_zak values of one pair or of each row pair of two stacks.
+
+    Builds no group.  The Zak cells multiply in (m1, m2) order, so the
+    flattened product is indexed by the character m1 * m + m2; each row keeps
+    the bits of a single pair.
+    """
+    prod = _zak_rows(phis, l, m) * np.conj(_zak_rows(psis, l, m))
+    return m * prod.reshape(phis.shape)
 
 
 def support_indicator(mult: DualFunction, tol: float = 1e-10) -> DualFunction:

@@ -10,16 +10,13 @@ from pathlib import Path
 
 import numpy as np
 
-from .abelian import (
-    gabor_bracket_via_zak,
-    lambda_multiplier,
-    periodization_bracket,
-)
+from .abelian import _periodization_values, _zak_values, lambda_multiplier
 from .errors import (
     DimMismatchError,
     FrameLabError,
     GroupMismatchError,
     NonFiniteResultError,
+    OutputWriteError,
     ParseError,
     ZeroGeneratorError,
 )
@@ -66,9 +63,17 @@ def _require_finite(values, what: str) -> None:
 
 def _write(text: str, out: str | None) -> None:
     if out:
-        Path(out).write_text(text)
+        _write_file(Path(out), text)
     else:
         sys.stdout.write(text)
+
+
+def _write_file(path: Path, text: str) -> None:
+    try:
+        path.write_text(text)
+    except (OSError, ValueError) as exc:
+        # ValueError covers a path holding a NUL.
+        raise OutputWriteError(f"cannot write output file {path}: {exc}") from exc
 
 
 def _cmd_analyze(args) -> int:
@@ -100,14 +105,18 @@ def _hermitian_spectrum(op) -> np.ndarray:
 
 
 def _bracket_oracle(rep, op, psi: np.ndarray, values: np.ndarray) -> float:
-    """Recompute the bracket along an independent route; return max deviation."""
+    """Recompute the bracket along an independent route; return max deviation.
+
+    The periodization and Zak routes read the model's sizes off the built
+    representation and build no group of their own.
+    """
     kind = rep.label.partition(":")[0]
     if kind == "shift":
         n = rep.group.order
-        other = periodization_bracket(psi, n, rep.dim // n).values
+        other = _periodization_values(psi, n, rep.dim // n)
     elif kind == "gabor":
         l, m = rep.group.abelian.invariant_factors
-        other = gabor_bracket_via_zak(psi, psi, l, m).values
+        other = _zak_values(psi, psi, l, m)
     else:
         # Self-brackets are positive, so the multiplier values must match the
         # (real) spectrum of the operator matrix as a sorted list.
@@ -144,7 +153,7 @@ def _cmd_bracket(args) -> int:
             _write(values_csv(op.coefficients.values), args.out)
             if args.out:
                 side = Path(args.out).with_suffix(".spectrum.csv")
-                side.write_text(spectrum_csv(spectrum))
+                _write_file(side, spectrum_csv(spectrum))
             return EXIT_OK
         payload = {
             "schema": SCHEMA,

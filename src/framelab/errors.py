@@ -22,6 +22,7 @@ __all__ = [
     "NotRealValuedError",
     "NotSelfAdjointError",
     "OrderTooLargeError",
+    "OutputWriteError",
     "ParseError",
     "ZeroGeneratorError",
 ]
@@ -41,6 +42,10 @@ class OrderTooLargeError(FrameLabError):
 
 class ParseError(FrameLabError):
     """A group or representation spec string does not match the grammar."""
+
+
+class OutputWriteError(FrameLabError):
+    """An output file cannot be written."""
 
 
 class MalformedTableError(FrameLabError):

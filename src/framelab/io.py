@@ -3,8 +3,10 @@
 from __future__ import annotations
 
 import json
+import math
 import re
 from itertools import chain
+from json.encoder import encode_basestring_ascii
 from pathlib import Path
 
 import numpy as np
@@ -23,6 +25,13 @@ __all__ = [
 SCHEMA = "frame-lab/1"
 
 _JSON_NUMBER_TYPES = frozenset((int, float))
+_LIST_TYPE = frozenset((list,))
+
+# One level of dump_json's two-space indent.
+_INDENT = "  "
+# The C encoder, which writes a list of numbers in one call as "[a, b]" with
+# the same float and int spellings as the indenting encoder.
+_COMPACT = json.JSONEncoder(allow_nan=False)
 
 # A CSV number is a plain decimal or exponent number, or a spelling of NaN or
 # infinity that the finiteness check then reports.  float() alone would also
@@ -111,7 +120,8 @@ def _finite(arr: np.ndarray, path: Path) -> np.ndarray:
 
 
 def pairs_from_complex(values: np.ndarray) -> list[list[float]]:
-    return [[float(v.real), float(v.imag)] for v in values]
+    arr = np.ascontiguousarray(values, dtype=np.complex128)
+    return arr.view(np.float64).reshape(-1, 2).tolist()
 
 
 def values_csv(values: np.ndarray) -> str:
@@ -130,13 +140,87 @@ def spectrum_csv(values: np.ndarray) -> str:
     return "\n".join(lines) + "\n"
 
 
-def dump_json(payload: dict) -> str:
+def dump_json(payload) -> str:
     """Canonical JSON rendering: sorted keys, two-space indent, trailing newline.
 
-    A NaN or infinity has no JSON spelling, so it is refused rather than
-    written as a bare NaN.
+    The bytes are those of json.dumps(payload, sort_keys=True, indent=2,
+    allow_nan=False) plus a newline.  With an indent, CPython's json module
+    runs its pure-Python encoder; this writer renders the same text and puts
+    a list of numbers, or of number lists, through the C encoder in one call.  A value it does not handle goes to json.dumps, which spells
+    the output or the error.  A NaN or infinity has no JSON spelling, so it is
+    refused rather than written as a bare NaN.
     """
     try:
-        return json.dumps(payload, sort_keys=True, indent=2, allow_nan=False) + "\n"
+        try:
+            return _json_text(payload, "\n") + "\n"
+        except (TypeError, ValueError, RecursionError):
+            return json.dumps(payload, sort_keys=True, indent=2, allow_nan=False) + "\n"
     except ValueError as exc:
         raise NonFiniteResultError(f"output holds a non-finite number: {exc}") from exc
+
+
+def _json_text(value, newline: str) -> str:
+    """One value as dump_json writes it, at the level whose line break is newline.
+
+    Raises TypeError on a value or key json.dumps would treat differently
+    from these cases, and ValueError on a non-finite float.
+    """
+    if isinstance(value, str):
+        return encode_basestring_ascii(value)
+    if value is None:
+        return "null"
+    if value is True:
+        return "true"
+    if value is False:
+        return "false"
+    if isinstance(value, int):
+        return int.__repr__(value)
+    if isinstance(value, float):
+        if not math.isfinite(value):
+            raise ValueError("non-finite float")
+        return float.__repr__(value)
+    inner = newline + _INDENT
+    if isinstance(value, (list, tuple)):
+        if not value:
+            return "[]"
+        bulk = _number_list_text(value, newline, inner)
+        if bulk is not None:
+            return bulk
+        body = ("," + inner).join(_json_text(item, inner) for item in value)
+        return "[" + inner + body + newline + "]"
+    if isinstance(value, dict):
+        if not value:
+            return "{}"
+        if not all(isinstance(key, str) for key in value):
+            raise TypeError("non-string key")
+        body = ("," + inner).join(
+            encode_basestring_ascii(key) + ": " + _json_text(value[key], inner)
+            for key in sorted(value)
+        )
+        return "{" + inner + body + newline + "}"
+    raise TypeError(f"no fast spelling for {type(value).__name__}")
+
+
+def _number_list_text(value, newline: str, inner: str) -> str | None:
+    """A list of numbers or of non-empty number lists, rendered in one pass.
+
+    The compact rendering is re-indented by replacing its separators; no
+    int or float repr holds a bracket, a comma or a space, and without an
+    empty row "[[" and "]]" occur only at the two ends.  Returns None for any
+    other list.
+    """
+    if _JSON_NUMBER_TYPES.issuperset(map(type, value)):
+        compact = _COMPACT.encode(value)
+        return "[" + inner + compact[1:-1].replace(", ", "," + inner) + newline + "]"
+    if not (_LIST_TYPE.issuperset(map(type, value)) and all(value)):
+        return None
+    if not _JSON_NUMBER_TYPES.issuperset(map(type, chain.from_iterable(value))):
+        return None
+    row = inner + _INDENT
+    compact = _COMPACT.encode(value)
+    return (
+        compact.replace("], [", inner + "]," + inner + "[" + row)
+        .replace(", ", "," + row)
+        .replace("[[", "[" + inner + "[" + row)
+        .replace("]]", inner + "]" + newline + "]")
+    )

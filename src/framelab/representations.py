@@ -125,6 +125,23 @@ def _trivial_phase(shape: tuple[int, int]) -> np.ndarray:
     return np.broadcast_to(np.complex128(1), shape)
 
 
+def _shift_sources(count: int, stride: int, dim: int, repeat: int = 1) -> np.ndarray:
+    """Sources (x - stride * k) mod dim of the shifts k = 0..count-1, as rows.
+
+    Each shift's row appears `repeat` times in a row.  The row of shift k is
+    the window of one doubled arange that starts at dim - stride * k, so one
+    strided view reads every window and one copy lays them out, with no
+    remainder taken per entry.
+    """
+    twice = np.arange(2 * dim)
+    twice[dim:] -= dim
+    step = twice.strides[0]
+    windows = np.ndarray(
+        (count, repeat, dim), twice.dtype, twice, dim * step, (-stride * step, 0, step)
+    )
+    return np.ascontiguousarray(windows).reshape(count * repeat, dim)
+
+
 def regular_representation(group: FiniteGroup) -> UnitaryRepresentation:
     """Left translation on functions over the group.
 
@@ -153,7 +170,7 @@ def shift_model_representation(
     if dim > max_dim:
         raise DimTooLargeError(f"dimension {dim} exceeds cap {max_dim}")
     group = make_abelian_group([n])
-    src = (np.arange(dim) - m * np.arange(n)[:, None]) % dim
+    src = _shift_sources(n, m, dim)
     return UnitaryRepresentation(
         group, dim, _freeze(src), _trivial_phase(src.shape), f"shift:{n},{m}"
     )
@@ -178,12 +195,16 @@ def gabor_representation(
     if dim > max_dim:
         raise DimTooLargeError(f"dimension {dim} exceeds cap {max_dim}")
     group = make_abelian_group([l, m])
-    roots = np.exp(-2j * np.pi * np.arange(dim) / dim)
-    # Element index is k * m + j for translation k and modulation j.
-    k, j = np.divmod(np.arange(group.order)[:, None], m)
     x = np.arange(dim)
-    src = (x - m * k) % dim
-    phase = roots[(l * j * x) % dim]
+    roots = np.exp(-2j * np.pi * x / dim)
+    # Element index is k * m + j for translation k and modulation j.  The
+    # source depends on k alone, and the phase index l * j * x mod n, which is
+    # l * (j * x mod m), on j alone: the (m, dim) phase block of j = 0..m-1
+    # repeats for every k, read l times through a zero stride.
+    src = _shift_sources(l, m, dim, repeat=m)
+    block = roots[l * ((x[:m, None] * x) % m)]
+    tiled = np.ndarray((l, m, dim), block.dtype, block, 0, (0, *block.strides))
+    phase = np.ascontiguousarray(tiled).reshape(dim, dim)
     rep = UnitaryRepresentation(
         group, dim, _freeze(src), _freeze(phase), f"gabor:{l},{m}"
     )

@@ -16,11 +16,10 @@ from .abelian import (
     _dual_lp_norms,
     _inverse_multipliers,
     _multipliers,
+    _periodization_values,
     _sandwich_sides,
     _support_indicators,
-    gabor_bracket_via_zak,
-    periodization_bracket,
-    scalar_bracket,
+    _zak_values,
 )
 from .frames import _bracket_gramian_deviations, _duallemma_reports
 from .groups import FiniteGroup, _convolve_values, group_from_spec
@@ -438,17 +437,23 @@ def check_periodization_calibration(
     max_n: int = 16,
     max_m: int = 8,
 ) -> CheckResult:
-    """Folded-spectrum bracket vs operator-route bracket for shift models."""
-    worst = 0.0
+    """Folded-spectrum bracket vs operator-route bracket for shift models.
+
+    Every sample's shape and generator are drawn first, in order; the samples
+    of each shape are then checked as one stack on one representation.
+    """
+    draws: dict[tuple[int, int], list[np.ndarray]] = {}
     for _ in range(samples):
         n = int(rng.integers(2, max_n + 1))
         m = int(rng.integers(1, max_m + 1))
-        psi = _cvec(rng, n * m)
+        draws.setdefault((n, m), []).append(_cvec(rng, n * m))
+    worst = 0.0
+    for (n, m), psis in draws.items():
+        stack = np.array(psis)
         rep = shift_model_representation(n, m)
-        oracle = scalar_bracket(rep, psi, psi).values
-        fast = periodization_bracket(psi, n, m).values
-        scale = max(1.0, float(np.abs(oracle).max()))
-        worst = max(worst, float(np.abs(fast - oracle).max()) / scale)
+        oracle = _multipliers(rep.group, _correlation_values(rep, stack, stack))
+        fast = _periodization_values(stack, n, m)
+        worst = max(worst, _calibration_deviation(fast, oracle))
     return CheckResult("periodization_calibration", worst <= tol, worst, tol, samples)
 
 
@@ -465,17 +470,27 @@ def check_zak_calibration(
         for m in range(2, max_product // 2 + 1)
         if l * m <= max_product
     ]
-    worst = 0.0
+    # Even samples are self-brackets; shapes group as in the periodization check.
+    draws: dict[tuple[int, int], list[tuple[np.ndarray, np.ndarray]]] = {}
     for i in range(samples):
         l, m = shapes[int(rng.integers(0, len(shapes)))]
         phi = _cvec(rng, l * m)
         psi = phi if i % 2 == 0 else _cvec(rng, l * m)
+        draws.setdefault((l, m), []).append((phi, psi))
+    worst = 0.0
+    for (l, m), pairs in draws.items():
+        phis, psis = (np.array(column) for column in zip(*pairs))
         rep = gabor_representation(l, m)
-        oracle = scalar_bracket(rep, phi, psi).values
-        fast = gabor_bracket_via_zak(phi, psi, l, m).values
-        scale = max(1.0, float(np.abs(oracle).max()))
-        worst = max(worst, float(np.abs(fast - oracle).max()) / scale)
+        oracle = _multipliers(rep.group, _correlation_values(rep, phis, psis))
+        fast = _zak_values(phis, psis, l, m)
+        worst = max(worst, _calibration_deviation(fast, oracle))
     return CheckResult("zak_calibration", worst <= tol, worst, tol, samples)
+
+
+def _calibration_deviation(fast: np.ndarray, oracle: np.ndarray) -> float:
+    """Largest over rows of max |fast - oracle| / max(1, max |oracle|)."""
+    scale = np.maximum(1.0, np.abs(oracle).max(axis=1))
+    return float((np.abs(fast - oracle).max(axis=1) / scale).max())
 
 
 def run_verification_suite(

@@ -11,10 +11,11 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 import framelab
 from framelab.cli import main
-from framelab.io import dump_json, load_generator, spectrum_csv, values_csv
+from framelab.io import dump_json, load_generator, pairs_from_complex, spectrum_csv, values_csv
 from framelab import NonFiniteResultError, ParseError, make_abelian_group
 
 
@@ -114,6 +115,91 @@ def test_dump_json_refuses_non_finite_numbers():
     for bad in (float("nan"), float("inf"), -float("inf")):
         with pytest.raises(NonFiniteResultError):
             dump_json({"a": [1.0, bad]})
+
+
+def _reference_json(payload) -> str:
+    return json.dumps(payload, sort_keys=True, indent=2, allow_nan=False) + "\n"
+
+
+_finite = st.floats(allow_nan=False, allow_infinity=False)
+_numbers = st.one_of(
+    st.integers(-(10**20), 10**20),
+    _finite,
+    st.sampled_from([-0.0, 5e-324, 1e16, -1e16, 1e-7, 2.0**53 + 2]),
+)
+_leaves = st.one_of(
+    st.none(),
+    st.booleans(),
+    _numbers,
+    _finite.map(np.float64),
+    st.text(max_size=6),
+)
+# Equal-length number rows (pair lists among them), ragged rows and empty rows.
+_rows = st.one_of(
+    st.integers(0, 3).flatmap(
+        lambda w: st.lists(st.lists(_numbers, min_size=w, max_size=w), max_size=5)
+    ),
+    st.lists(st.lists(_numbers, max_size=3), max_size=4),
+)
+_trees = st.recursive(
+    st.one_of(_leaves, st.lists(_numbers, max_size=6), _rows),
+    lambda inner: st.one_of(
+        st.lists(inner, max_size=4),
+        st.dictionaries(st.text(max_size=4), inner, max_size=4),
+    ),
+    max_leaves=24,
+)
+
+
+@given(st.dictionaries(st.text(max_size=8), _trees, max_size=6))
+def test_dump_json_writes_the_bytes_of_json_dumps(payload):
+    assert dump_json(payload) == _reference_json(payload)
+
+
+@given(_trees)
+def test_dump_json_writes_any_top_level_value_like_json_dumps(value):
+    assert dump_json(value) == _reference_json(value)
+
+
+def test_dump_json_edge_values_match_json_dumps():
+    payloads = [
+        {"a": [], "b": {}, "c": [[]], "d": [[], []], "e": [[1.0], [2, 3]]},
+        {"pairs": [[-0.0, 5e-324], [1e16, -1e-300]], "flat": [True, 1, 2.5]},
+        {"é": "ü\u2603", "nested": {"z": [[1, 2], [3, 4]], "a": [{"k": [0.1]}]}},
+        {"tuple": (1, 2.0), "rows": [(1, 2), (3, 4)], "np": [np.float64(0.1)]},
+        {"values": pairs_from_complex(np.array([1 + 2j, -0.0 - 0.0j, 3e-310j]))},
+    ]
+    for payload in payloads:
+        assert dump_json(payload) == _reference_json(payload)
+
+
+@given(
+    _trees,
+    st.sampled_from([float("nan"), float("inf"), -float("inf"), np.float64("nan")]),
+    st.lists(st.sampled_from(["list", "row", "dict"]), max_size=4),
+)
+def test_dump_json_refuses_non_finite_numbers_anywhere(payload, bad, path):
+    value = bad
+    for step in path:
+        if step == "list":
+            value = [1.5, value, 2]
+        elif step == "row":
+            value = [[1.5, value], [2.5, 3.5]]
+        else:
+            value = {"k": value}
+    with pytest.raises(NonFiniteResultError):
+        dump_json({"payload": payload, "bad": value})
+
+
+def test_pairs_from_complex_keeps_every_bit():
+    values = np.array([1 + 2j, -0.0 + 0.0j, 0.0 - 0.0j, 5e-324 - 1e308j])
+    pairs = pairs_from_complex(values)
+    assert pairs == [[float(v.real), float(v.imag)] for v in values]
+    assert [str(x) for row in pairs for x in row] == [
+        repr(float(x)) for v in values for x in (v.real, v.imag)
+    ]
+    assert all(type(x) is float for row in pairs for x in row)
+    assert pairs_from_complex(values[::2]) == pairs[::2]
 
 
 # ------------------------------------------------------------------- analyze
@@ -608,3 +694,39 @@ def test_console_script_entry_point():
 )
 def test_installed_console_script():
     _assert_verify_passes([str(INSTALLED_SCRIPT)])
+
+
+# ------------------------------------------------------------------- output files
+
+
+def test_verify_refuses_an_output_file_in_a_missing_directory(tmp_path, capsys):
+    target = tmp_path / "missing" / "x.json"
+    code, out, err = run_cli(capsys, "verify", "--samples", "2", "--out", str(target))
+    assert code == 2
+    assert out == ""
+    assert err.startswith(f"error: cannot write output file {target}: ")
+    assert "Traceback" not in err
+
+
+def test_analyze_refuses_a_directory_as_output_file(tmp_path, capsys):
+    psi = _write_psi(tmp_path, [1.0, 0.5, 0.0, 0.0])
+    code, _, err = run_cli(
+        capsys, "analyze", "--rep", "regular:Z4", "--psi", psi, "--out", str(tmp_path)
+    )
+    assert code == 2
+    assert err.startswith(f"error: cannot write output file {tmp_path}: ")
+
+
+def test_bracket_refuses_an_unwritable_spectrum_sidecar(tmp_path, capsys):
+    rng = np.random.default_rng(4)
+    psi = _write_psi(tmp_path, rng.standard_normal(8) + 1j * rng.standard_normal(8))
+    out_path = tmp_path / "kernel.csv"
+    sidecar = tmp_path / "kernel.spectrum.csv"
+    sidecar.mkdir()
+    code, _, err = run_cli(
+        capsys, "bracket", "--rep", "regular:D4", "--psi", psi,
+        "--format", "csv", "--out", str(out_path),
+    )
+    assert code == 2
+    assert f"error: cannot write output file {sidecar}: " in err
+    assert out_path.read_text().startswith("index,re,im\n")

@@ -14,7 +14,11 @@ import framelab.abelian as abelian
 import framelab.vnalgebra as vnalgebra
 from framelab.frames import _bracket_gramian_deviations, _duallemma_reports, check_duallemma
 from framelab.groups import character_table, group_from_spec
-from framelab.representations import gabor_representation, regular_representation
+from framelab.representations import (
+    gabor_representation,
+    regular_representation,
+    shift_model_representation,
+)
 from framelab.verification import (
     CheckResult,
     _cvec,
@@ -25,8 +29,10 @@ from framelab.verification import (
     check_duallemma_suite,
     check_gabor_commutativity,
     check_lambda_structure,
+    check_periodization_calibration,
     check_sandwich_suite,
     check_support_lemma,
+    check_zak_calibration,
 )
 
 SEEDS = range(6)
@@ -357,6 +363,40 @@ def oracle_gabor_commutativity(models):
     )
 
 
+def oracle_periodization_calibration(rng, samples, tol=1e-10, max_n=16, max_m=8):
+    worst = 0.0
+    for _ in range(samples):
+        n = int(rng.integers(2, max_n + 1))
+        m = int(rng.integers(1, max_m + 1))
+        psi = _cvec(rng, n * m)
+        rep = shift_model_representation(n, m)
+        oracle = abelian.scalar_bracket(rep, psi, psi).values
+        fast = abelian.periodization_bracket(psi, n, m).values
+        scale = max(1.0, float(np.abs(oracle).max()))
+        worst = max(worst, float(np.abs(fast - oracle).max()) / scale)
+    return CheckResult("periodization_calibration", worst <= tol, worst, tol, samples)
+
+
+def oracle_zak_calibration(rng, samples, tol=1e-10, max_product=36):
+    shapes = [
+        (l, m)
+        for l in range(2, max_product // 2 + 1)
+        for m in range(2, max_product // 2 + 1)
+        if l * m <= max_product
+    ]
+    worst = 0.0
+    for i in range(samples):
+        l, m = shapes[int(rng.integers(0, len(shapes)))]
+        phi = _cvec(rng, l * m)
+        psi = phi if i % 2 == 0 else _cvec(rng, l * m)
+        rep = gabor_representation(l, m)
+        oracle = abelian.scalar_bracket(rep, phi, psi).values
+        fast = abelian.gabor_bracket_via_zak(phi, psi, l, m).values
+        scale = max(1.0, float(np.abs(oracle).max()))
+        worst = max(worst, float(np.abs(fast - oracle).max()) / scale)
+    return CheckResult("zak_calibration", worst <= tol, worst, tol, samples)
+
+
 # -- batched == per-sample ---------------------------------------------------------
 
 
@@ -441,6 +481,31 @@ def test_sandwich_suite_matches_oracle(seed, samples):
     _same(
         check_sandwich_suite(SPECS, new, samples=samples, adversarial=adversarial),
         oracle_sandwich_suite(SPECS, old, samples, adversarial),
+        new,
+        old,
+    )
+
+
+# Over 100 samples the draws repeat shapes, so stacks hold several rows.
+@pytest.mark.parametrize("samples", SAMPLES + (100,))
+@pytest.mark.parametrize("seed", SEEDS)
+def test_periodization_calibration_matches_oracle(seed, samples):
+    new, old = _rngs(seed)
+    _same(
+        check_periodization_calibration(new, samples=samples),
+        oracle_periodization_calibration(old, samples),
+        new,
+        old,
+    )
+
+
+@pytest.mark.parametrize("samples", SAMPLES + (100,))
+@pytest.mark.parametrize("seed", SEEDS)
+def test_zak_calibration_matches_oracle(seed, samples):
+    new, old = _rngs(seed)
+    _same(
+        check_zak_calibration(new, samples=samples),
+        oracle_zak_calibration(old, samples),
         new,
         old,
     )
