@@ -107,16 +107,14 @@ def _hermitian_spectrum(op) -> np.ndarray:
 def _bracket_oracle(rep, op, psi: np.ndarray, values: np.ndarray) -> float:
     """Recompute the bracket along an independent route; return max deviation.
 
-    The periodization and Zak routes read the model's sizes off the built
-    representation and build no group of their own.
+    The periodization and Zak routes take their sizes from rep.model and
+    build no group of their own.
     """
-    kind = rep.label.partition(":")[0]
+    kind, *sizes = rep.model
     if kind == "shift":
-        n = rep.group.order
-        other = _periodization_values(psi, n, rep.dim // n)
+        other = _periodization_values(psi, *sizes)
     elif kind == "gabor":
-        l, m = rep.group.abelian.invariant_factors
-        other = _zak_values(psi, psi, l, m)
+        other = _zak_values(psi, psi, *sizes)
     else:
         # Self-brackets are positive, so the multiplier values must match the
         # (real) spectrum of the operator matrix as a sorted list.

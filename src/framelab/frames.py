@@ -13,7 +13,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import NonFiniteResultError, NotAbelianError, ZeroGeneratorError
+from .abelian import lambda_multiplier
+from .errors import NonFiniteResultError, ZeroGeneratorError
 from .groups import group_function
 from .representations import (
     OrbitSystem,
@@ -24,7 +25,12 @@ from .representations import (
     orbit_matrix,
     orbit_rows,
 )
-from .vnalgebra import _convolution_matrices, block_spectrum, operator_from_coefficients
+from .vnalgebra import (
+    BLOCK_STRUCTURES,
+    _convolution_matrices,
+    block_spectrum,
+    operator_from_coefficients,
+)
 
 __all__ = [
     "BLOCK_SPECTRUM_ORDER",
@@ -154,10 +160,6 @@ def frame_operator_matrix(system: VectorSystem) -> np.ndarray:
     return t @ t.conj().T
 
 
-def _sorted_spectrum(gram: np.ndarray) -> np.ndarray:
-    return np.linalg.eigvalsh(gram)
-
-
 def _split_spectrum(
     w: np.ndarray, tol: float
 ) -> tuple[float, np.ndarray, int]:
@@ -172,7 +174,7 @@ def riesz_bounds(
     system: VectorSystem, tol: float = 1e-10
 ) -> tuple[float, float] | None:
     """Optimal Riesz-sequence bounds, or None when the Gram has a kernel."""
-    w = _sorted_spectrum(gram_matrix(system))
+    w = np.linalg.eigvalsh(gram_matrix(system))
     lam_max, kept, kernel_dim = _split_spectrum(w, tol)
     if kernel_dim > 0 or kept.size == 0:
         return None
@@ -183,7 +185,7 @@ def frame_bounds(
     system: VectorSystem, tol: float = 1e-10
 ) -> tuple[tuple[float, float] | None, int]:
     """Optimal frame-sequence bounds over the span, plus the Gram kernel dim."""
-    w = _sorted_spectrum(gram_matrix(system))
+    w = np.linalg.eigvalsh(gram_matrix(system))
     lam_max, kept, kernel_dim = _split_spectrum(w, tol)
     if kept.size == 0:
         return None, kernel_dim
@@ -304,7 +306,9 @@ def _power_of_two_scaled(psi: np.ndarray) -> tuple[np.ndarray, int]:
     of the scaled generator are exactly 4^-e times those of psi (short of
     underflow in entries far below the largest), and neither can overflow.
     """
-    peak = max(float(np.abs(psi.real).max()), float(np.abs(psi.imag).max()))
+    peak = max(
+        float(np.abs(psi.real).max(initial=0.0)), float(np.abs(psi.imag).max(initial=0.0))
+    )
     exp = int(np.frexp(peak)[1])
     scaled = np.empty_like(psi)
     scaled.real = np.ldexp(psi.real, -exp)
@@ -314,8 +318,6 @@ def _power_of_two_scaled(psi: np.ndarray) -> tuple[np.ndarray, int]:
 
 def _scalar_route(op, w: np.ndarray, lam_max: float) -> float:
     """Deviation of the character-table multiplier from the spectrum w."""
-    from .abelian import lambda_multiplier
-
     mult = lambda_multiplier(op)
     vals = np.sort(mult.values.real)
     dev_scalar = float(np.abs(vals - w).max()) / lam_max
@@ -327,7 +329,7 @@ def _dense_routes(orbit: OrbitSystem) -> tuple[np.ndarray, dict[str, float]]:
     """Spectrum from the dense Gram matrix, checked against the operator matrix."""
     psi = orbit.generator
     gram = gram_matrix(vector_system(orbit_matrix(orbit)))
-    w = _sorted_spectrum(gram)
+    w = np.linalg.eigvalsh(gram)
     lam_max = max(float(w[-1]), 1e-300)
 
     op = bracket_operator(orbit.rep, psi, psi)
@@ -336,7 +338,7 @@ def _dense_routes(orbit: OrbitSystem) -> tuple[np.ndarray, dict[str, float]]:
     dev_spec = float(np.abs(w_op - w).max()) / lam_max
     routes = {"bracket": max(dev_matrix, dev_spec)}
 
-    if orbit.rep.group.is_abelian and orbit.rep.group.abelian is not None:
+    if orbit.rep.group.abelian is not None:
         routes["scalar"] = _scalar_route(op, w, lam_max)
     return w, routes
 
@@ -378,8 +380,8 @@ def _block_routes(orbit: OrbitSystem) -> tuple[np.ndarray, dict[str, float]]:
 def _uses_blocks(rep) -> bool:
     return (
         rep.group.order > BLOCK_SPECTRUM_ORDER
-        and rep.label.partition(":")[0] == "regular"
-        and rep.group.structure_tag in ("cyclic-product", "dihedral")
+        and rep.model[0] == "regular"
+        and rep.group.structure_tag in BLOCK_STRUCTURES
     )
 
 
@@ -401,12 +403,15 @@ def analyze_orbit(orbit: OrbitSystem, tol: float = 1e-10) -> FrameReport:
     psi = np.asarray(orbit.generator, dtype=np.complex128).reshape(-1)
     # The verdict depends on the spectrum relative to lambda_max, not on the
     # scale of psi; only a squared norm that is zero or has lost precision
-    # below the smallest normal float leaves nothing to classify.
-    norm_sq = float(np.vdot(psi, psi).real)
+    # below the smallest normal float leaves nothing to classify.  The norm
+    # is taken on the scaled generator, where it cannot overflow, and scaled
+    # back, where it may overflow to infinity but never reads NaN.
+    scaled, exp = _power_of_two_scaled(psi)
+    with np.errstate(over="ignore"):
+        norm_sq = float(np.ldexp(np.vdot(scaled, scaled).real, 2 * exp))
     if not norm_sq >= np.finfo(float).tiny:
         raise ZeroGeneratorError("orbit generator is numerically zero")
 
-    scaled, exp = _power_of_two_scaled(psi)
     scaled_orbit = OrbitSystem(orbit.rep, scaled)
     routes_of = _block_routes if _uses_blocks(orbit.rep) else _dense_routes
     w, routes = routes_of(scaled_orbit)

@@ -420,17 +420,11 @@ def make_builtin_group(name: str, max_order: int = DEFAULT_MAX_ORDER) -> FiniteG
     if name[0] == "D":
         if not _is_count(name[1:]):
             raise ParseError(f"bad dihedral spec {name!r}")
-        n = int(name[1:])
-        if n < 2:
-            raise ParseError(f"dihedral parameter must be at least 2 in {name!r}")
-        return dihedral_group(n, max_order=max_order)
+        return dihedral_group(int(name[1:]), max_order=max_order)
     if name[0] == "H":
         if not _is_count(name[1:]):
             raise ParseError(f"bad heisenberg spec {name!r}")
-        p = int(name[1:])
-        if p < 2:
-            raise ParseError(f"heisenberg parameter must be at least 2 in {name!r}")
-        return heisenberg_group(p, max_order=max_order)
+        return heisenberg_group(int(name[1:]), max_order=max_order)
     raise ParseError(f"unrecognized group spec {name!r}")
 
 

@@ -59,13 +59,26 @@ class UnitaryRepresentation:
     Every representation built here permutes coordinates and multiplies them
     by unit phases, so two read-only (order, dim) arrays hold the whole
     action and the orbit of psi is the single gather phase * psi[src].
+    `model` is the parsed spec the routes dispatch on: ("regular",),
+    ("shift", n, m) or ("gabor", l, m).
     """
 
     group: FiniteGroup
     dim: int
     src: np.ndarray  # (order, dim) int64, the coordinate each output reads
     phase: np.ndarray  # (order, dim) complex128
-    label: str
+    model: tuple
+
+    @property
+    def label(self) -> str:
+        """The spec of this representation, e.g. 'shift:4,2' or 'regular:D4'.
+
+        A group built from a table has no spec, and its label is 'regular'.
+        """
+        kind, *sizes = self.model
+        if sizes:
+            return f"{kind}:{','.join(map(str, sizes))}"
+        return f"regular:{self.group.spec}" if self.group.spec else "regular"
 
     def matrix(self, g: int) -> np.ndarray:
         """The dense (dim, dim) matrix of one element."""
@@ -148,9 +161,8 @@ def regular_representation(group: FiniteGroup) -> UnitaryRepresentation:
     lambda(g) maps delta_y to delta_{g y}, so (lambda(g) v)[x] = v[g^-1 x].
     """
     src = group.table[group.inverses]
-    label = f"regular:{group.spec}" if group.spec else "regular"
     return UnitaryRepresentation(
-        group, group.order, _freeze(src), _trivial_phase(src.shape), label
+        group, group.order, _freeze(src), _trivial_phase(src.shape), ("regular",)
     )
 
 
@@ -172,7 +184,7 @@ def shift_model_representation(
     group = make_abelian_group([n])
     src = _shift_sources(n, m, dim)
     return UnitaryRepresentation(
-        group, dim, _freeze(src), _trivial_phase(src.shape), f"shift:{n},{m}"
+        group, dim, _freeze(src), _trivial_phase(src.shape), ("shift", n, m)
     )
 
 
@@ -205,9 +217,7 @@ def gabor_representation(
     block = roots[l * ((x[:m, None] * x) % m)]
     tiled = np.ndarray((l, m, dim), block.dtype, block, 0, (0, *block.strides))
     phase = np.ascontiguousarray(tiled).reshape(dim, dim)
-    rep = UnitaryRepresentation(
-        group, dim, _freeze(src), _freeze(phase), f"gabor:{l},{m}"
-    )
+    rep = UnitaryRepresentation(group, dim, _freeze(src), _freeze(phase), ("gabor", l, m))
     _construction_guard(rep)
     return rep
 
@@ -369,32 +379,31 @@ def parse_rep_spec(
     max_order: int = DEFAULT_MAX_ORDER,
     max_dim: int = DEFAULT_MAX_DIM,
 ) -> UnitaryRepresentation:
-    """Resolve 'regular:GROUP', 'shift:N,M', or 'gabor:L,M'."""
+    """Resolve 'regular:GROUP', 'shift:N,M', or 'gabor:L,M'.
+
+    Only the grammar and the caps are checked here; each builder checks the
+    range of its own parameters.  A regular representation's dimension is
+    its order, so its group is refused over either cap before its table is
+    built.
+    """
     spec = spec.strip()
     head, sep, tail = spec.partition(":")
     if not sep:
         raise ParseError(f"representation spec {spec!r} has no ':'")
     if head == "regular":
-        group = group_from_spec(tail, max_order=max_order)
-        if group.order > max_dim:
-            raise DimTooLargeError(
-                f"regular representation dim {group.order} exceeds cap {max_dim}"
-            )
-        return regular_representation(group)
-    if head in ("shift", "gabor"):
-        parts = tail.split(",")
-        if len(parts) != 2 or not all(_is_count(p.strip()) for p in parts):
-            raise ParseError(f"{head} spec needs two integers, got {tail!r}")
-        a, b = (int(p) for p in parts)
-        if head == "shift":
-            if a < 2:
-                raise ParseError(f"shift model needs N >= 2, got {a}")
-            if b < 1:
-                raise ParseError(f"shift model needs M >= 1, got {b}")
-            if a > max_order:
-                raise ParseError(f"shift group order {a} exceeds cap {max_order}")
-            return shift_model_representation(a, b, max_dim=max_dim)
-        if a * b > max_order:
-            raise ParseError(f"gabor group order {a * b} exceeds cap {max_order}")
-        return gabor_representation(a, b, max_dim=max_dim)
-    raise ParseError(f"unknown representation kind {head!r}")
+        return regular_representation(
+            group_from_spec(tail, max_order=min(max_order, max_dim))
+        )
+    if head not in ("shift", "gabor"):
+        raise ParseError(f"unknown representation kind {head!r}")
+    parts = tail.split(",")
+    if len(parts) != 2 or not all(_is_count(p.strip()) for p in parts):
+        raise ParseError(f"{head} spec needs two integers, got {tail!r}")
+    a, b = (int(p) for p in parts)
+    if head == "shift":
+        if a > max_order:
+            raise ParseError(f"shift group order {a} exceeds cap {max_order}")
+        return shift_model_representation(a, b, max_dim=max_dim)
+    if a * b > max_order:
+        raise ParseError(f"gabor group order {a * b} exceeds cap {max_order}")
+    return gabor_representation(a, b, max_dim=max_dim)

@@ -22,13 +22,14 @@ from .abelian import (
     _zak_values,
 )
 from .frames import _bracket_gramian_deviations, _duallemma_reports
-from .groups import FiniteGroup, _convolve_values, group_from_spec
+from .groups import DEFAULT_MAX_ORDER, FiniteGroup, _convolve_values, group_from_spec
 from .representations import (
     UnitaryRepresentation,
     _action_deviation,
     _correlation_values,
     _product_action,
     gabor_representation,
+    parse_rep_spec,
     regular_representation,
     shift_model_representation,
     verify_representation,
@@ -51,7 +52,7 @@ __all__ = [
 ]
 
 DEFAULT_GROUP_SPECS = ("Z2", "Z4", "Z2xZ2", "Z3xZ4", "D4", "H3")
-_DEFAULT_MODELS = (("shift", 4, 2), ("gabor", 2, 3))
+_DEFAULT_MODELS = ("shift:4,2", "gabor:2,3")
 
 
 @dataclass(frozen=True)
@@ -276,7 +277,7 @@ def check_lambda_structure(
     count = 0
     for spec in group_specs:
         group = group_from_spec(spec)
-        if not group.is_abelian or group.abelian is None:
+        if group.abelian is None:
             continue
         c1, c2 = _cvecs(rng, (pairs, 2), group.order).transpose(1, 0, 2)
         m1 = _multipliers(group, c1)
@@ -327,7 +328,7 @@ def check_support_lemma(
     count = 0
     for spec in group_specs:
         group = group_from_spec(spec)
-        if not group.is_abelian or group.abelian is None:
+        if group.abelian is None:
             continue
         # Even samples are masked multipliers, odd ones self-brackets of a
         # generator under the regular representation.
@@ -397,7 +398,7 @@ def check_sandwich_suite(
     reps = []
     for spec in group_specs:
         group = group_from_spec(spec)
-        if group.is_abelian and group.abelian is not None:
+        if group.abelian is not None:
             reps.append(regular_representation(group))
     if not reps:
         return CheckResult("sandwich_equivalence", True, 0.0, tol, 0, {"skipped": 1})
@@ -506,8 +507,6 @@ def run_verification_suite(
     commutative.  Returns a JSON-ready dict; overall `passed` is the
     conjunction of the individual verdicts.
     """
-    from .groups import DEFAULT_MAX_ORDER
-
     cap = DEFAULT_MAX_ORDER if max_order is None else max_order
     rng = np.random.default_rng(seed)
     specs = list(group_specs)
@@ -515,12 +514,7 @@ def run_verification_suite(
     abelian_specs = [s for s, g in zip(specs, groups) if g.abelian is not None]
 
     reps = [regular_representation(g) for g in groups]
-    models = []
-    for kind, a, b in _DEFAULT_MODELS:
-        if kind == "shift":
-            models.append(shift_model_representation(a, b))
-        else:
-            models.append(gabor_representation(a, b))
+    models = [parse_rep_spec(spec) for spec in _DEFAULT_MODELS]
 
     results = [
         check_representation_validity(reps + models),

@@ -23,6 +23,7 @@ from .errors import (
 from .groups import FiniteGroup, GroupFunction, convolve, group_function, same_group
 
 __all__ = [
+    "BLOCK_STRUCTURES",
     "ConvolutionOperator",
     "ProjectionOperator",
     "SpectralData",
@@ -278,27 +279,38 @@ def block_spectrum(kernel: GroupFunction) -> np.ndarray:
     r^k s, the 1-dimensional irreps give A[0] +- B[0] (and A[n/2] +- B[n/2]
     for even n) and the 2-dimensional irrep h gives the block
     [[A[h], B[h]], [B[-h], A[-h]]].  The kernel must be selfadjoint,
-    c(g^-1) = conj(c(g)), as every self-bracket is.
+    c(g^-1) = conj(c(g)), as every self-bracket is.  Other structures raise
+    ValueError.
     """
-    group, c = kernel.group, kernel.values
-    if group.structure_tag == "cyclic-product":
-        w = np.fft.fftn(c.reshape(group.abelian.invariant_factors)).real.ravel()
-    elif group.structure_tag == "dihedral":
-        n = group.order // 2
-        a, b = np.fft.fft(c[:n]), np.fft.fft(c[n:])
-        ends = [0, n // 2] if n % 2 == 0 else [0]
-        h = np.arange(1, (n + 1) // 2)
-        blocks = np.stack([a[h], b[h], b[-h], a[-h]], axis=-1).reshape(-1, 2, 2)
-        w = np.concatenate(
-            [(a[ends] + b[ends]).real, (a[ends] - b[ends]).real,
-             np.repeat(np.linalg.eigvalsh(blocks).ravel(), 2)]
-        )
-    else:
+    group = kernel.group
+    blocks = _BLOCK_SPECTRA.get(group.structure_tag)
+    if blocks is None:
         raise ValueError(
-            "irreducible blocks are known for cyclic products and D<n>, "
+            f"irreducible blocks are known for {sorted(BLOCK_STRUCTURES)}, "
             f"not {group.structure_tag}"
         )
-    return np.sort(w)
+    return np.sort(blocks(group, kernel.values))
+
+
+def _cyclic_product_blocks(group: FiniteGroup, c: np.ndarray) -> np.ndarray:
+    return np.fft.fftn(c.reshape(group.abelian.invariant_factors)).real.ravel()
+
+
+def _dihedral_blocks(group: FiniteGroup, c: np.ndarray) -> np.ndarray:
+    n = group.order // 2
+    a, b = np.fft.fft(c[:n]), np.fft.fft(c[n:])
+    ends = [0, n // 2] if n % 2 == 0 else [0]
+    h = np.arange(1, (n + 1) // 2)
+    blocks = np.stack([a[h], b[h], b[-h], a[-h]], axis=-1).reshape(-1, 2, 2)
+    return np.concatenate(
+        [(a[ends] + b[ends]).real, (a[ends] - b[ends]).real,
+         np.repeat(np.linalg.eigvalsh(blocks).ravel(), 2)]
+    )
+
+
+# The structure tags whose irreducible blocks block_spectrum knows.
+_BLOCK_SPECTRA = {"cyclic-product": _cyclic_product_blocks, "dihedral": _dihedral_blocks}
+BLOCK_STRUCTURES = frozenset(_BLOCK_SPECTRA)
 
 
 def is_positive(op: ConvolutionOperator, tol: float = 1e-10) -> bool:

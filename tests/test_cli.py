@@ -592,6 +592,51 @@ def test_overflowing_generator_exits_2(tmp_path, capsys, rep, values, command):
     assert "overflows a float" in err
 
 
+def _seeded_complex(dim):
+    rng = np.random.default_rng(11)
+    return rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
+
+
+@pytest.mark.parametrize(
+    "rep,values",
+    [("regular:Z4", [1e200 + 1e200j, 0.0, 0.0, 0.0])]
+    + [
+        (rep, scale * _seeded_complex(8))
+        for rep in ("regular:D4", "regular:Z8")
+        for scale in (1e160, 1e200, 1e300)
+    ],
+)
+def test_overflowing_complex_generator_exits_2(tmp_path, capsys, rep, values):
+    # The squared norm of a complex generator this large reads NaN when it is
+    # formed before scaling, which once passed for a zero generator.
+    psi = _write_psi(tmp_path, values)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out, err = run_cli(capsys, "analyze", "--rep", rep, "--psi", psi)
+    _assert_clean_parse_error(code, err)
+    assert out == ""
+    assert "overflows a float" in err
+
+
+@pytest.mark.parametrize("values", [[1e-160, 0.0, 0.0, 0.0], [1e-160j, 1e-170, 0.0, 0.0]])
+def test_subnormal_norm_generator_exits_4(tmp_path, capsys, values):
+    psi = _write_psi(tmp_path, values)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out, err = run_cli(capsys, "analyze", "--rep", "regular:Z4", "--psi", psi)
+    assert code == 4
+    assert out == "" and err == "error: orbit generator is numerically zero\n"
+
+
+@pytest.mark.parametrize("rep", ["regular:Z6000", "regular:D3000"])
+def test_regular_over_the_dim_cap_exits_2(tmp_path, capsys, monkeypatch, rep):
+    monkeypatch.setenv("FRAME_LAB_MAX_ORDER", "8192")
+    psi = _write_psi(tmp_path, [1.0, 0.0])
+    code, out, err = run_cli(capsys, "analyze", "--rep", rep, "--psi", psi)
+    _assert_clean_parse_error(code, err)
+    assert out == "" and "exceeds cap 4096" in err
+
+
 def test_bracket_oracle_near_the_largest_float(tmp_path, capsys):
     # c(e) = 1.69e308 fits, but F + F* would not before halving.
     psi = _write_psi(tmp_path, [1.3e154, 0.0])

@@ -454,8 +454,12 @@ def test_analyze_orbit_verdict_is_scale_free(spec, k, data):
     scaled_psi = c * psi
     # Three regimes: the squared norm underflows (nothing to classify), the
     # largest eigenvalue c^2 * lambda_max overflows (a typed error), or both
-    # fit and the verdict and bounds are those at unit scale.
-    if not float(np.vdot(scaled_psi, scaled_psi).real) >= np.finfo(float).tiny:
+    # fit and the verdict and bounds are those at unit scale.  The squared
+    # norm is c^2 times that at unit scale: it may overflow to infinity, but
+    # unlike np.vdot of a complex c * psi it never reads NaN.
+    with np.errstate(over="ignore"):
+        norm_sq = (c * np.linalg.norm(psi)) ** 2
+    if not norm_sq >= np.finfo(float).tiny:
         with pytest.raises(ZeroGeneratorError):
             analyze_orbit(OrbitSystem(rep, scaled_psi))
         return
@@ -486,3 +490,9 @@ def test_analyze_orbit_rejects_underflowing_norm():
         analyze_orbit(OrbitSystem(rep, [1e-160, 0.0, 0.0]))
     report = analyze_orbit(OrbitSystem(rep, [1e-150, 0.0, 0.0]))
     assert report.verdict == VERDICT_RIESZ
+
+
+def test_analyze_orbit_rejects_an_empty_generator():
+    rep = regular_representation(make_abelian_group([3]))
+    with pytest.raises(ZeroGeneratorError):
+        analyze_orbit(OrbitSystem(rep, np.zeros(0)))
