@@ -20,7 +20,7 @@ from .errors import (
     NotAbelianError,
     NotRealValuedError,
 )
-from .groups import FiniteGroup, character_table, group_function, make_abelian_group
+from .groups import FiniteGroup, _freeze, character_table, group_function, make_abelian_group
 from .representations import UnitaryRepresentation, bracket_operator, correlation_function
 from .vnalgebra import (
     ConvolutionOperator,
@@ -81,11 +81,6 @@ class SandwichReport:
     @property
     def consistent(self) -> bool:
         return self.operator_side == self.scalar_side
-
-
-def _freeze(arr: np.ndarray) -> np.ndarray:
-    arr.setflags(write=False)
-    return arr
 
 
 def _require_abelian(group: FiniteGroup) -> None:

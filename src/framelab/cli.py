@@ -50,10 +50,11 @@ def _max_order() -> int:
 
 def _check_numeric_args(args) -> None:
     """Reject a tolerance or sample count under which a result means nothing."""
-    if not (math.isfinite(args.tol) and args.tol > 0):
+    if args.command == "verify":
+        if args.samples < 1:
+            raise ParseError(f"--samples must be at least 1, got {args.samples}")
+    elif not (math.isfinite(args.tol) and args.tol > 0):
         raise ParseError(f"--tol must be positive and finite, got {args.tol!r}")
-    if args.command == "verify" and args.samples < 1:
-        raise ParseError(f"--samples must be at least 1, got {args.samples}")
 
 
 def _require_finite(values, what: str) -> None:
@@ -223,9 +224,10 @@ def _build_parser() -> argparse.ArgumentParser:
         if needs_rep:
             p.add_argument("--rep", required=True, help="regular:GROUP | shift:N,M | gabor:L,M")
             p.add_argument("--psi", required=True, help="generator file (JSON or CSV)")
-        p.add_argument("--tol", type=float, default=1e-10)
+            p.add_argument("--tol", type=float, default=1e-10)
         p.add_argument("--out", default=None, help="write output here instead of stdout")
-        p.add_argument("--format", choices=("json", "csv"), default="json")
+        if needs_rep:
+            p.add_argument("--format", choices=("json", "csv"), default="json")
         p.add_argument("--seed", type=int, default=0)
 
     p_analyze = sub.add_parser("analyze", help="classify an orbit and report bounds")
@@ -272,6 +274,9 @@ def main(argv=None) -> int:
         return EXIT_ZERO
     except FrameLabError as exc:
         sys.stderr.write(f"error: {exc}\n")
+        return EXIT_PARSE
+    except MemoryError as exc:
+        sys.stderr.write(f"error: not enough memory: {exc}\n")
         return EXIT_PARSE
 
 

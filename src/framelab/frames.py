@@ -160,25 +160,15 @@ def frame_operator_matrix(system: VectorSystem) -> np.ndarray:
     return t @ t.conj().T
 
 
-def _split_spectrum(
-    w: np.ndarray, tol: float
-) -> tuple[float, np.ndarray, int]:
-    lam_max = float(w[-1]) if w.size else 0.0
-    thresh = tol * max(lam_max, 0.0)
-    kept = w[w > thresh]
-    kernel_dim = int(w.size - kept.size)
-    return lam_max, kept, kernel_dim
-
-
 def riesz_bounds(
     system: VectorSystem, tol: float = 1e-10
 ) -> tuple[float, float] | None:
-    """Optimal Riesz-sequence bounds, or None when the Gram has a kernel."""
-    w = np.linalg.eigvalsh(gram_matrix(system))
-    lam_max, kept, kernel_dim = _split_spectrum(w, tol)
-    if kernel_dim > 0 or kept.size == 0:
-        return None
-    return float(kept[0]), float(kept[-1])
+    """Optimal Riesz-sequence bounds, or None when the Gram has a kernel.
+
+    Unlike the verdict's Riesz bounds, these are given inside the guard band.
+    """
+    bounds, kernel_dim = frame_bounds(system, tol)
+    return bounds if kernel_dim == 0 else None
 
 
 def frame_bounds(
@@ -186,10 +176,8 @@ def frame_bounds(
 ) -> tuple[tuple[float, float] | None, int]:
     """Optimal frame-sequence bounds over the span, plus the Gram kernel dim."""
     w = np.linalg.eigvalsh(gram_matrix(system))
-    lam_max, kept, kernel_dim = _split_spectrum(w, tol)
-    if kept.size == 0:
-        return None, kernel_dim
-    return (float(kept[0]), float(kept[-1])), kernel_dim
+    _, _, bounds, kernel_dim, _ = _verdict_from_spectrum(w, tol)
+    return bounds, kernel_dim
 
 
 def check_duallemma(
@@ -286,7 +274,9 @@ def _duallemma_reports(
 def _verdict_from_spectrum(
     w: np.ndarray, tol: float
 ) -> tuple[str, tuple[float, float] | None, tuple[float, float] | None, int, float]:
-    lam_max, kept, kernel_dim = _split_spectrum(w, tol)
+    lam_max = float(w[-1]) if w.size else 0.0
+    kept = w[w > tol * max(lam_max, 0.0)]
+    kernel_dim = int(w.size - kept.size)
     if kept.size == 0:
         return VERDICT_ZERO, None, None, kernel_dim, 0.0
     a, b = float(kept[0]), float(kept[-1])

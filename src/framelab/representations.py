@@ -17,6 +17,7 @@ from .groups import (
     DEFAULT_MAX_ORDER,
     FiniteGroup,
     GroupFunction,
+    _freeze,
     _is_count,
     group_from_spec,
     group_function,
@@ -115,11 +116,6 @@ class RepVerification:
     exhaustive: bool
     passed: bool
     failing_pair: tuple[int, int] | None
-
-
-def _freeze(arr: np.ndarray) -> np.ndarray:
-    arr.setflags(write=False)
-    return arr
 
 
 def _as_generator(rep: UnitaryRepresentation, vec) -> np.ndarray:

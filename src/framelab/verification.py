@@ -119,15 +119,16 @@ def check_representation_validity(
     )
 
 
-def check_gabor_commutativity(models=((2, 3),)) -> CheckResult:
+def check_gabor_commutativity(models) -> CheckResult:
     """Commutativity of the shift-modulation lattice, on exact integer phases.
 
-    For the (l, m) model the composed action of (k, j) then (k', j') carries
-    the integer phase l j x + l j' (x - m k) mod n.  Commutativity is exact
-    when swapping the pair leaves all phases and shifts unchanged as
-    integers, which avoids trusting bitwise floating products.  The two
-    products U(a) U(b) and U(b) U(a) are also compared with a strict
-    tolerance, entry by entry on their monomial form.
+    models lists the (l, m) sizes of gabor models.  For the (l, m) model the
+    composed action of (k, j) then (k', j') carries the integer phase
+    l j x + l j' (x - m k) mod n.  Commutativity is exact when swapping the
+    pair leaves all phases and shifts unchanged as integers, which avoids
+    trusting bitwise floating products.  The two products U(a) U(b) and
+    U(b) U(a) are also compared with a strict tolerance, entry by entry on
+    their monomial form.
     """
     worst = 0.0
     exact = True
@@ -157,7 +158,7 @@ def check_gabor_commutativity(models=((2, 3),)) -> CheckResult:
 
 
 def check_bracket_gramian(
-    group_specs,
+    groups: list[FiniteGroup],
     rng: np.random.Generator,
     samples: int = 100,
     tol: float = 1e-11,
@@ -168,8 +169,8 @@ def check_bracket_gramian(
     worst = 0.0
     worst_trace = 0.0
     count = 0
-    for spec in group_specs:
-        rep = regular_representation(group_from_spec(spec))
+    for group in groups:
+        rep = regular_representation(group)
         dev, trace_dev = _bracket_gramian_deviations(rep, _cvecs(rng, (samples,), rep.dim))
         if inject_fault:
             # Deliberate bias so failure paths stay testable end to end.
@@ -266,7 +267,7 @@ def _greedy_multiset_deviation(left: np.ndarray, right: np.ndarray) -> np.ndarra
 
 
 def check_lambda_structure(
-    group_specs,
+    groups: list[FiniteGroup],
     rng: np.random.Generator,
     pairs: int = 100,
     tol: float = 1e-10,
@@ -275,8 +276,7 @@ def check_lambda_structure(
     """Multiplier transform: homomorphism, star, p-norm isometry, spectrum."""
     worst = 0.0
     count = 0
-    for spec in group_specs:
-        group = group_from_spec(spec)
+    for group in groups:
         if group.abelian is None:
             continue
         c1, c2 = _cvecs(rng, (pairs, 2), group.order).transpose(1, 0, 2)
@@ -317,7 +317,7 @@ def _random_psd_draw(rng: np.random.Generator, group: FiniteGroup, masked: bool)
 
 
 def check_support_lemma(
-    group_specs,
+    groups: list[FiniteGroup],
     rng: np.random.Generator,
     samples: int = 100,
     tol: float = 1e-10,
@@ -326,8 +326,7 @@ def check_support_lemma(
     mismatches = 0
     worst = 0.0
     count = 0
-    for spec in group_specs:
-        group = group_from_spec(spec)
+    for group in groups:
         if group.abelian is None:
             continue
         # Even samples are masked multipliers, odd ones self-brackets of a
@@ -385,7 +384,7 @@ def _sandwich_bounds(
 
 
 def check_sandwich_suite(
-    group_specs,
+    groups: list[FiniteGroup],
     rng: np.random.Generator,
     samples: int = 100,
     adversarial: int = 20,
@@ -395,11 +394,7 @@ def check_sandwich_suite(
     disagreements = 0
     wrong_calls = 0
     count = 0
-    reps = []
-    for spec in group_specs:
-        group = group_from_spec(spec)
-        if group.abelian is not None:
-            reps.append(regular_representation(group))
+    reps = [regular_representation(g) for g in groups if g.abelian is not None]
     if not reps:
         return CheckResult("sandwich_equivalence", True, 0.0, tol, 0, {"skipped": 1})
 
@@ -503,34 +498,34 @@ def run_verification_suite(
 ) -> dict:
     """Run every named check and bundle the results for reporting.
 
-    Abelian-only checks are skipped (with a notice) when no given group is
-    commutative.  Returns a JSON-ready dict; overall `passed` is the
-    conjunction of the individual verdicts.
+    Each spec is resolved once, under max_order, and the checks take the
+    built groups.  Abelian-only checks are skipped (with a notice) when no
+    given group is commutative.  Returns a JSON-ready dict; overall `passed`
+    is the conjunction of the individual verdicts.
     """
     cap = DEFAULT_MAX_ORDER if max_order is None else max_order
     rng = np.random.default_rng(seed)
     specs = list(group_specs)
     groups = [group_from_spec(s, max_order=cap) for s in specs]
-    abelian_specs = [s for s, g in zip(specs, groups) if g.abelian is not None]
+    abelian = [g for g in groups if g.abelian is not None]
 
     reps = [regular_representation(g) for g in groups]
     models = [parse_rep_spec(spec) for spec in _DEFAULT_MODELS]
+    gabor_sizes = [tuple(rep.model[1:]) for rep in models if rep.model[0] == "gabor"]
 
     results = [
         check_representation_validity(reps + models),
-        check_gabor_commutativity(),
-        check_bracket_gramian(
-            specs, rng, samples=samples, inject_fault=inject_fault
-        ),
+        check_gabor_commutativity(gabor_sizes),
+        check_bracket_gramian(groups, rng, samples=samples, inject_fault=inject_fault),
         check_duallemma_suite(rng, samples=max(samples, 25)),
     ]
     notices = []
-    if abelian_specs:
-        results.append(check_lambda_structure(abelian_specs, rng, pairs=samples))
-        results.append(check_support_lemma(abelian_specs, rng, samples=samples))
+    if abelian:
+        results.append(check_lambda_structure(abelian, rng, pairs=samples))
+        results.append(check_support_lemma(abelian, rng, samples=samples))
         results.append(
             check_sandwich_suite(
-                abelian_specs, rng, samples=samples, adversarial=max(4, samples // 5)
+                abelian, rng, samples=samples, adversarial=max(4, samples // 5)
             )
         )
     else:

@@ -74,12 +74,6 @@ class ConvolutionOperator:
         vals = np.conj(self.coefficients.values[g.inverses])
         return ConvolutionOperator(group_function(g, vals))
 
-    def is_selfadjoint(self, tol: float = 1e-12) -> bool:
-        c = self.coefficients.values
-        star = np.conj(c[self.group.inverses])
-        scale = max(1.0, float(np.abs(c).max(initial=0.0)))
-        return bool(np.abs(c - star).max(initial=0.0) <= tol * scale)
-
     def apply(self, u: GroupFunction) -> GroupFunction:
         """Act on a function; same as convolving u with the kernel."""
         return convolve(u, self.coefficients)

@@ -37,7 +37,7 @@ from framelab.representations import (
     gabor_representation,
     shift_model_representation,
 )
-from framelab.groups import make_builtin_group
+from framelab.groups import group_from_spec, make_builtin_group
 
 
 def _announce(criterion: str, detail: str) -> None:
@@ -49,7 +49,7 @@ def test_criterion_1_bracket_operator_equals_gramian():
     rng = np.random.default_rng(1)
     start = time.perf_counter()
     result = check_bracket_gramian(
-        specs, rng, samples=100, tol=1e-11, trace_tol=1e-12
+        [group_from_spec(s) for s in specs], rng, samples=100, tol=1e-11, trace_tol=1e-12
     )
     elapsed = time.perf_counter() - start
     assert result.passed, (
@@ -139,7 +139,9 @@ def test_criterion_4_multiplier_transform_structure():
     for spec in specs:
         assert make_builtin_group(spec).order <= 48
     rng = np.random.default_rng(4)
-    result = check_lambda_structure(specs, rng, pairs=100, tol=1e-10)
+    result = check_lambda_structure(
+        [group_from_spec(s) for s in specs], rng, pairs=100, tol=1e-10
+    )
     assert result.passed, (
         f"multiplier structure deviation {result.max_deviation:.3e} exceeds 1e-10"
     )
@@ -156,11 +158,15 @@ def test_criterion_4_multiplier_transform_structure():
 def test_criterion_5_support_lemma_and_sandwich_agreement():
     specs = ["Z4", "Z2xZ2", "Z3xZ4"]
     rng = np.random.default_rng(5)
-    support = check_support_lemma(specs, rng, samples=100, tol=1e-10)
+    support = check_support_lemma(
+        [group_from_spec(s) for s in specs], rng, samples=100, tol=1e-10
+    )
     assert support.passed, support.details
     assert support.details["mismatches"] == 0
     assert support.samples == 300
-    sandwich = check_sandwich_suite(specs, rng, samples=100, adversarial=20)
+    sandwich = check_sandwich_suite(
+        [group_from_spec(s) for s in specs], rng, samples=100, adversarial=20
+    )
     assert sandwich.passed, sandwich.details
     assert sandwich.details["disagreements"] == 0
     assert sandwich.details["wrong_calls"] == 0

@@ -668,12 +668,33 @@ def test_bad_tolerance_exits_2(tmp_path, capsys, tol):
     for argv in (
         ("analyze", "--rep", "regular:Z4", "--psi", psi),
         ("bracket", "--rep", "regular:Z4", "--psi", psi),
-        ("verify", "--groups", "Z2", "--samples", "1"),
     ):
         code, out, err = run_cli(capsys, *argv, "--tol", tol)
         _assert_clean_parse_error(code, err)
         assert out == ""
         assert "--tol" in err
+
+
+@pytest.mark.parametrize("option", [("--tol", "1e-9"), ("--format", "csv")])
+def test_verify_refuses_tol_and_format(capsys, option):
+    # verify has no tolerance and always writes JSON.
+    with pytest.raises(SystemExit) as exc:
+        main(["verify", "--groups", "Z2", "--samples", "1", *option])
+    assert exc.value.code == 2
+    assert capsys.readouterr().out == ""
+
+
+def test_running_out_of_memory_exits_2(capsys, monkeypatch):
+    import framelab.cli as cli
+
+    def exhausted(args):
+        raise MemoryError("Unable to allocate 1.56 GiB")
+
+    monkeypatch.setattr(cli, "_cmd_verify", exhausted)
+    code, out, err = run_cli(capsys, "verify", "--groups", "Z2", "--samples", "1")
+    _assert_clean_parse_error(code, err)
+    assert err == "error: not enough memory: Unable to allocate 1.56 GiB\n"
+    assert out == ""
 
 
 @pytest.mark.parametrize("samples", ["0", "-3"])

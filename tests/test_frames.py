@@ -107,6 +107,21 @@ def test_frame_bounds_zero_system():
     assert kernel_dim == 4
 
 
+def test_bounds_inside_the_guard_band():
+    # 1e-8 is kept at tol 1e-10 but lies under GAP_GUARD * tol: the verdict
+    # withholds Riesz bounds there, riesz_bounds does not.
+    from framelab.frames import _verdict_from_spectrum
+
+    sys = vector_system(np.diag(np.sqrt([1e-8, 1.0])))
+    want = (pytest.approx(1e-8), pytest.approx(1.0))
+    assert riesz_bounds(sys, tol=1e-10) == want
+    assert frame_bounds(sys, tol=1e-10) == (want, 0)
+    verdict, rb, fb, kernel_dim, _ = _verdict_from_spectrum(
+        np.linalg.eigvalsh(gram_matrix(sys)), 1e-10
+    )
+    assert (verdict, rb, fb, kernel_dim) == (VERDICT_BESSEL_ONLY, None, want, 0)
+
+
 def test_bounds_against_random_quotients():
     # brute-force check of the optimality statement on a few random systems
     rng = np.random.default_rng(5)

@@ -17,6 +17,11 @@ from framelab.verification import (
     run_verification_suite,
 )
 from framelab import gabor_representation, regular_representation, make_builtin_group
+from framelab.groups import group_from_spec
+
+
+def _groups(*specs):
+    return [group_from_spec(s) for s in specs]
 
 
 EXPECTED_CHECKS = [
@@ -86,11 +91,11 @@ def test_gabor_commutativity_integer_phase_route():
 
 def test_individual_checks_pass_quickly():
     rng = np.random.default_rng(1)
-    assert check_bracket_gramian(["Z4", "D4"], rng, samples=5).passed
+    assert check_bracket_gramian(_groups("Z4", "D4"), rng, samples=5).passed
     assert check_duallemma_suite(rng, samples=10).passed
-    assert check_lambda_structure(["Z4", "Z2xZ2"], rng, pairs=5).passed
-    assert check_support_lemma(["Z4"], rng, samples=5).passed
-    assert check_sandwich_suite(["Z4"], rng, samples=10, adversarial=3).passed
+    assert check_lambda_structure(_groups("Z4", "Z2xZ2"), rng, pairs=5).passed
+    assert check_support_lemma(_groups("Z4"), rng, samples=5).passed
+    assert check_sandwich_suite(_groups("Z4"), rng, samples=10, adversarial=3).passed
     assert check_periodization_calibration(rng, samples=5).passed
     assert check_zak_calibration(rng, samples=5).passed
 
@@ -106,7 +111,7 @@ def test_duallemma_suite_counts_cases():
 
 def test_sandwich_suite_counts_adversarial_runs():
     rng = np.random.default_rng(5)
-    result = check_sandwich_suite(["Z2xZ2"], rng, samples=8, adversarial=4)
+    result = check_sandwich_suite(_groups("Z2xZ2"), rng, samples=8, adversarial=4)
     assert result.passed
     assert result.details["disagreements"] == 0
     assert result.details["wrong_calls"] == 0
@@ -128,14 +133,14 @@ def test_suite_respects_group_order_cap():
 
 
 _NO_SAMPLE_RUNS = {
-    "bracket": lambda rng: check_bracket_gramian(["Z4", "D4"], rng, samples=0),
+    "bracket": lambda rng: check_bracket_gramian(_groups("Z4", "D4"), rng, samples=0),
     "duallemma": lambda rng: check_duallemma_suite(rng, samples=0),
-    "lambda-D4": lambda rng: check_lambda_structure(["D4"], rng),
-    "lambda-Z4": lambda rng: check_lambda_structure(["Z4"], rng, pairs=0),
-    "support-D4-H3": lambda rng: check_support_lemma(["D4", "H3"], rng),
-    "support-Z4": lambda rng: check_support_lemma(["Z4"], rng, samples=0),
-    "sandwich-D4": lambda rng: check_sandwich_suite(["D4"], rng),
-    "sandwich-Z4": lambda rng: check_sandwich_suite(["Z4"], rng, samples=0, adversarial=0),
+    "lambda-D4": lambda rng: check_lambda_structure(_groups("D4"), rng),
+    "lambda-Z4": lambda rng: check_lambda_structure(_groups("Z4"), rng, pairs=0),
+    "support-D4-H3": lambda rng: check_support_lemma(_groups("D4", "H3"), rng),
+    "support-Z4": lambda rng: check_support_lemma(_groups("Z4"), rng, samples=0),
+    "sandwich-D4": lambda rng: check_sandwich_suite(_groups("D4"), rng),
+    "sandwich-Z4": lambda rng: check_sandwich_suite(_groups("Z4"), rng, samples=0, adversarial=0),
     "periodization": lambda rng: check_periodization_calibration(rng, samples=0),
     "zak": lambda rng: check_zak_calibration(rng, samples=0),
     "representations": lambda rng: check_representation_validity([]),
@@ -172,6 +177,42 @@ def test_support_lemma_counts_each_mismatching_sample(monkeypatch):
     monkeypatch.setattr(
         verification, "_support_projections", lambda group, mats, tol: np.zeros(mats.shape[:2])
     )
-    result = check_support_lemma(["Z4", "Z3xZ4"], np.random.default_rng(0), samples=6)
+    result = check_support_lemma(_groups("Z4", "Z3xZ4"), np.random.default_rng(0), samples=6)
     assert result.details["mismatches"] == 12
     assert result.passed is False
+
+
+def test_suite_resolves_each_spec_once_under_its_cap(monkeypatch):
+    import framelab.verification as verification
+
+    caps = []
+
+    def counting(spec, max_order):
+        caps.append(max_order)
+        return group_from_spec(spec, max_order=max_order)
+
+    monkeypatch.setattr(verification, "group_from_spec", counting)
+    run_verification_suite(seed=0, samples=1, max_order=8192)
+    assert caps == [8192] * len(DEFAULT_GROUP_SPECS)
+
+
+def test_only_the_suite_resolves_group_specs():
+    import ast
+    import inspect
+
+    import framelab.verification as verification
+
+    tree = ast.parse(inspect.getsource(verification))
+    readers = {
+        fn.name
+        for fn in ast.walk(tree)
+        if isinstance(fn, ast.FunctionDef)
+        and any(
+            isinstance(node, ast.Name) and node.id == "group_from_spec"
+            for node in ast.walk(fn)
+        )
+    }
+    assert readers == {"run_verification_suite"}
+    # The default gabor model is written in _DEFAULT_MODELS only.
+    models = inspect.signature(check_gabor_commutativity).parameters["models"]
+    assert models.default is inspect.Parameter.empty

@@ -415,7 +415,7 @@ def _rngs(seed):
 def test_bracket_gramian_matches_oracle(seed, samples):
     new, old = _rngs(seed)
     _same(
-        check_bracket_gramian(SPECS, new, samples=samples),
+        check_bracket_gramian([group_from_spec(s) for s in SPECS], new, samples=samples),
         oracle_bracket_gramian(SPECS, old, samples),
         new,
         old,
@@ -454,7 +454,7 @@ def test_duallemma_reports_match_oracle(seed):
 def test_lambda_structure_matches_oracle(seed, samples):
     new, old = _rngs(seed)
     _same(
-        check_lambda_structure(SPECS, new, pairs=samples),
+        check_lambda_structure([group_from_spec(s) for s in SPECS], new, pairs=samples),
         oracle_lambda_structure(SPECS, old, samples),
         new,
         old,
@@ -466,7 +466,7 @@ def test_lambda_structure_matches_oracle(seed, samples):
 def test_support_lemma_matches_oracle(seed, samples):
     new, old = _rngs(seed)
     _same(
-        check_support_lemma(SPECS, new, samples=samples),
+        check_support_lemma([group_from_spec(s) for s in SPECS], new, samples=samples),
         oracle_support_lemma(SPECS, old, samples),
         new,
         old,
@@ -479,7 +479,9 @@ def test_sandwich_suite_matches_oracle(seed, samples):
     new, old = _rngs(seed)
     adversarial = max(4, samples // 5)
     _same(
-        check_sandwich_suite(SPECS, new, samples=samples, adversarial=adversarial),
+        check_sandwich_suite(
+            [group_from_spec(s) for s in SPECS], new, samples=samples, adversarial=adversarial
+        ),
         oracle_sandwich_suite(SPECS, old, samples, adversarial),
         new,
         old,
