@@ -32,16 +32,16 @@ class FrameLabError(Exception):
     """Base class for all errors raised by this package."""
 
 
-class EmptyFactorsError(FrameLabError):
-    """An abelian group was requested with an empty factor list."""
-
-
 class OrderTooLargeError(FrameLabError):
     """A group construction would exceed the configured order cap."""
 
 
 class ParseError(FrameLabError):
     """A group or representation spec string does not match the grammar."""
+
+
+class EmptyFactorsError(ParseError):
+    """An abelian group was requested with no factors or a factor below 2."""
 
 
 class OutputWriteError(FrameLabError):

@@ -354,7 +354,7 @@ def _block_routes(orbit: OrbitSystem) -> tuple[np.ndarray, dict[str, float]]:
 
     cols = np.random.default_rng(0).choice(order, _BLOCK_CHECK_COLUMNS, replace=False)
     gram_cols = (moved @ moved[cols].conj().T).conj()  # moved.conj() @ moved[j]
-    op_cols = c[group.table[group.inverses[cols]]].T  # F[x, j] = c(j^-1 x)
+    op_cols = c[group.rows(group.inverses[cols])].T  # F[x, j] = c(j^-1 x)
     dev_cols = float(np.abs(gram_cols - op_cols).max()) / lam_max
     trace = float(c[group.identity].real)
     dev_trace = abs(float(w.sum()) - order * trace) / (order * lam_max)

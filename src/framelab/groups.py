@@ -12,10 +12,10 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from pathlib import Path
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import (
     EmptyFactorsError,
@@ -56,8 +56,8 @@ DEFAULT_MAX_ORDER = 4096
 _EXHAUSTIVE_ASSOC_ORDER = 512
 _RANDOM_ASSOC_TRIPLES = 100_000
 
-# Rows per block when a product law is evaluated into a table are chosen so
-# one block holds about this many entries, whatever the order.
+# Rows per block when a product law is evaluated are chosen so one block
+# holds about this many entries, whatever the order.
 _TABLE_BATCH_ENTRIES = 1 << 18
 
 # Longest digit run a spec may use for one count; int() refuses runs past
@@ -79,19 +79,70 @@ class AbelianStructure:
 
 @dataclass(frozen=True, eq=False)
 class FiniteGroup:
-    """A finite group presented by its full multiplication table."""
+    """A finite group presented by its parsed structure and its product law.
 
+    `structure` is ("cyclic-product", factors), ("dihedral", n),
+    ("heisenberg", N) or ("custom-table",).  A builtin group evaluates its
+    product law row by row; a group built from a table keeps that table.
+    """
+
+    structure: tuple
     order: int
-    table: np.ndarray  # (order, order), table[a, b] = a*b
     inverses: np.ndarray  # (order,)
-    identity: int
     is_abelian: bool
-    structure_tag: str  # cyclic-product | dihedral | heisenberg | custom-table
-    abelian: AbelianStructure | None = None
-    spec: str | None = None
+    identity: int = 0
+
+    @property
+    def structure_tag(self) -> str:
+        return self.structure[0]
+
+    @property
+    def spec(self) -> str | None:
+        """The builtin spec this group parses from, e.g. 'Z2xZ4'; None for a table."""
+        kind = self.structure_tag
+        if kind == "cyclic-product":
+            return "x".join(f"Z{d}" for d in self.structure[1])
+        if kind == "dihedral":
+            return f"D{self.structure[1]}"
+        if kind == "heisenberg":
+            return f"H{self.structure[1]}"
+        return None
+
+    @cached_property
+    def abelian(self) -> AbelianStructure | None:
+        """Coordinates of a cyclic product; None for every other structure."""
+        if self.structure_tag != "cyclic-product":
+            return None
+        factors = self.structure[1]
+        coords = np.stack(np.unravel_index(np.arange(self.order), factors), axis=1)
+        return AbelianStructure(factors, _freeze(coords.astype(np.int64)))
+
+    @cached_property
+    def table(self) -> np.ndarray:
+        """The (order, order) table[a, b] = a*b, built on first use."""
+        return _freeze(self.rows(np.arange(self.order)))
+
+    def rows(self, elements) -> np.ndarray:
+        """The products a*b for each a in elements and b over the group.
+
+        The result has the shape of elements plus a last axis of length
+        order.  A filled table is read; otherwise the product law of the
+        structure fills the rows in blocks of about _TABLE_BATCH_ENTRIES.
+        """
+        elements = np.asarray(elements, dtype=np.int64)
+        table = vars(self).get("table")
+        if table is not None:
+            return table[elements]
+        law, size = _LAWS[self.structure_tag], self.structure[1]
+        flat = elements.reshape(-1)
+        out = np.empty((flat.size, self.order), dtype=np.int64)
+        step = max(1, _TABLE_BATCH_ENTRIES // self.order)
+        for start in range(0, flat.size, step):
+            law(size, flat[start : start + step], out[start : start + step])
+        return out.reshape(*elements.shape, self.order)
 
     def product(self, a: int, b: int) -> int:
-        return int(self.table[a, b])
+        return int(self.rows(a)[b])
 
     def inverse(self, a: int) -> int:
         return int(self.inverses[a])
@@ -126,8 +177,12 @@ def _freeze(arr: np.ndarray) -> np.ndarray:
 
 
 def same_group(g1: FiniteGroup, g2: FiniteGroup) -> bool:
-    """True when two group objects describe the same multiplication table."""
-    if g1 is g2:
+    """True when two group objects describe the same multiplication table.
+
+    Equal builtin structures have equal tables; any other pair compares
+    its tables.
+    """
+    if g1 is g2 or (g1.structure_tag != "custom-table" and g1.structure == g2.structure):
         return True
     return g1.order == g2.order and bool(np.array_equal(g1.table, g2.table))
 
@@ -148,56 +203,64 @@ def delta(group: FiniteGroup, index: int) -> GroupFunction:
     return GroupFunction(group, _freeze(vals))
 
 
-def _mixed_radix_coords(factors: tuple[int, ...]) -> np.ndarray:
-    order = math.prod(factors)
-    coords = np.stack(
-        np.unravel_index(np.arange(order), factors), axis=1
-    ).astype(np.int64)
-    return coords
+def _cyclic_law(factors: tuple[int, ...], rows: np.ndarray, out: np.ndarray) -> None:
+    """out[i, b] = rows[i] * b in Z_d1 x ... x Z_dk, last factor fastest.
 
-
-def _cyclic_sums(d: int, scale: int) -> np.ndarray:
-    """The (d, d) array scale * ((x + y) mod d), as windows of one short row."""
-    wrapped = (np.arange(2 * d, dtype=np.int64) % d) * scale
-    return sliding_window_view(wrapped, d)[:d]
-
-
-def _cyclic_product_table(factors: tuple[int, ...]) -> np.ndarray:
-    """Multiplication table of Z_d1 x ... x Z_dk, last factor fastest.
-
-    The table grows from the last factor outward inside its own top-left
-    corner.  When the corner of side n holds the table of the suffix group
-    G, prepending Z_d gives
-
-        table[(x, a), (y, b)] = n * ((x + y) mod d) + table_G[a, b].
-
-    Rows x >= 1 are written from the corner; row x = 0 is then copied from
-    row x = 1, because (0, y) = (1, y - 1) for y >= 1.  Every source lies in
-    rows its target does not touch, so no step copies its input and the
-    build needs the memory of one table.
+    Each digit adds mod its factor on its own: the (rows, d) block of
+    ((x + y) mod d) * stride copies windows of one doubled arange.  The
+    blocks are summed from the last factor outward, so the innermost axis
+    of each sum is the longest, and the last sum is written into out.
     """
-    order = math.prod(factors)
-    table = np.empty((order, order), dtype=np.int64)
-    n = factors[-1]
-    table[:n, :n] = _cyclic_sums(n, 1)
-    for d in reversed(factors[:-1]):
-        corner = table[:n, :n]
-        rows = table[n : d * n, : d * n].reshape(d - 1, n, d, n)
-        steps = _cyclic_sums(d, n)[1:]
-        np.add(corner[None, :, None, :], steps[:, None, :, None], out=rows)
-        table[:n, n : d * n] = table[n : 2 * n, : (d - 1) * n]
-        n *= d
-    return table
+    total, stride = np.zeros((rows.size, 1), dtype=np.int64), 1
+    for x, d in zip(np.unravel_index(rows, factors)[::-1], factors[::-1]):
+        wrapped = np.arange(2 * d, dtype=np.int64) % d * stride
+        # Row y of sums is the window wrapped[y : y + d].
+        sums = np.ndarray((d, d), wrapped.dtype, wrapped, 0, 2 * wrapped.strides)
+        stride *= d
+        target = out.reshape(rows.size, d, -1) if stride == out.shape[1] else None
+        total = np.add(sums[x][:, :, None], total[:, None, :], out=target)
+        total = total.reshape(rows.size, -1)
 
 
-def _blocked_table(order: int, law) -> np.ndarray:
-    """Fill a table by calling law(rows, out) on blocks of consecutive rows."""
-    table = np.empty((order, order), dtype=np.int64)
-    step = max(1, _TABLE_BATCH_ENTRIES // order)
-    for start in range(0, order, step):
-        stop = min(start + step, order)
-        law(np.arange(start, stop), table[start:stop])
-    return table
+def _dihedral_law(n: int, rows: np.ndarray, out: np.ndarray) -> None:
+    """out[i, b] = rows[i] * b in D_n, indexed as in dihedral_group.
+
+    j only flips the reflection part of a product, and the rotation part
+    (a +- b) mod n is the same for both j.
+    """
+    k1, j1 = (rows % n)[:, None], (rows // n)[:, None]
+    kp = (1 - 2 * j1) * np.arange(n)
+    kp += k1
+    np.remainder(kp, n, out=kp)
+    jp = (j1 ^ np.arange(2)) * n
+    np.add(jp[:, :, None], kp[:, None, :], out=out.reshape(-1, 2, n))
+
+
+def _heisenberg_law(p: int, rows: np.ndarray, out: np.ndarray) -> None:
+    """out[i, b] = rows[i] * b in H_p, indexed as in heisenberg_group.
+
+    The a and b digits add mod p on their own, and the c digit is c' shifted
+    by c + a*b' mod p; these three sums mod p are gathers from one doubled
+    arange.
+    """
+    ra, rb, rc = (x[:, None] for x in np.unravel_index(rows, (p, p, p)))
+    digits = np.arange(p)
+    wrapped = np.arange(2 * p, dtype=np.int64) % p
+    high = wrapped[ra + digits] * (p * p)
+    mid = wrapped[rb + digits] * p
+    shift = (rc + ra * digits) % p
+    view = out.reshape(-1, p, p, p)
+    np.add(high[:, :, None, None], mid[:, None, :, None], out=view)
+    view += wrapped[shift[:, :, None] + digits][:, None, :, :]
+
+
+# The product law of each builtin structure kind, called as
+# law(size, rows, out) on a block of rows.
+_LAWS = {
+    "cyclic-product": _cyclic_law,
+    "dihedral": _dihedral_law,
+    "heisenberg": _heisenberg_law,
+}
 
 
 def make_abelian_group(
@@ -214,23 +277,10 @@ def make_abelian_group(
     if order > max_order:
         raise OrderTooLargeError(f"order {order} exceeds cap {max_order}")
 
-    table = _cyclic_product_table(factors)
-    dims = np.asarray(factors, dtype=np.int64)
-    coords = _mixed_radix_coords(factors)
-    inverses = np.ravel_multi_index(tuple(((-coords) % dims).T), factors)
-
-    spec = "x".join(f"Z{d}" for d in factors)
-    structure = AbelianStructure(factors, _freeze(coords))
-    return FiniteGroup(
-        order=order,
-        table=_freeze(table),
-        inverses=_freeze(inverses.astype(np.int64)),
-        identity=0,
-        is_abelian=True,
-        structure_tag="cyclic-product",
-        abelian=structure,
-        spec=spec,
-    )
+    # The inverse negates every digit: index -x mod d along each factor's axis.
+    negated = np.ix_(*((-np.arange(d)) % d for d in factors))
+    inverses = np.arange(order, dtype=np.int64).reshape(factors)[negated].ravel()
+    return FiniteGroup(("cyclic-product", factors), order, _freeze(inverses), True)
 
 
 def dihedral_group(n: int, max_order: int = DEFAULT_MAX_ORDER) -> FiniteGroup:
@@ -246,33 +296,10 @@ def dihedral_group(n: int, max_order: int = DEFAULT_MAX_ORDER) -> FiniteGroup:
     if order > max_order:
         raise OrderTooLargeError(f"order {order} exceeds cap {max_order}")
 
-    idx = np.arange(order)
+    idx = np.arange(order, dtype=np.int64)
     k, j = idx % n, idx // n
-    rot = k[:n]
-
-    def law(rows: np.ndarray, out: np.ndarray) -> None:
-        # out[row, j2, k2]: j2 only flips the reflection part of the product,
-        # and the rotation part (k1 +- k2) mod n is the same for both j2.
-        k1, j1 = k[rows, None], j[rows, None]
-        kp = (1 - 2 * j1) * rot
-        kp += k1
-        np.remainder(kp, n, out=kp)
-        jp = (j1 ^ np.arange(2)) * n
-        np.add(jp[:, :, None], kp[:, None, :], out=out.reshape(-1, 2, n))
-
-    table = _blocked_table(order, law)
-    inv_k = np.where(j == 0, (-k) % n, k)
-    inverses = j * n + inv_k
-
-    return FiniteGroup(
-        order=order,
-        table=_freeze(table),
-        inverses=_freeze(inverses.astype(np.int64)),
-        identity=0,
-        is_abelian=bool(n <= 2),
-        structure_tag="dihedral",
-        spec=f"D{n}",
-    )
+    inverses = j * n + np.where(j == 0, (-k) % n, k)
+    return FiniteGroup(("dihedral", n), order, _freeze(inverses), n <= 2)
 
 
 def heisenberg_group(p: int, max_order: int = DEFAULT_MAX_ORDER) -> FiniteGroup:
@@ -289,35 +316,9 @@ def heisenberg_group(p: int, max_order: int = DEFAULT_MAX_ORDER) -> FiniteGroup:
     if order > max_order:
         raise OrderTooLargeError(f"order {order} exceeds cap {max_order}")
 
-    coords = _mixed_radix_coords((p, p, p))
-    a, b, c = coords[:, 0], coords[:, 1], coords[:, 2]
-
-    digits = np.arange(p)
-    c_sums = _cyclic_sums(p, 1)
-
-    def law(rows: np.ndarray, out: np.ndarray) -> None:
-        # out[row, a', b', c']: the a and b digits add mod p on their own, and
-        # the c digit is a shift of c' by c + a*b' mod p.
-        ra, rb, rc = a[rows, None], b[rows, None], c[rows, None]
-        high = (ra + digits) % p * (p * p)
-        mid = (rb + digits) % p * p
-        shift = (rc + ra * digits) % p
-        view = out.reshape(-1, p, p, p)
-        np.add(high[:, :, None, None], mid[:, None, :, None], out=view)
-        view += c_sums[shift][:, None, :, :]
-
-    table = _blocked_table(order, law)
+    a, b, c = np.unravel_index(np.arange(order, dtype=np.int64), (p, p, p))
     inverses = (((-a) % p) * p + ((-b) % p)) * p + ((-c + a * b) % p)
-
-    return FiniteGroup(
-        order=order,
-        table=_freeze(table),
-        inverses=_freeze(inverses.astype(np.int64)),
-        identity=0,
-        is_abelian=False,
-        structure_tag="heisenberg",
-        spec=f"H{p}",
-    )
+    return FiniteGroup(("heisenberg", p), order, _freeze(inverses), False)
 
 
 def _check_associative(table: np.ndarray) -> None:
@@ -384,14 +385,12 @@ def make_group_from_table(table, max_order: int = DEFAULT_MAX_ORDER) -> FiniteGr
         bad = int(np.nonzero(arr[right_inv, idx] != identity)[0][0])
         raise NoInverseError(f"element {bad} has no two-sided inverse")
 
-    return FiniteGroup(
-        order=n,
-        table=_freeze(arr),
-        inverses=_freeze(right_inv.astype(np.int64)),
-        identity=int(identity),
-        is_abelian=bool(np.array_equal(arr, arr.T)),
-        structure_tag="custom-table",
-    )
+    is_abelian = bool(np.array_equal(arr, arr.T))
+    inverses = _freeze(right_inv.astype(np.int64))
+    group = FiniteGroup(("custom-table",), n, inverses, is_abelian, int(identity))
+    # The given table fills the cache that rows and table read.
+    vars(group)["table"] = _freeze(arr)
+    return group
 
 
 def _is_count(text: str) -> bool:
@@ -414,8 +413,6 @@ def make_builtin_group(name: str, max_order: int = DEFAULT_MAX_ORDER) -> FiniteG
             if len(part) < 2 or part[0] != "Z" or not _is_count(part[1:]):
                 raise ParseError(f"bad cyclic factor {part!r} in {name!r}")
             factors.append(int(part[1:]))
-        if any(d < 2 for d in factors):
-            raise ParseError(f"cyclic factors must be at least 2 in {name!r}")
         return make_abelian_group(factors, max_order=max_order)
     if name[0] == "D":
         if not _is_count(name[1:]):

@@ -156,7 +156,7 @@ def regular_representation(group: FiniteGroup) -> UnitaryRepresentation:
 
     lambda(g) maps delta_y to delta_{g y}, so (lambda(g) v)[x] = v[g^-1 x].
     """
-    src = group.table[group.inverses]
+    src = group.rows(group.inverses)
     return UnitaryRepresentation(
         group, group.order, _freeze(src), _trivial_phase(src.shape), ("regular",)
     )
@@ -250,7 +250,7 @@ def _law_deviation(
     rep: UnitaryRepresentation, a: np.ndarray, b: np.ndarray
 ) -> np.ndarray:
     """Per pair (a, b), the largest entry of |U(a) U(b) - U(ab)|."""
-    ab = rep.group.table[a, b]
+    ab = rep.group.rows(a)[np.arange(a.size), b]
     return _action_deviation(*_product_action(rep, a, b), rep.src[ab], rep.phase[ab])
 
 
@@ -379,17 +379,18 @@ def parse_rep_spec(
 
     Only the grammar and the caps are checked here; each builder checks the
     range of its own parameters.  A regular representation's dimension is
-    its order, so its group is refused over either cap before its table is
-    built.
+    its order: its group is built under max_order, which takes O(order)
+    memory, and refused over max_dim before its action is built.
     """
     spec = spec.strip()
     head, sep, tail = spec.partition(":")
     if not sep:
         raise ParseError(f"representation spec {spec!r} has no ':'")
     if head == "regular":
-        return regular_representation(
-            group_from_spec(tail, max_order=min(max_order, max_dim))
-        )
+        group = group_from_spec(tail, max_order=max_order)
+        if group.order > max_dim:
+            raise DimTooLargeError(f"dimension {group.order} exceeds cap {max_dim}")
+        return regular_representation(group)
     if head not in ("shift", "gabor"):
         raise ParseError(f"unknown representation kind {head!r}")
     parts = tail.split(",")

@@ -126,7 +126,7 @@ class SpectralData:
 
 def _convolution_matrices(group: FiniteGroup, kernels: np.ndarray) -> np.ndarray:
     """Dense matrices F[x, y] = c(y^-1 x) of one kernel or a (k, order) stack."""
-    idx = group.table[group.inverses].T  # idx[x, y] = y^-1 x
+    idx = group.rows(group.inverses).T  # idx[x, y] = y^-1 x
     return kernels[..., idx]
 
 
@@ -160,7 +160,7 @@ def lambda_matrix(group: FiniteGroup, g: int) -> np.ndarray:
     """Left regular representation: lambda(g) maps delta_y to delta_{g y}."""
     n = group.order
     mat = np.zeros((n, n), dtype=np.complex128)
-    mat[group.table[g], np.arange(n)] = 1.0
+    mat[group.rows(g), np.arange(n)] = 1.0
     return mat
 
 
@@ -287,11 +287,11 @@ def block_spectrum(kernel: GroupFunction) -> np.ndarray:
 
 
 def _cyclic_product_blocks(group: FiniteGroup, c: np.ndarray) -> np.ndarray:
-    return np.fft.fftn(c.reshape(group.abelian.invariant_factors)).real.ravel()
+    return np.fft.fftn(c.reshape(group.structure[1])).real.ravel()
 
 
 def _dihedral_blocks(group: FiniteGroup, c: np.ndarray) -> np.ndarray:
-    n = group.order // 2
+    n = group.structure[1]
     a, b = np.fft.fft(c[:n]), np.fft.fft(c[n:])
     ends = [0, n // 2] if n % 2 == 0 else [0]
     h = np.arange(1, (n + 1) // 2)

@@ -634,7 +634,7 @@ def test_regular_over_the_dim_cap_exits_2(tmp_path, capsys, monkeypatch, rep):
     psi = _write_psi(tmp_path, [1.0, 0.0])
     code, out, err = run_cli(capsys, "analyze", "--rep", rep, "--psi", psi)
     _assert_clean_parse_error(code, err)
-    assert out == "" and "exceeds cap 4096" in err
+    assert out == "" and err == "error: dimension 6000 exceeds cap 4096\n"
 
 
 def test_bracket_oracle_near_the_largest_float(tmp_path, capsys):

@@ -1,6 +1,8 @@
 """Group arithmetic, duals, and convolution."""
 
+import json
 import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -10,6 +12,7 @@ import framelab.groups as groups_module
 
 from framelab import (
     EmptyFactorsError,
+    FiniteGroup,
     GroupMismatchError,
     MalformedTableError,
     NoIdentityError,
@@ -29,7 +32,10 @@ from framelab import (
     make_abelian_group,
     make_builtin_group,
     make_group_from_table,
+    parse_rep_spec,
 )
+from framelab.cli import main
+from framelab.groups import same_group
 
 # Smallest loop (two-sided identity, two-sided inverses) that is not a group;
 # found by exhaustive search at order 5.
@@ -421,7 +427,8 @@ def test_heisenberg_table_matches_row_loop(p):
     assert group.abelian is None
 
 
-@pytest.mark.parametrize(
+# One builtin group of order 4096 of each shape.
+_AT_THE_CAP = pytest.mark.parametrize(
     "build",
     [
         lambda: make_abelian_group([4096]),
@@ -432,7 +439,24 @@ def test_heisenberg_table_matches_row_loop(p):
     ],
     ids=["Z4096", "Z64xZ64", "Z2^12", "D2048", "H16"],
 )
+
+
+@_AT_THE_CAP
 def test_table_build_peaks_near_one_table(build):
+    tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        before = tracemalloc.get_traced_memory()[0]
+        table = build().table
+        peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+    assert table.shape == (4096, 4096)
+    assert peak <= 1.25 * table.nbytes
+
+
+@_AT_THE_CAP
+def test_builtin_build_allocates_no_table(build):
     tracemalloc.start()
     try:
         tracemalloc.reset_peak()
@@ -442,7 +466,8 @@ def test_table_build_peaks_near_one_table(build):
     finally:
         tracemalloc.stop()
     assert group.order == 4096
-    assert peak <= 1.25 * group.table.nbytes
+    assert peak < 2**20
+    assert "table" not in vars(group)
 
 
 @pytest.mark.parametrize("entries", [1, 100, 1000])
@@ -454,3 +479,84 @@ def test_blocked_tables_match_across_block_sizes(monkeypatch, entries):
     for p in (2, 3, 5):
         table, inverses = _loop_heisenberg(p)
         assert np.array_equal(heisenberg_group(p).table, table)
+    for factors in ([12], [5, 7], [2, 3, 4], [2, 2, 2, 2, 3]):
+        table, inverses, coords = _loop_abelian(factors)
+        assert np.array_equal(make_abelian_group(factors).table, table)
+
+
+_BUILDERS = {
+    "cyclic-product": lambda draw: make_abelian_group(draw(factor_lists())),
+    "dihedral": lambda draw: dihedral_group(draw(st.integers(2, 60))),
+    "heisenberg": lambda draw: heisenberg_group(draw(st.integers(2, 6))),
+    "custom-table": lambda draw: make_group_from_table(
+        dihedral_group(draw(st.integers(2, 12))).table
+    ),
+}
+
+
+@given(
+    kind=st.sampled_from(sorted(_BUILDERS)),
+    entries=st.sampled_from([1, 7, 1 << 18]),
+    data=st.data(),
+)
+def test_rows_match_the_table_rows(kind, entries, data):
+    group = _BUILDERS[kind](data.draw)
+    elements = np.array(
+        data.draw(st.lists(st.integers(0, group.order - 1), max_size=30)), dtype=np.int64
+    )
+    first = int(elements[0]) if elements.size else 0
+    with mock.patch.object(groups_module, "_TABLE_BATCH_ENTRIES", entries):
+        rows = group.rows(elements)
+        row = group.rows(first)
+    assert group.structure_tag == kind
+    assert rows.shape == (elements.size, group.order)
+    assert np.array_equal(rows, group.table[elements])
+    assert np.array_equal(row, group.table[first])
+
+
+# ---------------------------------------- no table unless one is read
+
+
+@pytest.fixture
+def unreadable_tables(monkeypatch):
+    """Make reading a builtin group's table fail the test."""
+
+    def refuse(group):
+        raise AssertionError(f"the table of {group.spec} was read")
+
+    monkeypatch.setattr(FiniteGroup, "table", property(refuse))
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["analyze", "--rep", "regular:Z1024"],
+        ["analyze", "--rep", "regular:D512"],
+        ["analyze", "--rep", "regular:Z2xZ36"],
+        ["bracket", "--oracle", "--rep", "shift:60,4"],
+        ["bracket", "--oracle", "--rep", "gabor:10,12"],
+    ],
+)
+def test_commands_never_fill_a_table(tmp_path, capsys, unreadable_tables, argv):
+    dim = parse_rep_spec(argv[-1]).dim
+    values = np.random.default_rng(3).standard_normal((dim, 2)).tolist()
+    path = tmp_path / "psi.json"
+    path.write_text(json.dumps({"values": values}))
+    assert main([*argv, "--psi", str(path)]) == 0, capsys.readouterr().err
+
+
+def test_equal_builtin_structures_are_the_same_group_without_tables(unreadable_tables):
+    for build in (
+        lambda: make_abelian_group([64, 64]),
+        lambda: dihedral_group(2048),
+        lambda: heisenberg_group(16),
+    ):
+        assert same_group(build(), build())
+
+
+def test_same_group_compares_tables_across_structures():
+    z2z2 = make_abelian_group([2, 2])
+    assert same_group(dihedral_group(2), z2z2)
+    assert same_group(z2z2, make_group_from_table(z2z2.table))
+    assert same_group(make_group_from_table(z2z2.table), z2z2)
+    assert not same_group(make_abelian_group([4]), z2z2)

@@ -12,7 +12,7 @@ import framelab.verification as verification
 from framelab import (
     BLOCK_SPECTRUM_ORDER,
     BLOCK_STRUCTURES,
-    OrderTooLargeError,
+    DimTooLargeError,
     ParseError,
     block_spectrum,
     correlation_function,
@@ -104,7 +104,7 @@ def test_regular_over_the_dim_cap_is_refused_before_any_table(spec):
     try:
         tracemalloc.reset_peak()
         before = tracemalloc.get_traced_memory()[0]
-        with pytest.raises(OrderTooLargeError):
+        with pytest.raises(DimTooLargeError, match="^dimension 6000 exceeds cap 4096$"):
             parse_rep_spec(spec, max_order=8192)
         peak = tracemalloc.get_traced_memory()[1] - before
     finally:
