@@ -213,50 +213,80 @@ def _cmd_verify(args) -> int:
     return EXIT_OK if result["passed"] else EXIT_FAIL
 
 
-def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="frame-lab",
-        description="Riesz/frame analysis of group-representation orbits",
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
+def _common_args(p, needs_rep: bool) -> None:
+    if needs_rep:
+        p.add_argument("--rep", required=True, help="regular:GROUP | shift:N,M | gabor:L,M")
+        p.add_argument("--psi", required=True, help="generator file (JSON or CSV)")
+        p.add_argument("--tol", type=float, default=1e-10)
+    p.add_argument("--out", default=None, help="write output here instead of stdout")
+    if needs_rep:
+        p.add_argument("--format", choices=("json", "csv"), default="json")
+    p.add_argument("--seed", type=int, default=0)
 
-    def common(p, needs_rep: bool):
-        if needs_rep:
-            p.add_argument("--rep", required=True, help="regular:GROUP | shift:N,M | gabor:L,M")
-            p.add_argument("--psi", required=True, help="generator file (JSON or CSV)")
-            p.add_argument("--tol", type=float, default=1e-10)
-        p.add_argument("--out", default=None, help="write output here instead of stdout")
-        if needs_rep:
-            p.add_argument("--format", choices=("json", "csv"), default="json")
-        p.add_argument("--seed", type=int, default=0)
 
-    p_analyze = sub.add_parser("analyze", help="classify an orbit and report bounds")
-    common(p_analyze, needs_rep=True)
+def _analyze_args(p) -> None:
+    _common_args(p, needs_rep=True)
 
-    p_bracket = sub.add_parser("bracket", help="compute the self-bracket of a generator")
-    common(p_bracket, needs_rep=True)
-    p_bracket.add_argument(
+
+def _bracket_args(p) -> None:
+    _common_args(p, needs_rep=True)
+    p.add_argument(
         "--oracle",
         action="store_true",
         help="recompute along an independent route and report the deviation",
     )
 
-    p_verify = sub.add_parser("verify", help="run the randomized invariant suites")
-    common(p_verify, needs_rep=False)
-    p_verify.add_argument(
+
+def _verify_args(p) -> None:
+    _common_args(p, needs_rep=False)
+    p.add_argument(
         "--groups", default=None, help="comma separated group specs to verify over"
     )
-    p_verify.add_argument(
+    p.add_argument(
         "--samples", type=int, default=25, help="random draws per check"
     )
-    p_verify.add_argument(
+    p.add_argument(
         "--inject-fault", action="store_true", help=argparse.SUPPRESS
     )
+
+
+# Each subcommand's help line and argument adder, in the order --help lists them.
+_SUBCOMMANDS = {
+    "analyze": ("classify an orbit and report bounds", _analyze_args),
+    "bracket": ("compute the self-bracket of a generator", _bracket_args),
+    "verify": ("run the randomized invariant suites", _verify_args),
+}
+
+
+def _build_parser(names=tuple(_SUBCOMMANDS)) -> argparse.ArgumentParser:
+    """The argument parser, holding the subparsers of the given subcommands.
+
+    argparse builds a help formatter per argument, so a parser that holds
+    only the requested subcommand is the cheaper build.
+    """
+    parser = argparse.ArgumentParser(
+        prog="frame-lab",
+        description="Riesz/frame analysis of group-representation orbits",
+    )
+    # A parser short of some subcommands still lists them all in its usage
+    # line, as argparse spells the choices of the full one.
+    every = None if len(names) == len(_SUBCOMMANDS) else "{%s}" % ",".join(_SUBCOMMANDS)
+    sub = parser.add_subparsers(dest="command", required=True, metavar=every)
+    for name in names:
+        help_text, add_args = _SUBCOMMANDS[name]
+        add_args(sub.add_parser(name, help=help_text))
     return parser
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
+    argv = sys.argv[1:] if argv is None else list(argv)
+    # A first word that names a subcommand is the only one argparse can
+    # dispatch to; anything else (help, no words, an unknown name) gets the
+    # parser with every subcommand, whose messages list them all.
+    if argv and argv[0] in _SUBCOMMANDS:
+        parser = _build_parser((argv[0],))
+    else:
+        parser = _build_parser()
     args = parser.parse_args(argv)
     handlers = {
         "analyze": _cmd_analyze,

@@ -15,7 +15,7 @@ import numpy as np
 
 from .abelian import lambda_multiplier
 from .errors import NonFiniteResultError, ZeroGeneratorError
-from .groups import group_function
+from .groups import _character_rows, group_function
 from .representations import (
     OrbitSystem,
     _as_generator,
@@ -315,6 +315,21 @@ def _scalar_route(op, w: np.ndarray, lam_max: float) -> float:
     return max(dev_scalar, dev_imag)
 
 
+def _seeded_scalar_route(
+    group, c: np.ndarray, w: np.ndarray, chars: np.ndarray, lam_max: float
+) -> float:
+    """Deviation of the multiplier at a few characters from the spectrum w.
+
+    On an abelian group the operator is diagonal in the characters, so the
+    multiplier at each one is an eigenvalue: its real part must sit on some
+    value of the sorted w and its imaginary part at zero.
+    """
+    vals = np.conj(_character_rows(group, chars)) @ c
+    at = np.clip(np.searchsorted(w, vals.real), 1, w.size - 1)
+    dev_scalar = np.minimum(np.abs(vals.real - w[at - 1]), np.abs(vals.real - w[at]))
+    return float(np.maximum(dev_scalar, np.abs(vals.imag)).max()) / lam_max
+
+
 def _dense_routes(orbit: OrbitSystem) -> tuple[np.ndarray, dict[str, float]]:
     """Spectrum from the dense Gram matrix, checked against the operator matrix."""
     psi = orbit.generator
@@ -339,7 +354,9 @@ def _block_routes(orbit: OrbitSystem) -> tuple[np.ndarray, dict[str, float]]:
     No order x order matrix is formed.  The bracket route checks the paper's
     identity on what is left: Gram against operator on a few seeded columns,
     and the trace and squared Frobenius norm of the Gram matrix against the
-    first two moments of the block spectrum.
+    first two moments of the block spectrum.  On a cyclic product the scalar
+    route checks the multiplier at the characters with the same seeded
+    indices (characters are enumerated like the elements).
     """
     psi, group = orbit.generator, orbit.rep.group
     order = group.order
@@ -363,7 +380,7 @@ def _block_routes(orbit: OrbitSystem) -> tuple[np.ndarray, dict[str, float]]:
     routes = {"bracket": max(dev_cols, dev_trace, dev_frob)}
 
     if group.abelian is not None:
-        routes["scalar"] = _scalar_route(op, w, lam_max)
+        routes["scalar"] = _seeded_scalar_route(group, c, w, cols, lam_max)
     return w, routes
 
 
@@ -388,7 +405,8 @@ def analyze_orbit(orbit: OrbitSystem, tol: float = 1e-10) -> FrameReport:
     comes from the irreducible blocks of the correlation kernel
     (block_spectrum); "bracket" then holds the Gram-vs-operator deviation on
     a few seeded columns and the trace and Frobenius-norm deviations of that
-    spectrum, and "scalar" the character-table multiplier against it.
+    spectrum, and "scalar" how far the multiplier at the characters with
+    those seeded indices lies from it.
     """
     psi = np.asarray(orbit.generator, dtype=np.complex128).reshape(-1)
     # The verdict depends on the spectrum relative to lambda_max, not on the

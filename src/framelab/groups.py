@@ -447,33 +447,36 @@ def group_from_spec(spec: str, max_order: int = DEFAULT_MAX_ORDER) -> FiniteGrou
     return make_builtin_group(spec, max_order=max_order)
 
 
-def _character_phase_table(group: FiniteGroup) -> tuple[np.ndarray, int]:
-    """Integer phase numerators t with character value exp(2i pi t / lcm)."""
+def _character_rows(group: FiniteGroup, indices) -> np.ndarray:
+    """Values X[m, a] of the characters with the given indices, one row each.
+
+    Phases are reduced to integer numerators before exponentiation, so
+    equal phases give equal floats whichever rows are asked for.
+    """
     structure = group.abelian
-    assert structure is not None
     factors = structure.invariant_factors
     denom = math.lcm(*factors)
     weights = np.asarray([denom // d for d in factors], dtype=np.int64)
     coords = structure.coords
-    return (coords @ (coords * weights).T) % denom, denom
+    numer = (coords[indices] @ (coords * weights).T) % denom
+    roots = np.exp(2j * np.pi * np.arange(denom) / denom)
+    return roots[numer]
 
 
 def character_table(group: FiniteGroup) -> np.ndarray:
     """All characters as a matrix X[m, a] = value of character m at element a.
 
-    Character m has values exp(+2i pi sum_i m_i a_i / d_i); phases are reduced
-    to integer numerators before exponentiation so equal phases give equal
-    floats.  The table is cached on the group's abelian structure; the fill is
-    idempotent, so a concurrent first access is harmless.
+    Character m has values exp(+2i pi sum_i m_i a_i / d_i), computed as
+    _character_rows computes any subset of the rows.  The table is cached on
+    the group's abelian structure; the fill is idempotent, so a concurrent
+    first access is harmless.
     """
     if group.abelian is None:
         raise NotAbelianError("characters need an abelian group with coordinates")
     cached = getattr(group.abelian, "_char_table", None)
     if cached is not None:
         return cached
-    numer, denom = _character_phase_table(group)
-    roots = np.exp(2j * np.pi * np.arange(denom) / denom)
-    table = _freeze(roots[numer])
+    table = _freeze(_character_rows(group, np.arange(group.order)))
     object.__setattr__(group.abelian, "_char_table", table)
     return table
 
@@ -501,5 +504,5 @@ def _convolve_values(group: FiniteGroup, u: np.ndarray, v: np.ndarray) -> np.nda
     A stack of rows goes through one matmul that runs the same matrix-vector
     product per row as a single pair does, so each row keeps its bits.
     """
-    idx = group.table[:, group.inverses]  # idx[x, h] = x * h^-1
+    idx = group.rows(np.arange(group.order))[:, group.inverses]  # idx[x, h] = x * h^-1
     return (u[..., idx] @ v[..., None])[..., 0]

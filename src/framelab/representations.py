@@ -249,8 +249,12 @@ def _action_deviation(
 def _law_deviation(
     rep: UnitaryRepresentation, a: np.ndarray, b: np.ndarray
 ) -> np.ndarray:
-    """Per pair (a, b), the largest entry of |U(a) U(b) - U(ab)|."""
-    ab = rep.group.rows(a)[np.arange(a.size), b]
+    """Per pair (a, b), the largest entry of |U(a) U(b) - U(ab)|.
+
+    The product law is evaluated once per distinct left factor.
+    """
+    left, at = np.unique(a, return_inverse=True)
+    ab = rep.group.rows(left)[at, b]
     return _action_deviation(*_product_action(rep, a, b), rep.src[ab], rep.phase[ab])
 
 

@@ -151,7 +151,8 @@ def rho_matrix(group: FiniteGroup, g: int) -> np.ndarray:
     """Right regular representation: rho(g) maps delta_y to delta_{y g^-1}."""
     n = group.order
     mat = np.zeros((n, n), dtype=np.complex128)
-    rows = group.table[:, group.inverse(g)]
+    # y g^-1 = (g y^-1)^-1, so the targets come from the one row of g.
+    rows = group.inverses[group.rows(g)[group.inverses]]
     mat[rows, np.arange(n)] = 1.0
     return mat
 

@@ -2,12 +2,15 @@
 
 import dataclasses
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import framelab.abelian as abelian
 import framelab.frames as frames
+import framelab.groups as groups
 from framelab import (
     BLOCK_SPECTRUM_ORDER,
     OrbitSystem,
@@ -79,7 +82,9 @@ def _cyclic_factors(draw, max_order=512):
 @given(factors=_cyclic_factors(), data=st.data())
 def test_cyclic_product_blocks_match_dense_spectrum(factors, data):
     rep = regular_representation(make_abelian_group(factors))
-    _assert_matches_dense(rep, _psi(data, rep.group))
+    psi = _psi(data, rep.group)
+    _assert_matches_dense(rep, psi)
+    assert analyze_orbit(OrbitSystem(rep, psi)).route_agreement["scalar"] <= 1e-12
 
 
 def test_block_spectrum_rejects_groups_without_known_blocks():
@@ -170,6 +175,45 @@ def test_block_route_checks_the_moments_of_its_spectrum(corrupt, monkeypatch):
 
     monkeypatch.setattr(frames, "block_spectrum", corrupted)
     assert analyze_orbit(OrbitSystem(rep, psi)).route_agreement["bracket"] > 1e-8
+
+
+@pytest.mark.parametrize("spec", ["regular:Z2xZ48", "regular:Z200"])
+def test_scalar_route_flags_a_scaled_block_spectrum(spec, monkeypatch):
+    rep = parse_rep_spec(spec)
+    psi = np.random.default_rng(4).standard_normal(rep.dim)
+    assert analyze_orbit(OrbitSystem(rep, psi)).route_agreement["scalar"] <= 1e-12
+    monkeypatch.setattr(frames, "block_spectrum", lambda kernel: block_spectrum(kernel) * (1 + 1e-6))
+    assert analyze_orbit(OrbitSystem(rep, psi)).route_agreement["scalar"] > 1e-9
+
+
+@pytest.mark.parametrize("spec", ["regular:Z1024", "regular:Z2xZ48"])
+def test_block_route_builds_no_character_table(spec, monkeypatch):
+    def refuse(group):
+        raise AssertionError(f"the character table of {group.spec} was built")
+
+    for module in (groups, abelian):
+        monkeypatch.setattr(module, "character_table", refuse)
+    rep = parse_rep_spec(spec)
+    psi = np.random.default_rng(5).standard_normal(rep.dim)
+    assert analyze_orbit(OrbitSystem(rep, psi)).route_agreement["scalar"] <= 1e-12
+
+
+@pytest.mark.parametrize("spec", ["regular:Z4096", "regular:Z64xZ64"])
+def test_block_route_at_the_cap_peaks_below_two_orbits(spec):
+    # The (order, order) complex orbit takes 256 MiB; a character table
+    # would add 384 MiB more.
+    rep = parse_rep_spec(spec)
+    psi = np.random.default_rng(6).standard_normal(rep.dim)
+    tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        before = tracemalloc.get_traced_memory()[0]
+        report = analyze_orbit(OrbitSystem(rep, psi))
+        peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+    assert report.route_agreement["scalar"] <= 1e-12
+    assert peak < 450 * 2**20
 
 
 @pytest.mark.parametrize("spec", ["regular:Z4", "regular:D5", *_BLOCK_SPECS])

@@ -762,6 +762,69 @@ def test_installed_console_script():
     _assert_verify_passes([str(INSTALLED_SCRIPT)])
 
 
+# -------------------------------------------------------------------- parser
+
+
+def _parse_outcome(capsys, parse, argv):
+    """Exit code, stdout and stderr of a parse that ends in SystemExit."""
+    with pytest.raises(SystemExit) as exc:
+        parse(argv)
+    captured = capsys.readouterr()
+    return exc.value.code, captured.out, captured.err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["analyze", "--help"],
+        ["bracket", "--help"],
+        ["verify", "--help"],
+        ["analyze", "--psi", "psi.json"],
+        ["bracket", "--rep", "regular:Z4", "--psi", "psi.json", "--format", "xml"],
+        ["analyze", "--rep", "regular:Z4", "--psi", "psi.json", "--tol", "abc"],
+        ["verify", "--samples", "x"],
+        ["verify", "--tol", "1"],
+        ["analyze", "--rep", "regular:Z4", "--psi", "psi.json", "extra"],
+        [],
+        ["--help"],
+        ["bogus"],
+        ["ana"],
+    ],
+)
+def test_parser_of_the_named_subcommand_prints_what_the_full_parser_prints(
+    capsys, monkeypatch, argv
+):
+    import framelab.cli as cli
+
+    monkeypatch.setenv("COLUMNS", "80")
+    want = _parse_outcome(capsys, cli._build_parser().parse_args, argv)
+    assert want[0] in (0, 2)
+    assert _parse_outcome(capsys, main, argv) == want
+
+
+def test_a_named_subcommand_builds_only_its_own_arguments(capsys, monkeypatch):
+    import framelab.cli as cli
+
+    built = []
+    for name, (help_text, add_args) in cli._SUBCOMMANDS.items():
+        def recording(p, name=name, add_args=add_args):
+            built.append(name)
+            add_args(p)
+
+        monkeypatch.setitem(cli._SUBCOMMANDS, name, (help_text, recording))
+    code, out, _ = run_cli(capsys, "verify", "--groups", "Z2", "--samples", "1")
+    assert code == 0 and json.loads(out)["passed"] is True
+    assert built == ["verify"]
+
+
+def test_main_without_argv_reads_sys_argv(capsys, monkeypatch):
+    monkeypatch.setattr(sys, "argv", ["frame-lab", "verify", "--groups", "Z3", "--samples", "1"])
+    assert main() == 0
+    payload = json.loads(capsys.readouterr().out)
+    assert payload["groups"] == ["Z3"]
+    assert {check["samples"] for check in payload["checks"] if check["name"] == "bracket_equals_gramian"} == {1}
+
+
 # ------------------------------------------------------------------- output files
 
 

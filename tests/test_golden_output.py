@@ -67,9 +67,11 @@ DIGESTS = {
         "exit": 0,
         "out.txt": "cd5ed4136fcb8ccedd6df0535043e00fa9d51a7fc17c095792eb5ab27127d65a",
     },
+    # Recorded when the block route's scalar check moved to a few seeded
+    # characters: only routes.scalar differs from the 7a1e290 bytes.
     "analyze regular:Z2xZ36 json": {
         "exit": 0,
-        "out.txt": "0103fb5a3beb48cfe8a95d7be9536b12ed2d0cd297846426f0807a789e930d3c",
+        "out.txt": "79963c64faae59a7eb59fb0e28ba89883c392a24b2807a24ed3979aff94552bb",
     },
     "analyze regular:Z2xZ36 csv": {
         "exit": 0,

@@ -36,6 +36,7 @@ from framelab import (
 )
 from framelab.cli import main
 from framelab.groups import same_group
+from framelab.vnalgebra import rho_matrix
 
 # Smallest loop (two-sided identity, two-sided inverses) that is not a group;
 # found by exhaustive search at order 5.
@@ -543,6 +544,29 @@ def test_commands_never_fill_a_table(tmp_path, capsys, unreadable_tables, argv):
     path = tmp_path / "psi.json"
     path.write_text(json.dumps({"values": values}))
     assert main([*argv, "--psi", str(path)]) == 0, capsys.readouterr().err
+
+
+def test_verify_fills_no_table(capsys, unreadable_tables):
+    # Exit 1 is a failed check, which is not this test's concern.
+    argv = ["verify", "--samples", "3", "--seed", "0", "--groups", "Z512,D256"]
+    code = main(argv)
+    out, err = capsys.readouterr()
+    assert code in (0, 1), err
+    assert json.loads(out)["groups"] == ["Z512", "D256"]
+
+
+@pytest.mark.parametrize("spec", ["Z2xZ6", "D5", "H3"])
+def test_rho_matrix_and_convolve_read_no_table(spec, unreadable_tables):
+    g = make_builtin_group(spec)
+    rng = np.random.default_rng(4)
+    u, v = (rng.standard_normal(g.order) for _ in range(2))
+    want = np.zeros(g.order)
+    for x in g.elements():
+        targets = [g.product(y, g.inverse(x)) for y in g.elements()]
+        assert np.array_equal(np.argmax(rho_matrix(g, x), axis=0), targets)
+        want[x] = sum(u[g.product(x, g.inverse(h))] * v[h] for h in g.elements())
+    got = convolve(group_function(g, u), group_function(g, v)).values
+    assert np.allclose(got, want)
 
 
 def test_equal_builtin_structures_are_the_same_group_without_tables(unreadable_tables):

@@ -5,9 +5,11 @@ import dataclasses
 import numpy as np
 import pytest
 
+import framelab.representations as reps
 from framelab import (
     DimMismatchError,
     DimTooLargeError,
+    FiniteGroup,
     OrbitSystem,
     ParseError,
     bracket_operator,
@@ -142,6 +144,36 @@ def test_verify_flags_corrupted_matrix():
     assert not result.passed
     assert result.max_deviation > 1e-4
     assert result.failing_pair is not None
+
+
+def _law_deviation_row_per_pair(rep, a, b):
+    """The law check evaluating a whole row of the product law per pair."""
+    ab = rep.group.rows(a)[np.arange(a.size), b]
+    return reps._action_deviation(*reps._product_action(rep, a, b), rep.src[ab], rep.phase[ab])
+
+
+@pytest.mark.parametrize("spec", ["regular:Z8xZ8", "regular:D32", "shift:64,2", "gabor:8,8"])
+def test_law_check_evaluates_each_left_factor_once(spec, monkeypatch):
+    rep = parse_rep_spec(spec)
+    assert rep.group.order == 64
+    phase = rep.phase.copy()
+    phase[5] *= 1j
+    pair = (rep, dataclasses.replace(rep, phase=phase))
+    with monkeypatch.context() as m:
+        m.setattr(reps, "_law_deviation", _law_deviation_row_per_pair)
+        want = [verify_representation(r) for r in pair]
+    assert want[0].passed and want[0].exhaustive and not want[1].passed
+
+    sizes = []
+    rows = FiniteGroup.rows
+
+    def recording(self, elements):
+        sizes.append(np.size(elements))
+        return rows(self, elements)
+
+    monkeypatch.setattr(FiniteGroup, "rows", recording)
+    assert [verify_representation(r) for r in pair] == want
+    assert 0 < max(sizes) <= 64
 
 
 def test_gabor_time_frequency_commutation():
