@@ -61,11 +61,11 @@ VERDICT_ZERO = "zero_system"
 # verdict degrades to bessel_only_degenerate there.
 GAP_GUARD = 1e3
 
-# Above this group order, analyze_orbit takes the spectrum of a cyclic
-# product or D<n> under its regular representation from the irreducible
-# blocks of the correlation kernel instead of two dense O(order^3)
-# eigensolves.  Every order the self-checks and examples use lies below it,
-# where the dense routes decide and their output keeps its bytes.
+# Above this group order, analyze_orbit takes the spectrum of an orbit of a
+# cyclic product or D<n>, under any of its representations, from the
+# irreducible blocks of the correlation kernel instead of two dense
+# O(order^3) eigensolves.  Every order the self-checks and examples use lies
+# below it, where the dense routes decide and their output keeps its bytes.
 BLOCK_SPECTRUM_ORDER = 64
 # Gram columns compared against operator columns on the block route.
 _BLOCK_CHECK_COLUMNS = 4
@@ -351,6 +351,8 @@ def _dense_routes(orbit: OrbitSystem) -> tuple[np.ndarray, dict[str, float]]:
 def _block_routes(orbit: OrbitSystem) -> tuple[np.ndarray, dict[str, float]]:
     """Spectrum from the irreducible blocks of the bracket kernel.
 
+    The Gram matrix of any unitary orbit is the convolution operator of
+    c(g) = <psi, U(g) psi>, so this holds whatever space the group acts on.
     No order x order matrix is formed.  The bracket route checks the paper's
     identity on what is left: Gram against operator on a few seeded columns,
     and the trace and squared Frobenius norm of the Gram matrix against the
@@ -384,11 +386,9 @@ def _block_routes(orbit: OrbitSystem) -> tuple[np.ndarray, dict[str, float]]:
     return w, routes
 
 
-def _uses_blocks(rep) -> bool:
+def _uses_blocks(group) -> bool:
     return (
-        rep.group.order > BLOCK_SPECTRUM_ORDER
-        and rep.model[0] == "regular"
-        and rep.group.structure_tag in BLOCK_STRUCTURES
+        group.order > BLOCK_SPECTRUM_ORDER and group.structure_tag in BLOCK_STRUCTURES
     )
 
 
@@ -399,9 +399,9 @@ def analyze_orbit(orbit: OrbitSystem, tol: float = 1e-10) -> FrameReport:
     orbit, the operator whose kernel is the correlation function, and (for
     commutative groups) its multiplier transform.  Up to order
     BLOCK_SPECTRUM_ORDER, and for every group other than a cyclic product or
-    D<n> under its regular representation, the verdict and bounds come from
-    the Gram route and route_agreement records how far the other routes
-    stray, as max deviation relative to lambda_max.  Above it the spectrum
+    D<n>, the verdict and bounds come from the Gram route and
+    route_agreement records how far the other routes stray, as max
+    deviation relative to lambda_max.  Above it the spectrum
     comes from the irreducible blocks of the correlation kernel
     (block_spectrum); "bracket" then holds the Gram-vs-operator deviation on
     a few seeded columns and the trace and Frobenius-norm deviations of that
@@ -421,7 +421,7 @@ def analyze_orbit(orbit: OrbitSystem, tol: float = 1e-10) -> FrameReport:
         raise ZeroGeneratorError("orbit generator is numerically zero")
 
     scaled_orbit = OrbitSystem(orbit.rep, scaled)
-    routes_of = _block_routes if _uses_blocks(orbit.rep) else _dense_routes
+    routes_of = _block_routes if _uses_blocks(orbit.rep.group) else _dense_routes
     w, routes = routes_of(scaled_orbit)
     verdict, rb, fb, kernel_dim, gap = _verdict_from_spectrum(w, tol)
 

@@ -229,3 +229,70 @@ def test_verdict_is_invariant_under_translating_psi(spec, data):
     assert other.verdict == base.verdict
     assert other.kernel_dim == base.kernel_dim
     assert np.abs(other.gram_spectrum - base.gram_spectrum).max() <= 1e-12 * lam
+
+
+def _invariant_under(rep, f, h):
+    """Sum of U(h^j) f over the powers of h: U(h) fixes it.
+
+    U(g h) then moves it as U(g) does, so its orbit repeats itself and the
+    Gram matrix has a kernel.
+    """
+    rows = orbit_rows(OrbitSystem(rep, f))
+    psi, x = np.zeros_like(f), rep.group.identity
+    while True:
+        psi += rows[x]
+        x = rep.group.table[x, h]
+        if x == rep.group.identity:
+            return psi
+
+
+def _assert_block_routes_match_dense_routes(rep, psi):
+    orbit = OrbitSystem(rep, psi)
+    assert frames._uses_blocks(rep.group)
+    w_blocks, blocks = frames._block_routes(orbit)
+    w_dense, dense = frames._dense_routes(orbit)
+    verdict, _, _, kernel_dim, _ = frames._verdict_from_spectrum(w_blocks, 1e-10)
+    want, _, _, want_kernel_dim, _ = frames._verdict_from_spectrum(w_dense, 1e-10)
+    assert (verdict, kernel_dim) == (want, want_kernel_dim)
+    assert np.abs(w_blocks - w_dense).max() <= 1e-12 * w_dense[-1]
+    assert blocks.keys() == dense.keys() == {"bracket", "scalar"}
+    assert max(blocks.values()) <= 1e-12
+    return verdict
+
+
+@st.composite
+def _model_specs(draw):
+    """A shift or gabor spec whose group order lies in (64, 256]."""
+    if draw(st.booleans()):
+        return f"shift:{draw(st.integers(65, 256))},{draw(st.integers(1, 4))}"
+    l = draw(st.integers(2, 128))
+    m = draw(st.integers(max(2, 65 // l + 1), max(2, 256 // l)))
+    return f"gabor:{l},{m}"
+
+
+def _model_psi(data, rep):
+    seed = data.draw(st.integers(0, 2**32 - 1), label="seed")
+    rng = np.random.default_rng(seed)
+    f = rng.standard_normal(rep.dim) + 1j * rng.standard_normal(rep.dim)
+    h = data.draw(st.integers(0, rep.group.order - 1), label="h")
+    return _invariant_under(rep, f, h)
+
+
+@settings(max_examples=40, deadline=None)
+@given(spec=_model_specs(), data=st.data())
+def test_shift_and_gabor_block_routes_match_dense_routes(spec, data):
+    rep = parse_rep_spec(spec)
+    assert 64 < rep.group.order <= 256
+    _assert_block_routes_match_dense_routes(rep, _model_psi(data, rep))
+
+
+@pytest.mark.parametrize("spec", ["shift:512,2", "gabor:32,32"])
+def test_large_shift_and_gabor_orbits_match_dense_routes(spec):
+    rep = parse_rep_spec(spec)
+    rng = np.random.default_rng(8)
+    f = rng.standard_normal(rep.dim) + 1j * rng.standard_normal(rep.dim)
+    verdicts = {
+        _assert_block_routes_match_dense_routes(rep, psi)
+        for psi in (f, _invariant_under(rep, f, 2))
+    }
+    assert verdicts == {"riesz", "frame_not_riesz"}

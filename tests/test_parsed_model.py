@@ -140,10 +140,18 @@ def test_block_spectrum_accepts_exactly_the_block_structures(tag):
 
 
 @pytest.mark.parametrize(
-    "spec", ["regular:Z72", "regular:D40", "regular:H5", "shift:72,1", "gabor:9,8"]
+    "spec",
+    [
+        "regular:Z72", "regular:D40", "regular:H5", "shift:72,1", "gabor:9,8",
+        "regular:Z64", "regular:D32", "shift:64,3", "gabor:8,8",
+    ],
 )
 def test_analyze_takes_blocks_for_regular_block_structures_only(spec):
-    rep = parse_rep_spec(spec)
-    assert rep.group.order > BLOCK_SPECTRUM_ORDER
-    want = rep.model == ("regular",) and rep.group.structure_tag in BLOCK_STRUCTURES
-    assert frames._uses_blocks(rep) == want
+    # Blocks exactly for block structures above the threshold, whatever the
+    # model: the Gram matrix of any unitary orbit is the convolution operator
+    # of its correlation kernel.  (The name, kept so the test ids stay put,
+    # dates from when only regular: orbits took blocks.)
+    group = parse_rep_spec(spec).group
+    want = group.order > BLOCK_SPECTRUM_ORDER and group.structure_tag in BLOCK_STRUCTURES
+    assert want == (spec in ("regular:Z72", "regular:D40", "shift:72,1", "gabor:9,8"))
+    assert frames._uses_blocks(group) == want

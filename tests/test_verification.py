@@ -15,8 +15,10 @@ from framelab.verification import (
     check_support_lemma,
     check_zak_calibration,
     run_verification_suite,
+    _sandwich_bounds,
 )
 from framelab import gabor_representation, regular_representation, make_builtin_group
+from framelab.abelian import _inverse_multipliers, _sandwich_sides
 from framelab.groups import group_from_spec
 
 
@@ -115,6 +117,28 @@ def test_sandwich_suite_counts_adversarial_runs():
     assert result.passed
     assert result.details["disagreements"] == 0
     assert result.details["wrong_calls"] == 0
+
+
+@pytest.mark.parametrize("case", range(4))
+def test_adversarial_sandwich_bounds_are_called_as_expected(case):
+    # The smallest support value sits far below the largest, so a relative
+    # 1e-6 move of the lower bound alone stays inside the slack
+    # tol * max(1, lambda_max) that both sides of the check forgive.
+    group, tol = make_builtin_group("Z8"), 1e-10
+    mult = np.array([8330.0, 0.053, 1.0, 2.0, 0.0, 5.0, 2.0, 1.0])
+    kernels = _inverse_multipliers(group, mult[None])
+    a, b, expected = _sandwich_bounds(case, True, mult, tol)
+    operator_ok, scalar_ok, _ = _sandwich_sides(
+        group, kernels, np.array([a]), np.array([b]), tol
+    )
+    assert bool(operator_ok[0]) == bool(scalar_ok[0]) == expected
+
+
+def test_sandwich_suite_calls_a_low_support_bound_wrong_nowhere():
+    rng = np.random.default_rng(0)
+    result = check_sandwich_suite(_groups("Z512"), rng, samples=3, adversarial=4)
+    assert result.details == {"disagreements": 0, "wrong_calls": 0}
+    assert result.passed
 
 
 def test_check_result_json_shape():
