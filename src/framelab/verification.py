@@ -27,8 +27,8 @@ from .representations import (
     UnitaryRepresentation,
     _action_deviation,
     _correlation_values,
+    _gabor_action,
     _product_action,
-    gabor_representation,
     parse_rep_spec,
     regular_representation,
     shift_model_representation,
@@ -128,7 +128,8 @@ def check_gabor_commutativity(models) -> CheckResult:
     pair leaves all phases and shifts unchanged as integers, which avoids
     trusting bitwise floating products.  The two products U(a) U(b) and
     U(b) U(a) are also compared with a strict tolerance, entry by entry on
-    their monomial form.
+    their monomial form.  Being this exact check, it builds each action
+    without gabor_representation's sampled construction guard.
     """
     worst = 0.0
     exact = True
@@ -136,7 +137,7 @@ def check_gabor_commutativity(models) -> CheckResult:
     for l, m in models:
         n = l * m
         x = np.arange(n)
-        rep = gabor_representation(l, m)
+        rep = _gabor_action(l, m)
         # One row per (k1, j1, k2, j2), the last running fastest.
         k1, j1, k2, j2 = (i.reshape(-1, 1) for i in np.indices((l, m, l, m)))
         t12 = (l * j1 * x + l * j2 * ((x - m * k1) % n)) % n
@@ -192,14 +193,19 @@ def check_bracket_gramian(
 def _random_factor_matrix(
     rng: np.random.Generator, max_dim: int
 ) -> tuple[np.ndarray, np.ndarray]:
-    """A random K with controlled, well separated nonzero singular values."""
+    """A random K with controlled, well separated nonzero singular values.
+
+    Square (rows, rows) and (cols, cols) draws are taken from the stream, but
+    only their first rank columns are factored: those columns alone give the
+    first rank columns of Q, the only ones K uses.
+    """
     rows = int(rng.integers(2, max_dim + 1))
     cols = int(rng.integers(2, max_dim + 1))
     rank = int(rng.integers(1, min(rows, cols) + 1))
     sing = np.sort(rng.uniform(0.5, 2.0, size=rank)) + 0.05 * np.arange(rank)
-    q1, _ = np.linalg.qr(_cvec(rng, rows * rows).reshape(rows, rows))
-    q2, _ = np.linalg.qr(_cvec(rng, cols * cols).reshape(cols, cols))
-    k = (q1[:, :rank] * sing) @ q2[:, :rank].conj().T
+    q1, _ = np.linalg.qr(_cvec(rng, rows * rows).reshape(rows, rows)[:, :rank])
+    q2, _ = np.linalg.qr(_cvec(rng, cols * cols).reshape(cols, cols)[:, :rank])
+    k = (q1 * sing) @ q2.conj().T
     return k, sing**2
 
 
@@ -462,7 +468,12 @@ def check_zak_calibration(
     tol: float = 1e-10,
     max_product: int = 36,
 ) -> CheckResult:
-    """Zak-product bracket vs operator-route bracket for shift-modulation models."""
+    """Zak-product bracket vs operator-route bracket for shift-modulation models.
+
+    Every element's action enters the operator-route values, so an action
+    that breaks the group law fails this comparison; the actions are built
+    without gabor_representation's construction guard.
+    """
     shapes = [
         (l, m)
         for l in range(2, max_product // 2 + 1)
@@ -479,7 +490,7 @@ def check_zak_calibration(
     worst = 0.0
     for (l, m), pairs in draws.items():
         phis, psis = (np.array(column) for column in zip(*pairs))
-        rep = gabor_representation(l, m)
+        rep = _gabor_action(l, m)
         oracle = _multipliers(rep.group, _correlation_values(rep, phis, psis))
         fast = _zak_values(phis, psis, l, m)
         worst = max(worst, _calibration_deviation(fast, oracle))

@@ -1,6 +1,7 @@
 """Concrete unitary representations and orbit brackets."""
 
 import dataclasses
+import re
 
 import numpy as np
 import pytest
@@ -10,6 +11,7 @@ from framelab import (
     DimMismatchError,
     DimTooLargeError,
     FiniteGroup,
+    HomomorphismFailure,
     OrbitSystem,
     ParseError,
     bracket_operator,
@@ -174,6 +176,56 @@ def test_law_check_evaluates_each_left_factor_once(spec, monkeypatch):
     monkeypatch.setattr(FiniteGroup, "rows", recording)
     assert [verify_representation(r) for r in pair] == want
     assert 0 < max(sizes) <= 64
+
+
+def test_construction_guard_reports_a_broken_gabor_action():
+    rep = gabor_representation(3, 4)
+    # Corrupt the row of a right factor the guard checks against a left
+    # factor other than the identity, so that pair's law must fail.
+    a, b = reps._GUARD_DRAW % rep.group.order
+    g = int(b[np.flatnonzero(a != rep.group.identity)[0]])
+    phase = rep.phase.copy()
+    phase[g] *= 1j
+    broken = dataclasses.replace(rep, phase=phase)
+    with pytest.raises(HomomorphismFailure) as err:
+        reps._construction_guard(broken)
+    found = re.fullmatch(r"gabor:3,4: group law fails at pair \((\d+), (\d+)\)", str(err.value))
+    assert found
+    x, y = (int(v) for v in found.groups())
+    xy = rep.group.product(x, y)
+    assert np.abs(broken.matrix(x) @ broken.matrix(y) - broken.matrix(xy)).max() > 0.5
+
+
+def test_construction_guard_passes_on_every_zak_shape():
+    shapes = [(l, m) for l in range(2, 19) for m in range(2, 19) if l * m <= 36]
+    assert len(shapes) == 69
+    for l, m in shapes:
+        reps._construction_guard(reps._gabor_action(l, m))
+
+
+# gabor:3,4 has phases +-1 and +-i only, which multiply exactly either way;
+# the sixth roots of unity of gabor:2,3 are rounded, and round differently
+# when a complex product swaps its operands.
+@pytest.mark.parametrize("spec", ["regular:D4", "shift:4,2", "gabor:3,4", "gabor:2,3"])
+@pytest.mark.parametrize("dtype", [np.float64, np.complex128])
+def test_orbit_stack_and_correlation_keep_the_former_bits(spec, dtype):
+    # The phase is the left operand of each product, as in the former
+    # expressions.
+    rep = parse_rep_spec(spec)
+    rng = np.random.default_rng(9)
+    for shape in [(rep.dim,), (5, rep.dim)]:
+        psis = rng.standard_normal(shape).astype(dtype)
+        if dtype is np.complex128:
+            psis += 1j * rng.standard_normal(shape)
+        phis = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+        kept = psis.copy()
+        moved = rep.phase * np.take(psis, rep.src, axis=-1)
+        got = reps._orbit_stack(rep, psis)
+        assert got.dtype == np.complex128
+        assert got.tobytes() == moved.tobytes()
+        values = (moved.conj() @ phis[..., None])[..., 0]
+        assert reps._correlation_values(rep, phis, psis).tobytes() == values.tobytes()
+        assert psis.tobytes() == kept.tobytes()
 
 
 def test_gabor_time_frequency_commutation():

@@ -1,7 +1,12 @@
 """The self-check suite: clean passes, fault injection, and skip notices."""
 
+import dataclasses
+
 import numpy as np
 import pytest
+
+import framelab.representations as reps
+import framelab.verification as verification
 
 from framelab.verification import (
     DEFAULT_GROUP_SPECS,
@@ -15,6 +20,7 @@ from framelab.verification import (
     check_support_lemma,
     check_zak_calibration,
     run_verification_suite,
+    _random_factor_matrix,
     _sandwich_bounds,
 )
 from framelab import gabor_representation, regular_representation, make_builtin_group
@@ -240,3 +246,63 @@ def test_only_the_suite_resolves_group_specs():
     # The default gabor model is written in _DEFAULT_MODELS only.
     models = inspect.signature(check_gabor_commutativity).parameters["models"]
     assert models.default is inspect.Parameter.empty
+
+
+def test_default_suite_runs_the_construction_guard_once(monkeypatch):
+    # Only the parsed gabor model is guarded; the Gabor checks test the
+    # actions they build themselves.
+    labels = []
+    guard = reps._construction_guard
+
+    def recording(rep, *args, **kwargs):
+        labels.append(rep.label)
+        return guard(rep, *args, **kwargs)
+
+    monkeypatch.setattr(reps, "_construction_guard", recording)
+    assert run_verification_suite(seed=0, samples=25)["passed"] is True
+    assert labels == ["gabor:2,3"]
+
+
+def test_gabor_checks_fail_on_a_broken_action_without_the_guard(monkeypatch):
+    def broken(l, m):
+        rep = reps._gabor_action(l, m)
+        phase = rep.phase.copy()
+        phase[1, 0] *= 1j
+        return dataclasses.replace(rep, phase=phase)
+
+    def run():
+        zak = check_zak_calibration(np.random.default_rng(0), samples=25)
+        return zak.passed, check_gabor_commutativity([(2, 3), (3, 4)]).passed
+
+    assert run() == (True, True)
+    monkeypatch.setattr(verification, "_gabor_action", broken)
+    assert run() == (False, False)
+
+
+def _former_factor_draws(rng, max_dim):
+    """The draws of _random_factor_matrix, with full square QR factors."""
+    rows = int(rng.integers(2, max_dim + 1))
+    cols = int(rng.integers(2, max_dim + 1))
+    rank = int(rng.integers(1, min(rows, cols) + 1))
+    sing = np.sort(rng.uniform(0.5, 2.0, size=rank)) + 0.05 * np.arange(rank)
+    squares = []
+    for n in (rows, cols):
+        draws = rng.standard_normal((2, n * n))
+        squares.append((draws[0] + 1j * draws[1]).reshape(n, n))
+    q1, q2 = (np.linalg.qr(square)[0] for square in squares)
+    return (q1[:, :rank] * sing) @ q2[:, :rank].conj().T, sing**2
+
+
+@pytest.mark.parametrize("max_dim", [2, 5, 32])
+def test_random_factor_matrix_spectrum_rank_and_stream(max_dim):
+    rng, twin = np.random.default_rng(11), np.random.default_rng(11)
+    for _ in range(40):
+        k, s2 = _random_factor_matrix(rng, max_dim)
+        want_k, want_s2 = _former_factor_draws(twin, max_dim)
+        assert rng.bit_generator.state == twin.bit_generator.state
+        assert np.array_equal(s2, want_s2)
+        assert k.shape == want_k.shape
+        np.testing.assert_allclose(k, want_k, rtol=0, atol=1e-13)
+        sq = np.linalg.svd(k, compute_uv=False) ** 2
+        np.testing.assert_allclose(sq[: s2.size], np.sort(s2)[::-1], rtol=1e-12)
+        assert np.linalg.matrix_rank(k) == s2.size
