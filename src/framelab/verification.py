@@ -128,8 +128,11 @@ def check_gabor_commutativity(models) -> CheckResult:
     pair leaves all phases and shifts unchanged as integers, which avoids
     trusting bitwise floating products.  The two products U(a) U(b) and
     U(b) U(a) are also compared with a strict tolerance, entry by entry on
-    their monomial form.  Being this exact check, it builds each action
-    without gabor_representation's sampled construction guard.
+    their monomial form.  It builds each action without
+    gabor_representation's construction guard.  It never compares a product
+    with U(ab), so an action that breaks the law but still commutes passes
+    it; the suite passes it the sizes of its parsed gabor models, whose law
+    check_representation_validity checks over all pairs.
     """
     worst = 0.0
     exact = True
@@ -470,9 +473,10 @@ def check_zak_calibration(
 ) -> CheckResult:
     """Zak-product bracket vs operator-route bracket for shift-modulation models.
 
-    Every element's action enters the operator-route values, so an action
-    that breaks the group law fails this comparison; the actions are built
-    without gabor_representation's construction guard.
+    Every element's action enters the operator-route values, so on the
+    shapes drawn an action with any element off, even by a unit scalar,
+    fails this comparison; the actions are built without
+    gabor_representation's construction guard.
     """
     shapes = [
         (l, m)

@@ -182,7 +182,7 @@ def test_construction_guard_reports_a_broken_gabor_action():
     rep = gabor_representation(3, 4)
     # Corrupt the row of a right factor the guard checks against a left
     # factor other than the identity, so that pair's law must fail.
-    a, b = reps._GUARD_DRAW % rep.group.order
+    a, b = reps._guard_pairs(rep.group.order)
     g = int(b[np.flatnonzero(a != rep.group.identity)[0]])
     phase = rep.phase.copy()
     phase[g] *= 1j

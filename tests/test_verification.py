@@ -23,7 +23,12 @@ from framelab.verification import (
     _random_factor_matrix,
     _sandwich_bounds,
 )
-from framelab import gabor_representation, regular_representation, make_builtin_group
+from framelab import (
+    HomomorphismFailure,
+    gabor_representation,
+    make_builtin_group,
+    regular_representation,
+)
 from framelab.abelian import _inverse_multipliers, _sandwich_sides
 from framelab.groups import group_from_spec
 
@@ -263,20 +268,36 @@ def test_default_suite_runs_the_construction_guard_once(monkeypatch):
     assert labels == ["gabor:2,3"]
 
 
-def test_gabor_checks_fail_on_a_broken_action_without_the_guard(monkeypatch):
-    def broken(l, m):
+def _scaled_row(row, scale, entries=slice(None)):
+    """A _gabor_action whose row `row` has `entries` scaled by `scale`."""
+
+    def build(l, m):
         rep = reps._gabor_action(l, m)
         phase = rep.phase.copy()
-        phase[1, 0] *= 1j
+        phase[row, entries] *= scale
         return dataclasses.replace(rep, phase=phase)
 
+    return build
+
+
+def test_gabor_checks_fail_on_a_broken_action_without_the_guard(monkeypatch):
     def run():
         zak = check_zak_calibration(np.random.default_rng(0), samples=25)
         return zak.passed, check_gabor_commutativity([(2, 3), (3, 4)]).passed
 
     assert run() == (True, True)
-    monkeypatch.setattr(verification, "_gabor_action", broken)
+    # One entry off: the action breaks the law and stops commuting.
+    monkeypatch.setattr(verification, "_gabor_action", _scaled_row(1, 1j, 0))
     assert run() == (False, False)
+    # A whole row times a unit scalar: U(1) U(1^-1) is 1j times the identity,
+    # so the law fails, yet every pair still commutes.  Only the Zak
+    # calibration catches it.
+    monkeypatch.setattr(verification, "_gabor_action", _scaled_row(1, 1j))
+    assert run() == (False, True)
+    rep = verification._gabor_action(3, 4)
+    assert not reps.verify_representation(rep).passed
+    with pytest.raises(HomomorphismFailure):
+        reps._construction_guard(rep)
 
 
 def _former_factor_draws(rng, max_dim):
