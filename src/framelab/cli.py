@@ -49,10 +49,12 @@ def _max_order() -> int:
 
 
 def _check_numeric_args(args) -> None:
-    """Reject a tolerance or sample count under which a result means nothing."""
+    """Reject a tolerance, sample count or verify seed that no run can use."""
     if args.command == "verify":
         if args.samples < 1:
             raise ParseError(f"--samples must be at least 1, got {args.samples}")
+        if args.seed < 0:
+            raise ParseError(f"--seed must be non-negative, got {args.seed}")
     elif not (math.isfinite(args.tol) and args.tol > 0):
         raise ParseError(f"--tol must be positive and finite, got {args.tol!r}")
 
@@ -205,7 +207,6 @@ def _cmd_verify(args) -> int:
         group_specs=specs,
         seed=args.seed,
         samples=args.samples,
-        inject_fault=args.inject_fault,
         max_order=_max_order(),
     )
     payload = {"schema": SCHEMA, "command": "verify", **result}
@@ -244,9 +245,6 @@ def _verify_args(p) -> None:
     )
     p.add_argument(
         "--samples", type=int, default=25, help="random draws per check"
-    )
-    p.add_argument(
-        "--inject-fault", action="store_true", help=argparse.SUPPRESS
     )
 
 

@@ -11,7 +11,6 @@ __all__ = [
     "EmptyFactorsError",
     "FrameLabError",
     "GroupMismatchError",
-    "HomomorphismFailure",
     "InvalidPError",
     "MalformedTableError",
     "NoIdentityError",
@@ -90,10 +89,6 @@ class DimTooLargeError(FrameLabError):
 
 class DimMismatchError(FrameLabError):
     """A vector's length does not match the representation space."""
-
-
-class HomomorphismFailure(FrameLabError):
-    """A constructed family of matrices fails the group law."""
 
 
 class ZeroGeneratorError(FrameLabError):

@@ -19,10 +19,8 @@ from .groups import _character_rows, group_function
 from .representations import (
     OrbitSystem,
     _as_generator,
-    _correlation_values,
+    _kernel_values,
     _orbit_stack,
-    bracket_operator,
-    orbit_matrix,
     orbit_rows,
 )
 from .vnalgebra import (
@@ -332,18 +330,21 @@ def _seeded_scalar_route(
 
 def _dense_routes(orbit: OrbitSystem) -> tuple[np.ndarray, dict[str, float]]:
     """Spectrum from the dense Gram matrix, checked against the operator matrix."""
-    psi = orbit.generator
-    gram = gram_matrix(vector_system(orbit_matrix(orbit)))
+    rep = orbit.rep
+    psi = _as_generator(rep, orbit.generator)
+    moved = _orbit_stack(rep, psi)  # row g is U(g) psi
+    gram = gram_matrix(vector_system(moved.T.copy()))
     w = np.linalg.eigvalsh(gram)
     lam_max = max(float(w[-1]), 1e-300)
 
-    op = bracket_operator(orbit.rep, psi, psi)
+    c = _kernel_values(moved, psi)  # c(g) = <psi, U(g) psi>
+    op = operator_from_coefficients(group_function(rep.group, c))
     dev_matrix = float(np.abs(op.matrix - gram).max()) / lam_max
     w_op = np.linalg.eigvalsh((op.matrix + op.matrix.conj().T) / 2.0)
     dev_spec = float(np.abs(w_op - w).max()) / lam_max
     routes = {"bracket": max(dev_matrix, dev_spec)}
 
-    if orbit.rep.group.abelian is not None:
+    if rep.group.abelian is not None:
         routes["scalar"] = _scalar_route(op, w, lam_max)
     return w, routes
 
@@ -367,8 +368,7 @@ def _block_routes(orbit: OrbitSystem) -> tuple[np.ndarray, dict[str, float]]:
     # Gram column of the identity; conjugating the short side spares a copy
     # of moved.
     c = (moved @ psi.conj()).conj()
-    op = operator_from_coefficients(group_function(group, c))
-    w = block_spectrum(op.coefficients)
+    w = block_spectrum(group_function(group, c))
     lam_max = max(float(w[-1]), 1e-300)
 
     cols = np.random.default_rng(0).choice(order, _BLOCK_CHECK_COLUMNS, replace=False)
@@ -478,7 +478,7 @@ def _bracket_gramian_deviations(
     moved = _orbit_stack(rep, psis)  # (k, order, dim)
     synthesis = moved.transpose(0, 2, 1).copy()
     gram = synthesis.conj().transpose(0, 2, 1) @ synthesis
-    kernels = _correlation_values(rep, psis, psis)
+    kernels = _kernel_values(moved, psis)
     max_dev = np.abs(_convolution_matrices(rep.group, kernels) - gram).max(axis=(1, 2))
     # The squared norm as np.linalg.norm(psi) ** 2 forms it, one scalar power
     # per generator.

@@ -27,8 +27,8 @@ from .representations import (
     UnitaryRepresentation,
     _action_deviation,
     _correlation_values,
-    _gabor_action,
     _product_action,
+    gabor_representation,
     parse_rep_spec,
     regular_representation,
     shift_model_representation,
@@ -128,10 +128,9 @@ def check_gabor_commutativity(models) -> CheckResult:
     pair leaves all phases and shifts unchanged as integers, which avoids
     trusting bitwise floating products.  The two products U(a) U(b) and
     U(b) U(a) are also compared with a strict tolerance, entry by entry on
-    their monomial form.  It builds each action without
-    gabor_representation's construction guard.  It never compares a product
-    with U(ab), so an action that breaks the law but still commutes passes
-    it; the suite passes it the sizes of its parsed gabor models, whose law
+    their monomial form.  It never compares a product with U(ab), so an
+    action that breaks the law but still commutes passes it; the suite
+    passes it the sizes of its parsed gabor models, whose law
     check_representation_validity checks over all pairs.
     """
     worst = 0.0
@@ -140,7 +139,7 @@ def check_gabor_commutativity(models) -> CheckResult:
     for l, m in models:
         n = l * m
         x = np.arange(n)
-        rep = _gabor_action(l, m)
+        rep = gabor_representation(l, m)
         # One row per (k1, j1, k2, j2), the last running fastest.
         k1, j1, k2, j2 = (i.reshape(-1, 1) for i in np.indices((l, m, l, m)))
         t12 = (l * j1 * x + l * j2 * ((x - m * k1) % n)) % n
@@ -167,7 +166,6 @@ def check_bracket_gramian(
     samples: int = 100,
     tol: float = 1e-11,
     trace_tol: float = 1e-12,
-    inject_fault: bool = False,
 ) -> CheckResult:
     """Correlation-kernel operator vs orbit Gram matrix, entrywise and in trace."""
     worst = 0.0
@@ -176,9 +174,6 @@ def check_bracket_gramian(
     for group in groups:
         rep = regular_representation(group)
         dev, trace_dev = _bracket_gramian_deviations(rep, _cvecs(rng, (samples,), rep.dim))
-        if inject_fault:
-            # Deliberate bias so failure paths stay testable end to end.
-            dev = dev + 1e-6
         worst = max(worst, float(dev.max(initial=0.0)))
         worst_trace = max(worst_trace, float(trace_dev.max(initial=0.0)))
         count += samples
@@ -475,8 +470,7 @@ def check_zak_calibration(
 
     Every element's action enters the operator-route values, so on the
     shapes drawn an action with any element off, even by a unit scalar,
-    fails this comparison; the actions are built without
-    gabor_representation's construction guard.
+    fails this comparison.
     """
     shapes = [
         (l, m)
@@ -494,7 +488,7 @@ def check_zak_calibration(
     worst = 0.0
     for (l, m), pairs in draws.items():
         phis, psis = (np.array(column) for column in zip(*pairs))
-        rep = _gabor_action(l, m)
+        rep = gabor_representation(l, m)
         oracle = _multipliers(rep.group, _correlation_values(rep, phis, psis))
         fast = _zak_values(phis, psis, l, m)
         worst = max(worst, _calibration_deviation(fast, oracle))
@@ -511,7 +505,6 @@ def run_verification_suite(
     group_specs=DEFAULT_GROUP_SPECS,
     seed: int = 0,
     samples: int = 25,
-    inject_fault: bool = False,
     max_order: int | None = None,
 ) -> dict:
     """Run every named check and bundle the results for reporting.
@@ -534,7 +527,7 @@ def run_verification_suite(
     results = [
         check_representation_validity(reps + models),
         check_gabor_commutativity(gabor_sizes),
-        check_bracket_gramian(groups, rng, samples=samples, inject_fault=inject_fault),
+        check_bracket_gramian(groups, rng, samples=samples),
         check_duallemma_suite(rng, samples=max(samples, 25)),
     ]
     notices = []

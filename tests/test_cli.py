@@ -427,10 +427,9 @@ def test_verify_notice_names_what_the_groups_lack(capsys, groups, notice):
     assert json.loads(out)["notices"] == [notice]
 
 
+@pytest.mark.usefixtures("biased_gramian")
 def test_verify_inject_fault_fails(capsys):
-    code, out, _ = run_cli(
-        capsys, "verify", "--groups", "Z4", "--samples", "4", "--inject-fault"
-    )
+    code, out, _ = run_cli(capsys, "verify", "--groups", "Z4", "--samples", "4")
     assert code == 1
     assert json.loads(out)["passed"] is False
 
@@ -859,3 +858,43 @@ def test_bracket_refuses_an_unwritable_spectrum_sidecar(tmp_path, capsys):
     assert code == 2
     assert f"error: cannot write output file {sidecar}: " in err
     assert out_path.read_text().startswith("index,re,im\n")
+
+
+@pytest.mark.parametrize("seed", ["-1", "-7"])
+def test_verify_refuses_a_negative_seed(capsys, seed):
+    code, out, err = run_cli(capsys, "verify", "--groups", "Z2", "--seed", seed)
+    _assert_clean_parse_error(code, err)
+    assert out == ""
+    assert err == f"error: --seed must be non-negative, got {seed}\n"
+
+
+def test_verify_has_no_inject_fault_flag(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["verify", "--groups", "Z4", "--inject-fault"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --inject-fault" in capsys.readouterr().err
+
+
+def test_a_broken_gabor_action_fails_the_oracle_and_the_routes(
+    tmp_path, capsys, monkeypatch
+):
+    import dataclasses
+
+    import framelab.representations as reps
+
+    build = reps.gabor_representation
+
+    def row_one_times_1j(l, m, max_dim=reps.DEFAULT_MAX_DIM):
+        rep = build(l, m, max_dim)
+        phase = rep.phase.copy()
+        phase[1] *= 1j
+        return dataclasses.replace(rep, phase=phase)
+
+    monkeypatch.setattr(reps, "gabor_representation", row_one_times_1j)
+    psi = _write_psi(tmp_path, np.random.default_rng(4).standard_normal(12))
+    code, out, _ = run_cli(capsys, "bracket", "--rep", "gabor:3,4", "--psi", psi, "--oracle")
+    assert code == 1
+    assert json.loads(out)["oracle_deviation"] > 1e-3
+    code, out, _ = run_cli(capsys, "analyze", "--rep", "gabor:3,4", "--psi", psi)
+    assert code == 0
+    assert json.loads(out)["routes"]["bracket"] > 1e-3

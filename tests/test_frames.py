@@ -511,3 +511,50 @@ def test_analyze_orbit_rejects_an_empty_generator():
     rep = regular_representation(make_abelian_group([3]))
     with pytest.raises(ZeroGeneratorError):
         analyze_orbit(OrbitSystem(rep, np.zeros(0)))
+
+
+def _count_orbit_stacks(monkeypatch):
+    """Count _orbit_stack calls, whichever module calls it."""
+    import framelab.frames as frames
+    import framelab.representations as reps
+
+    calls = []
+    stack = reps._orbit_stack
+
+    def counting(rep, psis):
+        calls.append(np.shape(psis))
+        return stack(rep, psis)
+
+    monkeypatch.setattr(reps, "_orbit_stack", counting)
+    monkeypatch.setattr(frames, "_orbit_stack", counting)
+    return calls
+
+
+@pytest.mark.parametrize("spec", ["regular:D4", "gabor:2,3", "shift:4,2"])
+def test_each_orbit_stack_is_gathered_once(monkeypatch, spec):
+    from framelab.frames import _bracket_gramian_deviations
+
+    rep = parse_rep_spec(spec)
+    psis = _cvec(np.random.default_rng(5), 3 * rep.dim).reshape(3, rep.dim)
+    calls = _count_orbit_stacks(monkeypatch)
+    _bracket_gramian_deviations(rep, psis)
+    assert calls == [psis.shape]
+    calls.clear()
+    analyze_orbit(OrbitSystem(rep, psis[0]))
+    assert calls == [(rep.dim,)]
+
+
+@pytest.mark.parametrize("spec", ["regular:D4", "gabor:2,3", "regular:H3"])
+def test_bracket_gramian_deviations_keep_the_former_bits(spec):
+    from framelab.frames import _bracket_gramian_deviations
+    from framelab.representations import _correlation_values, _orbit_stack
+    from framelab.vnalgebra import _convolution_matrices
+
+    rep = parse_rep_spec(spec)
+    psis = _cvec(np.random.default_rng(6), 4 * rep.dim).reshape(4, rep.dim)
+    synthesis = _orbit_stack(rep, psis).transpose(0, 2, 1).copy()
+    gram = synthesis.conj().transpose(0, 2, 1) @ synthesis
+    kernels = _correlation_values(rep, psis, psis)
+    former = np.abs(_convolution_matrices(rep.group, kernels) - gram).max(axis=(1, 2))
+    max_dev, _ = _bracket_gramian_deviations(rep, psis)
+    assert max_dev.tobytes() == former.tobytes()

@@ -1,7 +1,6 @@
 """Concrete unitary representations and orbit brackets."""
 
 import dataclasses
-import re
 
 import numpy as np
 import pytest
@@ -11,7 +10,6 @@ from framelab import (
     DimMismatchError,
     DimTooLargeError,
     FiniteGroup,
-    HomomorphismFailure,
     OrbitSystem,
     ParseError,
     bracket_operator,
@@ -178,29 +176,13 @@ def test_law_check_evaluates_each_left_factor_once(spec, monkeypatch):
     assert 0 < max(sizes) <= 64
 
 
-def test_construction_guard_reports_a_broken_gabor_action():
-    rep = gabor_representation(3, 4)
-    # Corrupt the row of a right factor the guard checks against a left
-    # factor other than the identity, so that pair's law must fail.
-    a, b = reps._guard_pairs(rep.group.order)
-    g = int(b[np.flatnonzero(a != rep.group.identity)[0]])
-    phase = rep.phase.copy()
-    phase[g] *= 1j
-    broken = dataclasses.replace(rep, phase=phase)
-    with pytest.raises(HomomorphismFailure) as err:
-        reps._construction_guard(broken)
-    found = re.fullmatch(r"gabor:3,4: group law fails at pair \((\d+), (\d+)\)", str(err.value))
-    assert found
-    x, y = (int(v) for v in found.groups())
-    xy = rep.group.product(x, y)
-    assert np.abs(broken.matrix(x) @ broken.matrix(y) - broken.matrix(xy)).max() > 0.5
-
-
-def test_construction_guard_passes_on_every_zak_shape():
+def test_gabor_law_holds_on_every_zak_shape():
+    # Every pair of each group, on the shapes the Zak calibration draws.
     shapes = [(l, m) for l in range(2, 19) for m in range(2, 19) if l * m <= 36]
     assert len(shapes) == 69
     for l, m in shapes:
-        reps._construction_guard(reps._gabor_action(l, m))
+        report = verify_representation(gabor_representation(l, m))
+        assert report.passed and report.exhaustive
 
 
 # gabor:3,4 has phases +-1 and +-i only, which multiply exactly either way;

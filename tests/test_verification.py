@@ -1,11 +1,10 @@
-"""The self-check suite: clean passes, fault injection, and skip notices."""
+"""The self-check suite: clean passes, failure paths, and skip notices."""
 
 import dataclasses
 
 import numpy as np
 import pytest
 
-import framelab.representations as reps
 import framelab.verification as verification
 
 from framelab.verification import (
@@ -24,10 +23,10 @@ from framelab.verification import (
     _sandwich_bounds,
 )
 from framelab import (
-    HomomorphismFailure,
     gabor_representation,
     make_builtin_group,
     regular_representation,
+    verify_representation,
 )
 from framelab.abelian import _inverse_multipliers, _sandwich_sides
 from framelab.groups import group_from_spec
@@ -75,8 +74,9 @@ def test_suite_skips_abelian_checks_without_abelian_groups():
     assert any("skipped" in note for note in payload["notices"])
 
 
+@pytest.mark.usefixtures("biased_gramian")
 def test_fault_injection_trips_the_gramian_check():
-    payload = run_verification_suite(seed=0, samples=5, inject_fault=True)
+    payload = run_verification_suite(seed=0, samples=5)
     assert payload["passed"] is False
     by_name = {c["name"]: c for c in payload["checks"]}
     assert by_name["bracket_equals_gramian"]["passed"] is False
@@ -253,26 +253,11 @@ def test_only_the_suite_resolves_group_specs():
     assert models.default is inspect.Parameter.empty
 
 
-def test_default_suite_runs_the_construction_guard_once(monkeypatch):
-    # Only the parsed gabor model is guarded; the Gabor checks test the
-    # actions they build themselves.
-    labels = []
-    guard = reps._construction_guard
-
-    def recording(rep, *args, **kwargs):
-        labels.append(rep.label)
-        return guard(rep, *args, **kwargs)
-
-    monkeypatch.setattr(reps, "_construction_guard", recording)
-    assert run_verification_suite(seed=0, samples=25)["passed"] is True
-    assert labels == ["gabor:2,3"]
-
-
 def _scaled_row(row, scale, entries=slice(None)):
-    """A _gabor_action whose row `row` has `entries` scaled by `scale`."""
+    """A gabor_representation whose row `row` has `entries` scaled by `scale`."""
 
     def build(l, m):
-        rep = reps._gabor_action(l, m)
+        rep = gabor_representation(l, m)
         phase = rep.phase.copy()
         phase[row, entries] *= scale
         return dataclasses.replace(rep, phase=phase)
@@ -287,17 +272,15 @@ def test_gabor_checks_fail_on_a_broken_action_without_the_guard(monkeypatch):
 
     assert run() == (True, True)
     # One entry off: the action breaks the law and stops commuting.
-    monkeypatch.setattr(verification, "_gabor_action", _scaled_row(1, 1j, 0))
+    monkeypatch.setattr(verification, "gabor_representation", _scaled_row(1, 1j, 0))
     assert run() == (False, False)
     # A whole row times a unit scalar: U(1) U(1^-1) is 1j times the identity,
     # so the law fails, yet every pair still commutes.  Only the Zak
     # calibration catches it.
-    monkeypatch.setattr(verification, "_gabor_action", _scaled_row(1, 1j))
+    monkeypatch.setattr(verification, "gabor_representation", _scaled_row(1, 1j))
     assert run() == (False, True)
-    rep = verification._gabor_action(3, 4)
-    assert not reps.verify_representation(rep).passed
-    with pytest.raises(HomomorphismFailure):
-        reps._construction_guard(rep)
+    rep = verification.gabor_representation(3, 4)
+    assert not verify_representation(rep).passed
 
 
 def _former_factor_draws(rng, max_dim):
