@@ -20,7 +20,7 @@ from .errors import (
     ParseError,
     ZeroGeneratorError,
 )
-from .frames import analyze_orbit
+from .frames import GAP_GUARD, analyze_orbit
 from .groups import DEFAULT_MAX_ORDER
 from .io import SCHEMA, dump_json, load_generator, pairs_from_complex, spectrum_csv, values_csv
 from .representations import OrbitSystem, bracket_operator, parse_rep_spec
@@ -49,14 +49,21 @@ def _max_order() -> int:
 
 
 def _check_numeric_args(args) -> None:
-    """Reject a tolerance, sample count or verify seed that no run can use."""
+    """Reject a tolerance, sample count or verify seed that no run can use.
+
+    From tol = 1 / GAP_GUARD on, the guard band GAP_GUARD * tol * lambda_max
+    covers the whole spectrum, so analyze could certify nothing.
+    """
     if args.command == "verify":
         if args.samples < 1:
             raise ParseError(f"--samples must be at least 1, got {args.samples}")
         if args.seed < 0:
             raise ParseError(f"--seed must be non-negative, got {args.seed}")
-    elif not (math.isfinite(args.tol) and args.tol > 0):
-        raise ParseError(f"--tol must be positive and finite, got {args.tol!r}")
+    elif args.command == "analyze":
+        if not (math.isfinite(args.tol) and args.tol > 0):
+            raise ParseError(f"--tol must be positive and finite, got {args.tol!r}")
+        if args.tol >= 1 / GAP_GUARD:
+            raise ParseError(f"--tol must be below {1 / GAP_GUARD}, got {args.tol!r}")
 
 
 def _require_finite(values, what: str) -> None:
@@ -214,10 +221,11 @@ def _cmd_verify(args) -> int:
     return EXIT_OK if result["passed"] else EXIT_FAIL
 
 
-def _common_args(p, needs_rep: bool) -> None:
+def _common_args(p, needs_rep: bool, needs_tol: bool = False) -> None:
     if needs_rep:
         p.add_argument("--rep", required=True, help="regular:GROUP | shift:N,M | gabor:L,M")
         p.add_argument("--psi", required=True, help="generator file (JSON or CSV)")
+    if needs_tol:
         p.add_argument("--tol", type=float, default=1e-10)
     p.add_argument("--out", default=None, help="write output here instead of stdout")
     if needs_rep:
@@ -226,7 +234,7 @@ def _common_args(p, needs_rep: bool) -> None:
 
 
 def _analyze_args(p) -> None:
-    _common_args(p, needs_rep=True)
+    _common_args(p, needs_rep=True, needs_tol=True)
 
 
 def _bracket_args(p) -> None:

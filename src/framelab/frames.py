@@ -199,8 +199,9 @@ def _duallemma_reports(
     """check_duallemma for one K and upper bound B at each lower bound A.
 
     The SVD, G, F, G^2, both projections and the B-side matrices are formed
-    once; every margin then comes from one eigvalsh over the rows x rows
-    stack and one over the cols x cols stack.
+    once, and every difference is written into its slot of one preallocated
+    rows x rows stack or one cols x cols stack; every margin then comes from
+    one eigvalsh over each.
     """
     k = np.asarray(k_matrix, dtype=np.complex128)
     g = k.conj().T @ k
@@ -216,22 +217,23 @@ def _duallemma_reports(
     g2 = g @ g
     count = len(lower_bounds)
 
-    def hermitized(mats: list[np.ndarray]) -> np.ndarray:
-        stack = np.stack(mats)
-        return (stack + stack.conj().transpose(0, 2, 1)) / 2.0
-
     # rows x rows: f - a P_ran(K) per a, then b P_ran(K) - f.
-    on_rows = hermitized([f - a * p_ran_k for a in lower_bounds] + [b * p_ran_k - f])
+    on_rows = np.empty((count + 1, *f.shape), dtype=np.complex128)
     # cols x cols: the (ii) pairs, then the (iv) pairs, then G itself.
-    on_cols = np.concatenate([
-        hermitized(
-            [g2 - a * g for a in lower_bounds]
-            + [b * g - g2]
-            + [g - a * p_ran_kstar for a in lower_bounds]
-            + [b * p_ran_kstar - g]
-        ),
-        g[None],
-    ])
+    on_cols = np.empty((2 * count + 3, *g.shape), dtype=np.complex128)
+    for j, a in enumerate(lower_bounds):
+        np.subtract(f, a * p_ran_k, out=on_rows[j])
+        np.subtract(g2, a * g, out=on_cols[j])
+        np.subtract(g, a * p_ran_kstar, out=on_cols[count + 1 + j])
+    np.subtract(b * p_ran_k, f, out=on_rows[count])
+    np.subtract(b * g, g2, out=on_cols[count])
+    np.subtract(b * p_ran_kstar, g, out=on_cols[2 * count + 1])
+    # Hermitize every difference in place; conj() makes a fresh array, so
+    # no entry is read after it is overwritten.  G enters unhermitized.
+    for stack in (on_rows, on_cols[:-1]):
+        stack += stack.conj().transpose(0, 2, 1)
+        stack /= 2.0
+    on_cols[-1] = g
     w_rows = np.linalg.eigvalsh(on_rows)
     w_cols = np.linalg.eigvalsh(on_cols)
     rows_margin = w_rows[:, 0] if w_rows.shape[1] else np.zeros(len(on_rows))

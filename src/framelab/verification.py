@@ -88,7 +88,9 @@ class CheckResult:
 
 
 def _cvec(rng: np.random.Generator, n: int) -> np.ndarray:
-    return rng.standard_normal(n) + 1j * rng.standard_normal(n)
+    """n complex values: n real parts drawn first, then n imaginary parts."""
+    re, im = rng.standard_normal((2, n))
+    return re + 1j * im
 
 
 def _cvecs(rng: np.random.Generator, shape: tuple[int, ...], n: int) -> np.ndarray:
@@ -161,7 +163,7 @@ def check_gabor_commutativity(models) -> CheckResult:
 
 
 def check_bracket_gramian(
-    groups: list[FiniteGroup],
+    reps: list[UnitaryRepresentation],
     rng: np.random.Generator,
     samples: int = 100,
     tol: float = 1e-11,
@@ -171,8 +173,7 @@ def check_bracket_gramian(
     worst = 0.0
     worst_trace = 0.0
     count = 0
-    for group in groups:
-        rep = regular_representation(group)
+    for rep in reps:
         dev, trace_dev = _bracket_gramian_deviations(rep, _cvecs(rng, (samples,), rep.dim))
         worst = max(worst, float(dev.max(initial=0.0)))
         worst_trace = max(worst_trace, float(trace_dev.max(initial=0.0)))
@@ -321,16 +322,21 @@ def _random_psd_draw(rng: np.random.Generator, group: FiniteGroup, masked: bool)
 
 
 def check_support_lemma(
-    groups: list[FiniteGroup],
+    reps: list[UnitaryRepresentation],
     rng: np.random.Generator,
     samples: int = 100,
     tol: float = 1e-10,
 ) -> CheckResult:
-    """Multiplier of the support projection equals the support indicator."""
+    """Multiplier of the support projection equals the support indicator.
+
+    reps are regular representations; those of groups without
+    cyclic-product coordinates are skipped.
+    """
     mismatches = 0
     worst = 0.0
     count = 0
-    for group in groups:
+    for rep in reps:
+        group = rep.group
         if group.abelian is None:
             continue
         # Even samples are masked multipliers, odd ones self-brackets of a
@@ -343,7 +349,7 @@ def check_support_lemma(
         kernels = np.empty((samples, group.order), dtype=np.complex128)
         kernels[0::2] = _inverse_multipliers(group, np.array(draws[0::2]))
         psis = np.array(draws[1::2]).reshape(-1, group.order)
-        kernels[1::2] = _correlation_values(regular_representation(group), psis, psis)
+        kernels[1::2] = _correlation_values(rep, psis, psis)
         mats = _convolution_matrices(group, kernels)
         via_proj = _multipliers(group, _support_projections(group, mats, tol))
         chi = _support_indicators(_multipliers(group, kernels), tol)
@@ -391,17 +397,21 @@ def _sandwich_bounds(
 
 
 def check_sandwich_suite(
-    groups: list[FiniteGroup],
+    reps: list[UnitaryRepresentation],
     rng: np.random.Generator,
     samples: int = 100,
     adversarial: int = 20,
     tol: float = 1e-10,
 ) -> CheckResult:
-    """Operator-side and scalar-side two-sided bounds always agree."""
+    """Operator-side and scalar-side two-sided bounds always agree.
+
+    reps are regular representations; those of groups without
+    cyclic-product coordinates are skipped.
+    """
     disagreements = 0
     wrong_calls = 0
     count = 0
-    reps = [regular_representation(g) for g in groups if g.abelian is not None]
+    reps = [rep for rep in reps if rep.group.abelian is not None]
     if not reps:
         return CheckResult("sandwich_equivalence", True, 0.0, tol, 0, {"skipped": 1})
 
@@ -509,8 +519,9 @@ def run_verification_suite(
 ) -> dict:
     """Run every named check and bundle the results for reporting.
 
-    Each spec is resolved once, under max_order, and the checks take the
-    built groups.  Abelian-only checks are skipped (with a notice) when no
+    Each spec is resolved once, under max_order, and its regular
+    representation built once; the checks take the built groups or
+    representations.  Abelian-only checks are skipped (with a notice) when no
     given group is commutative.  Returns a JSON-ready dict; overall `passed`
     is the conjunction of the individual verdicts.
     """
@@ -527,16 +538,16 @@ def run_verification_suite(
     results = [
         check_representation_validity(reps + models),
         check_gabor_commutativity(gabor_sizes),
-        check_bracket_gramian(groups, rng, samples=samples),
+        check_bracket_gramian(reps, rng, samples=samples),
         check_duallemma_suite(rng, samples=max(samples, 25)),
     ]
     notices = []
     if abelian:
         results.append(check_lambda_structure(abelian, rng, pairs=samples))
-        results.append(check_support_lemma(abelian, rng, samples=samples))
+        results.append(check_support_lemma(reps, rng, samples=samples))
         results.append(
             check_sandwich_suite(
-                abelian, rng, samples=samples, adversarial=max(4, samples // 5)
+                reps, rng, samples=samples, adversarial=max(4, samples // 5)
             )
         )
     else:

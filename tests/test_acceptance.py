@@ -49,7 +49,11 @@ def test_criterion_1_bracket_operator_equals_gramian():
     rng = np.random.default_rng(1)
     start = time.perf_counter()
     result = check_bracket_gramian(
-        [group_from_spec(s) for s in specs], rng, samples=100, tol=1e-11, trace_tol=1e-12
+        [regular_representation(group_from_spec(s)) for s in specs],
+        rng,
+        samples=100,
+        tol=1e-11,
+        trace_tol=1e-12,
     )
     elapsed = time.perf_counter() - start
     assert result.passed, (
@@ -159,13 +163,16 @@ def test_criterion_5_support_lemma_and_sandwich_agreement():
     specs = ["Z4", "Z2xZ2", "Z3xZ4"]
     rng = np.random.default_rng(5)
     support = check_support_lemma(
-        [group_from_spec(s) for s in specs], rng, samples=100, tol=1e-10
+        [regular_representation(group_from_spec(s)) for s in specs], rng, samples=100, tol=1e-10
     )
     assert support.passed, support.details
     assert support.details["mismatches"] == 0
     assert support.samples == 300
     sandwich = check_sandwich_suite(
-        [group_from_spec(s) for s in specs], rng, samples=100, adversarial=20
+        [regular_representation(group_from_spec(s)) for s in specs],
+        rng,
+        samples=100,
+        adversarial=20,
     )
     assert sandwich.passed, sandwich.details
     assert sandwich.details["disagreements"] == 0

@@ -664,14 +664,49 @@ def test_large_generator_that_fits_is_classified(tmp_path, capsys):
 @pytest.mark.parametrize("tol", ["nan", "inf", "-1", "0"])
 def test_bad_tolerance_exits_2(tmp_path, capsys, tol):
     psi = _write_psi(tmp_path, [1.0, 0.5, 0.0, 0.0])
-    for argv in (
-        ("analyze", "--rep", "regular:Z4", "--psi", psi),
-        ("bracket", "--rep", "regular:Z4", "--psi", psi),
-    ):
-        code, out, err = run_cli(capsys, *argv, "--tol", tol)
-        _assert_clean_parse_error(code, err)
-        assert out == ""
-        assert "--tol" in err
+    code, out, err = run_cli(
+        capsys, "analyze", "--rep", "regular:Z4", "--psi", psi, "--tol", tol
+    )
+    _assert_clean_parse_error(code, err)
+    assert out == ""
+    assert "--tol" in err
+    # bracket reads no tolerance, so argparse refuses the option itself.
+    with pytest.raises(SystemExit) as exc:
+        main(["bracket", "--rep", "regular:Z4", "--psi", psi, "--tol", tol])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "--tol" in captured.err
+    assert "Traceback" not in captured.err
+
+
+@pytest.mark.parametrize("tol", ["0.001", "0.9", "1e308"])
+def test_analyze_refuses_a_tolerance_whose_guard_band_covers_the_spectrum(
+    tmp_path, capsys, tol
+):
+    # From tol = 1 / GAP_GUARD on, every nonzero orbit would come out
+    # bessel_only_degenerate, and from tol = 1 on a zero_system.
+    psi = _write_psi(tmp_path, [1.0, 0.5, 0.0, 0.0])
+    code, out, err = run_cli(
+        capsys, "analyze", "--rep", "regular:Z4", "--psi", psi, "--tol", tol
+    )
+    _assert_clean_parse_error(code, err)
+    assert err == f"error: --tol must be below 0.001, got {float(tol)!r}\n"
+    assert out == ""
+
+
+# The spectral gap of this orbit is 1/9: a guard band of 0.1 * lambda_max
+# leaves it a Riesz basis, one of 0.999 * lambda_max does not.
+@pytest.mark.parametrize(
+    "tol, verdict", [("1e-4", "riesz"), ("0.000999", "bessel_only_degenerate")]
+)
+def test_analyze_accepts_a_tolerance_below_the_bound(tmp_path, capsys, tol, verdict):
+    psi = _write_psi(tmp_path, [1.0, 0.5, 0.0, 0.0])
+    code, out, _ = run_cli(
+        capsys, "analyze", "--rep", "regular:Z4", "--psi", psi, "--tol", tol
+    )
+    assert code == 0
+    assert json.loads(out)["verdict"] == verdict
 
 
 @pytest.mark.parametrize("option", [("--tol", "1e-9"), ("--format", "csv")])

@@ -36,6 +36,10 @@ def _groups(*specs):
     return [group_from_spec(s) for s in specs]
 
 
+def _reps(*specs):
+    return [regular_representation(g) for g in _groups(*specs)]
+
+
 EXPECTED_CHECKS = [
     "representation_validity",
     "gabor_commutativity",
@@ -104,11 +108,11 @@ def test_gabor_commutativity_integer_phase_route():
 
 def test_individual_checks_pass_quickly():
     rng = np.random.default_rng(1)
-    assert check_bracket_gramian(_groups("Z4", "D4"), rng, samples=5).passed
+    assert check_bracket_gramian(_reps("Z4", "D4"), rng, samples=5).passed
     assert check_duallemma_suite(rng, samples=10).passed
     assert check_lambda_structure(_groups("Z4", "Z2xZ2"), rng, pairs=5).passed
-    assert check_support_lemma(_groups("Z4"), rng, samples=5).passed
-    assert check_sandwich_suite(_groups("Z4"), rng, samples=10, adversarial=3).passed
+    assert check_support_lemma(_reps("Z4"), rng, samples=5).passed
+    assert check_sandwich_suite(_reps("Z4"), rng, samples=10, adversarial=3).passed
     assert check_periodization_calibration(rng, samples=5).passed
     assert check_zak_calibration(rng, samples=5).passed
 
@@ -124,7 +128,7 @@ def test_duallemma_suite_counts_cases():
 
 def test_sandwich_suite_counts_adversarial_runs():
     rng = np.random.default_rng(5)
-    result = check_sandwich_suite(_groups("Z2xZ2"), rng, samples=8, adversarial=4)
+    result = check_sandwich_suite(_reps("Z2xZ2"), rng, samples=8, adversarial=4)
     assert result.passed
     assert result.details["disagreements"] == 0
     assert result.details["wrong_calls"] == 0
@@ -147,7 +151,7 @@ def test_adversarial_sandwich_bounds_are_called_as_expected(case):
 
 def test_sandwich_suite_calls_a_low_support_bound_wrong_nowhere():
     rng = np.random.default_rng(0)
-    result = check_sandwich_suite(_groups("Z512"), rng, samples=3, adversarial=4)
+    result = check_sandwich_suite(_reps("Z512"), rng, samples=3, adversarial=4)
     assert result.details == {"disagreements": 0, "wrong_calls": 0}
     assert result.passed
 
@@ -168,14 +172,14 @@ def test_suite_respects_group_order_cap():
 
 
 _NO_SAMPLE_RUNS = {
-    "bracket": lambda rng: check_bracket_gramian(_groups("Z4", "D4"), rng, samples=0),
+    "bracket": lambda rng: check_bracket_gramian(_reps("Z4", "D4"), rng, samples=0),
     "duallemma": lambda rng: check_duallemma_suite(rng, samples=0),
     "lambda-D4": lambda rng: check_lambda_structure(_groups("D4"), rng),
     "lambda-Z4": lambda rng: check_lambda_structure(_groups("Z4"), rng, pairs=0),
-    "support-D4-H3": lambda rng: check_support_lemma(_groups("D4", "H3"), rng),
-    "support-Z4": lambda rng: check_support_lemma(_groups("Z4"), rng, samples=0),
-    "sandwich-D4": lambda rng: check_sandwich_suite(_groups("D4"), rng),
-    "sandwich-Z4": lambda rng: check_sandwich_suite(_groups("Z4"), rng, samples=0, adversarial=0),
+    "support-D4-H3": lambda rng: check_support_lemma(_reps("D4", "H3"), rng),
+    "support-Z4": lambda rng: check_support_lemma(_reps("Z4"), rng, samples=0),
+    "sandwich-D4": lambda rng: check_sandwich_suite(_reps("D4"), rng),
+    "sandwich-Z4": lambda rng: check_sandwich_suite(_reps("Z4"), rng, samples=0, adversarial=0),
     "periodization": lambda rng: check_periodization_calibration(rng, samples=0),
     "zak": lambda rng: check_zak_calibration(rng, samples=0),
     "representations": lambda rng: check_representation_validity([]),
@@ -212,7 +216,7 @@ def test_support_lemma_counts_each_mismatching_sample(monkeypatch):
     monkeypatch.setattr(
         verification, "_support_projections", lambda group, mats, tol: np.zeros(mats.shape[:2])
     )
-    result = check_support_lemma(_groups("Z4", "Z3xZ4"), np.random.default_rng(0), samples=6)
+    result = check_support_lemma(_reps("Z4", "Z3xZ4"), np.random.default_rng(0), samples=6)
     assert result.details["mismatches"] == 12
     assert result.passed is False
 
@@ -229,6 +233,28 @@ def test_suite_resolves_each_spec_once_under_its_cap(monkeypatch):
     monkeypatch.setattr(verification, "group_from_spec", counting)
     run_verification_suite(seed=0, samples=1, max_order=8192)
     assert caps == [8192] * len(DEFAULT_GROUP_SPECS)
+
+
+def test_suite_builds_each_regular_action_once(monkeypatch):
+    built = []
+
+    def counting(group):
+        built.append(group)
+        return regular_representation(group)
+
+    monkeypatch.setattr(verification, "regular_representation", counting)
+    run_verification_suite(seed=0, samples=1)
+    assert len(built) == len(DEFAULT_GROUP_SPECS)
+    assert len({id(group) for group in built}) == len(built)
+
+
+@pytest.mark.parametrize("n", [1, 7, 64])
+def test_cvec_draws_real_then_imaginary_parts(n):
+    rng, former = np.random.default_rng(n), np.random.default_rng(n)
+    z = verification._cvec(rng, n)
+    expected = former.standard_normal(n) + 1j * former.standard_normal(n)
+    assert z.tobytes() == expected.tobytes()
+    assert rng.bit_generator.state == former.bit_generator.state
 
 
 def test_only_the_suite_resolves_group_specs():

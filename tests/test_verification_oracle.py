@@ -410,12 +410,16 @@ def _rngs(seed):
     return np.random.default_rng(seed), np.random.default_rng(seed)
 
 
+def _regular_reps(specs):
+    return [regular_representation(group_from_spec(s)) for s in specs]
+
+
 @pytest.mark.parametrize("samples", SAMPLES)
 @pytest.mark.parametrize("seed", SEEDS)
 def test_bracket_gramian_matches_oracle(seed, samples):
     new, old = _rngs(seed)
     _same(
-        check_bracket_gramian([group_from_spec(s) for s in SPECS], new, samples=samples),
+        check_bracket_gramian(_regular_reps(SPECS), new, samples=samples),
         oracle_bracket_gramian(SPECS, old, samples),
         new,
         old,
@@ -449,6 +453,40 @@ def test_duallemma_reports_match_oracle(seed):
             assert check_duallemma(k, a, b) == report
 
 
+def _fixed_factor(rows, cols, sing, seed=11):
+    """A (rows, cols) K whose nonzero singular values are sing."""
+    rng = np.random.default_rng(seed)
+    rank = len(sing)
+    q1, _ = np.linalg.qr(_cvec(rng, rows * rank).reshape(rows, rank))
+    q2, _ = np.linalg.qr(_cvec(rng, cols * rank).reshape(cols, rank))
+    return (q1 * np.asarray(sing, dtype=float)) @ q2.conj().T
+
+
+_FIXED_FACTORS = {
+    "square-7-rank-3": _fixed_factor(7, 7, (0.7, 1.2, 1.9)),
+    "wide-2x32": _fixed_factor(2, 32, (0.6, 1.5)),
+    "tall-32x2": _fixed_factor(32, 2, (0.9, 1.1)),
+    "rank-1": _fixed_factor(5, 9, (1.3,)),
+    "zero": np.zeros((4, 6), dtype=np.complex128),
+}
+
+
+@pytest.mark.parametrize("k", _FIXED_FACTORS.values(), ids=_FIXED_FACTORS.keys())
+def test_duallemma_reports_match_oracle_on_fixed_factors(k):
+    s2 = np.linalg.svd(k, compute_uv=False) ** 2
+    nonzero = s2[s2 > 1e-10 * max(1.0, float(s2.max()))]
+    low = float(nonzero.min()) if nonzero.size else 0.5
+    b = float(nonzero.max()) * (1.0 + 1e-3) if nonzero.size else 1.0
+    for lower in ((low * (1.0 - 1e-3),), (low * (1.0 - 1e-3), low * 1.01, 0.5 * b)):
+        batched = _duallemma_reports(k, lower, b)
+        assert len(batched) == len(lower)
+        for a, report in zip(lower, batched):
+            flags, deviations = _duallemma(k, a, b, 1e-10)
+            assert report.as_tuple() == flags
+            assert tuple(report.deviations.values()) == deviations
+            assert check_duallemma(k, a, b) == report
+
+
 @pytest.mark.parametrize("samples", SAMPLES)
 @pytest.mark.parametrize("seed", SEEDS)
 def test_lambda_structure_matches_oracle(seed, samples):
@@ -466,7 +504,7 @@ def test_lambda_structure_matches_oracle(seed, samples):
 def test_support_lemma_matches_oracle(seed, samples):
     new, old = _rngs(seed)
     _same(
-        check_support_lemma([group_from_spec(s) for s in SPECS], new, samples=samples),
+        check_support_lemma(_regular_reps(SPECS), new, samples=samples),
         oracle_support_lemma(SPECS, old, samples),
         new,
         old,
@@ -480,7 +518,7 @@ def test_sandwich_suite_matches_oracle(seed, samples):
     adversarial = max(4, samples // 5)
     _same(
         check_sandwich_suite(
-            [group_from_spec(s) for s in SPECS], new, samples=samples, adversarial=adversarial
+            _regular_reps(SPECS), new, samples=samples, adversarial=adversarial
         ),
         oracle_sandwich_suite(SPECS, old, samples, adversarial),
         new,
