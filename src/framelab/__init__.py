@@ -25,8 +25,6 @@ from .abelian import (
 )
 from .errors import (
     AffiliationError,
-    BadFactorizationError,
-    BadLengthError,
     DimMismatchError,
     DimTooLargeError,
     EmptyFactorsError,

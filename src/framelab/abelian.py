@@ -14,14 +14,16 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (
-    BadFactorizationError,
-    BadLengthError,
-    NotAbelianError,
-    NotRealValuedError,
-)
+from .errors import NotAbelianError, NotRealValuedError, ParseError
 from .groups import FiniteGroup, _freeze, character_table, group_function, make_abelian_group
-from .representations import UnitaryRepresentation, bracket_operator, correlation_function
+from .representations import (
+    UnitaryRepresentation,
+    _as_generator,
+    _check_gabor_sizes,
+    _check_shift_sizes,
+    bracket_operator,
+    correlation_function,
+)
 from .vnalgebra import (
     ConvolutionOperator,
     _convolution_matrices,
@@ -155,14 +157,13 @@ def periodization_bracket(psi, n: int, m: int) -> DualFunction:
     Computed from the signal's n*m-point DFT by folding squared magnitudes
     onto residues mod n.  The 1/m normalization below was calibrated against
     the operator-route bracket (delta and random generators over two grid
-    sizes) and is frozen; tests keep both routes pinned together.
+    sizes) and is frozen; tests keep both routes pinned together.  The sizes
+    and the signal are checked as shift_model_representation and analyze
+    check them.
     """
     n, m = int(n), int(m)
-    if n < 2 or m < 1:
-        raise BadLengthError(f"shift model needs N >= 2 and M >= 1, got {n}, {m}")
-    arr = np.asarray(psi, dtype=np.complex128).reshape(-1)
-    if arr.shape[0] != n * m:
-        raise BadLengthError(f"signal length {arr.shape[0]} != N*M = {n * m}")
+    _check_shift_sizes(n, m)
+    arr = _as_generator(psi, n * m)
     group = make_abelian_group([n])
     return DualFunction(group, _freeze(_periodization_values(arr, n, m)))
 
@@ -182,19 +183,9 @@ def zak_transform(psi, l: int, m: int) -> ZakArray:
     """Zak coefficients for the factorization length = l*m."""
     l, m = int(l), int(m)
     if l < 1 or m < 1:
-        raise BadFactorizationError(f"factors must be positive, got {l}, {m}")
-    values = _zak_rows(_zak_signal(psi, l, m), l, m).T
+        raise ParseError(f"factors must be positive, got {l}, {m}")
+    values = _zak_rows(_as_generator(psi, l * m), l, m).T
     return ZakArray(l, m, _freeze(values.copy()))
-
-
-def _zak_signal(psi, l: int, m: int) -> np.ndarray:
-    """psi as a flat complex signal, refused unless its length is l*m."""
-    arr = np.asarray(psi, dtype=np.complex128).reshape(-1)
-    if arr.shape[0] != l * m:
-        raise BadFactorizationError(
-            f"signal length {arr.shape[0]} does not factor as {l}*{m}"
-        )
-    return arr
 
 
 def _zak_rows(psis: np.ndarray, l: int, m: int) -> np.ndarray:
@@ -218,12 +209,13 @@ def gabor_bracket_via_zak(phi, psi, l: int, m: int) -> DualFunction:
     m * Zphi[m2, m1] * conj(Zpsi[m2, m1]): position index pairs with the
     second exponent, frequency with the first.  Both the factor m and the
     index pairing were calibrated against the operator-route bracket on
-    delta and random generators over two grid sizes and are frozen here.
+    delta and random generators over two grid sizes and are frozen here.  The
+    sizes and the vectors are checked as gabor_representation and analyze
+    check them.
     """
     l, m = int(l), int(m)
-    if l < 2 or m < 2:
-        raise BadFactorizationError(f"gabor model needs factors >= 2, got {l}, {m}")
-    values = _zak_values(_zak_signal(phi, l, m), _zak_signal(psi, l, m), l, m)
+    _check_gabor_sizes(l, m)
+    values = _zak_values(_as_generator(phi, l * m), _as_generator(psi, l * m), l, m)
     group = make_abelian_group([l, m])
     return DualFunction(group, _freeze(values))
 

@@ -25,6 +25,7 @@ from .groups import DEFAULT_MAX_ORDER
 from .io import SCHEMA, dump_json, load_generator, pairs_from_complex, spectrum_csv, values_csv
 from .representations import OrbitSystem, bracket_operator, parse_rep_spec
 from .verification import DEFAULT_GROUP_SPECS, run_verification_suite
+from .vnalgebra import _hermitian_spectrum
 
 EXIT_OK = 0
 EXIT_FAIL = 1
@@ -104,16 +105,6 @@ def _cmd_analyze(args) -> int:
     return EXIT_OK
 
 
-def _hermitian_spectrum(op) -> np.ndarray:
-    """Eigenvalues of the hermitized operator matrix (F + F*) / 2.
-
-    Halving before the sum is exact and keeps a kernel near the largest
-    float from overflowing.
-    """
-    half = op.matrix / 2.0
-    return np.linalg.eigvalsh(half + half.conj().T)
-
-
 def _bracket_oracle(rep, op, psi: np.ndarray, values: np.ndarray) -> float:
     """Recompute the bracket along an independent route; return max deviation.
 
@@ -128,7 +119,7 @@ def _bracket_oracle(rep, op, psi: np.ndarray, values: np.ndarray) -> float:
     else:
         # Self-brackets are positive, so the multiplier values must match the
         # (real) spectrum of the operator matrix as a sorted list.
-        eig = _hermitian_spectrum(op)
+        eig = _hermitian_spectrum(op.matrix)
         got = np.sort(values.real)
         scale = max(1.0, float(np.abs(eig).max(initial=0.0)))
         return float(np.abs(got - eig).max()) / scale
@@ -146,7 +137,7 @@ def _cmd_bracket(args) -> int:
     _require_finite(op.coefficients.values, "the bracket kernel")
 
     if rep.group.abelian is None:
-        spectrum = _hermitian_spectrum(op)
+        spectrum = _hermitian_spectrum(op.matrix)
         _require_finite(spectrum, "the bracket spectrum")
         if rep.group.is_abelian:
             needs = "cyclic-product coordinates"

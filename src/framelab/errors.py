@@ -4,8 +4,6 @@ from __future__ import annotations
 
 __all__ = [
     "AffiliationError",
-    "BadFactorizationError",
-    "BadLengthError",
     "DimMismatchError",
     "DimTooLargeError",
     "EmptyFactorsError",
@@ -97,14 +95,6 @@ class ZeroGeneratorError(FrameLabError):
 
 class NonFiniteResultError(FrameLabError):
     """A bound, spectrum or bracket value does not fit in a finite float."""
-
-
-class BadLengthError(FrameLabError):
-    """A signal's length does not match the requested model size."""
-
-
-class BadFactorizationError(FrameLabError):
-    """A signal's length does not factor as the requested L*M."""
 
 
 class NotRealValuedError(FrameLabError):

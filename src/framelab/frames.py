@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .abelian import lambda_multiplier
+from .abelian import _multipliers
 from .errors import NonFiniteResultError, ZeroGeneratorError
 from .groups import _character_rows, group_function
 from .representations import (
@@ -26,8 +26,8 @@ from .representations import (
 from .vnalgebra import (
     BLOCK_STRUCTURES,
     _convolution_matrices,
+    _hermitian_spectrum,
     block_spectrum,
-    operator_from_coefficients,
 )
 
 __all__ = [
@@ -306,15 +306,6 @@ def _power_of_two_scaled(psi: np.ndarray) -> tuple[np.ndarray, int]:
     return scaled, exp
 
 
-def _scalar_route(op, w: np.ndarray, lam_max: float) -> float:
-    """Deviation of the character-table multiplier from the spectrum w."""
-    mult = lambda_multiplier(op)
-    vals = np.sort(mult.values.real)
-    dev_scalar = float(np.abs(vals - w).max()) / lam_max
-    dev_imag = float(np.abs(mult.values.imag).max()) / lam_max
-    return max(dev_scalar, dev_imag)
-
-
 def _seeded_scalar_route(
     group, c: np.ndarray, w: np.ndarray, chars: np.ndarray, lam_max: float
 ) -> float:
@@ -330,24 +321,41 @@ def _seeded_scalar_route(
     return float(np.maximum(dev_scalar, np.abs(vals.imag)).max()) / lam_max
 
 
+def _grams_and_kernels(rep, psis: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Orbit Gram matrices and bracket kernels of one generator or a (k, dim) stack.
+
+    The orbit is gathered once, and the synthesis matrix (column g is
+    U(g) psi) is copied out of it before _kernel_values conjugates it in
+    place.
+    """
+    moved = _orbit_stack(rep, psis)  # row g is U(g) psi
+    synthesis = np.swapaxes(moved, -1, -2).copy()
+    gram = np.swapaxes(synthesis.conj(), -1, -2) @ synthesis
+    return gram, _kernel_values(moved, psis)
+
+
 def _dense_routes(orbit: OrbitSystem) -> tuple[np.ndarray, dict[str, float]]:
-    """Spectrum from the dense Gram matrix, checked against the operator matrix."""
+    """Spectrum from the dense Gram matrix, checked against the operator matrix.
+
+    On a cyclic product the scalar route checks the multiplier, whose sorted
+    real parts are the spectrum and whose imaginary parts are zero.
+    """
     rep = orbit.rep
-    psi = _as_generator(rep, orbit.generator)
-    moved = _orbit_stack(rep, psi)  # row g is U(g) psi
-    gram = gram_matrix(vector_system(moved.T.copy()))
+    psi = _as_generator(orbit.generator, rep.dim)
+    gram, c = _grams_and_kernels(rep, psi)  # c(g) = <psi, U(g) psi>
     w = np.linalg.eigvalsh(gram)
     lam_max = max(float(w[-1]), 1e-300)
 
-    c = _kernel_values(moved, psi)  # c(g) = <psi, U(g) psi>
-    op = operator_from_coefficients(group_function(rep.group, c))
-    dev_matrix = float(np.abs(op.matrix - gram).max()) / lam_max
-    w_op = np.linalg.eigvalsh((op.matrix + op.matrix.conj().T) / 2.0)
-    dev_spec = float(np.abs(w_op - w).max()) / lam_max
+    op_matrix = _convolution_matrices(rep.group, c)
+    dev_matrix = float(np.abs(op_matrix - gram).max()) / lam_max
+    dev_spec = float(np.abs(_hermitian_spectrum(op_matrix) - w).max()) / lam_max
     routes = {"bracket": max(dev_matrix, dev_spec)}
 
     if rep.group.abelian is not None:
-        routes["scalar"] = _scalar_route(op, w, lam_max)
+        mult = _multipliers(rep.group, c)
+        dev_scalar = float(np.abs(np.sort(mult.real) - w).max()) / lam_max
+        dev_imag = float(np.abs(mult.imag).max()) / lam_max
+        routes["scalar"] = max(dev_scalar, dev_imag)
     return w, routes
 
 
@@ -463,7 +471,7 @@ def verify_bracket_equals_gramian(
     of the orbit.  Also checks that the operator trace equals the squared
     generator norm.
     """
-    psi = _as_generator(orbit.rep, orbit.generator)
+    psi = _as_generator(orbit.generator, orbit.rep.dim)
     max_dev, trace_dev = _bracket_gramian_deviations(orbit.rep, psi[None])
     return BracketGramianCheck(
         max_deviation=float(max_dev[0]), trace_deviation=float(trace_dev[0])
@@ -477,10 +485,7 @@ def _bracket_gramian_deviations(
 
     Returns the entrywise and the trace deviation per generator.
     """
-    moved = _orbit_stack(rep, psis)  # (k, order, dim)
-    synthesis = moved.transpose(0, 2, 1).copy()
-    gram = synthesis.conj().transpose(0, 2, 1) @ synthesis
-    kernels = _kernel_values(moved, psis)
+    gram, kernels = _grams_and_kernels(rep, psis)
     max_dev = np.abs(_convolution_matrices(rep.group, kernels) - gram).max(axis=(1, 2))
     # The squared norm as np.linalg.norm(psi) ** 2 forms it, one scalar power
     # per generator.

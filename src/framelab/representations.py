@@ -116,11 +116,12 @@ class RepVerification:
     failing_pair: tuple[int, int] | None
 
 
-def _as_generator(rep: UnitaryRepresentation, vec) -> np.ndarray:
+def _as_generator(vec, dim: int) -> np.ndarray:
+    """vec as a flat complex vector, refused unless it has dim finite values."""
     arr = np.asarray(vec, dtype=np.complex128).reshape(-1)
-    if arr.shape != (rep.dim,):
+    if arr.shape != (dim,):
         raise DimMismatchError(
-            f"generator has length {arr.shape[0]}, representation dim is {rep.dim}"
+            f"generator has length {arr.shape[0]}, representation dim is {dim}"
         )
     if not np.isfinite(arr).all():
         raise ParseError("generator holds a non-finite value")
@@ -149,41 +150,59 @@ def _shift_sources(count: int, stride: int, dim: int, repeat: int = 1) -> np.nda
     return np.ascontiguousarray(windows).reshape(count * repeat, dim)
 
 
+def _check_dim(dim: int) -> None:
+    """Refuse a space above DEFAULT_MAX_DIM, as it reads at call time."""
+    if dim > DEFAULT_MAX_DIM:
+        raise DimTooLargeError(f"dimension {dim} exceeds cap {DEFAULT_MAX_DIM}")
+
+
 def regular_representation(group: FiniteGroup) -> UnitaryRepresentation:
     """Left translation on functions over the group.
 
     lambda(g) maps delta_y to delta_{g y}, so (lambda(g) v)[x] = v[g^-1 x].
+    Its dimension is the group order, refused over the dimension cap before
+    any product is evaluated.
     """
+    _check_dim(group.order)
     src = group.rows(group.inverses)
     return UnitaryRepresentation(
         group, group.order, _freeze(src), _trivial_phase(src.shape), ("regular",)
     )
 
 
+def _check_shift_sizes(n: int, m: int) -> None:
+    if n < 2 or m < 1:
+        raise ParseError(f"shift model needs N >= 2 and M >= 1, got {n}, {m}")
+
+
 def shift_model_representation(
-    n: int, m: int, max_dim: int = DEFAULT_MAX_DIM
+    n: int, m: int, max_order: int = DEFAULT_MAX_ORDER
 ) -> UnitaryRepresentation:
     """Z_n acting on C^(n*m) by cyclic shifts of stride m.
 
     Element k shifts a signal by k*m samples, so the orbit of delta_0 visits
     delta_0, delta_m, delta_2m, ...  With m = 1 this is exactly the left
-    regular representation of Z_n.
+    regular representation of Z_n.  The sizes are checked for range, then
+    the order n against max_order, then the dimension n*m against the cap.
     """
     n, m = int(n), int(m)
-    if n < 2 or m < 1:
-        raise ParseError(f"shift model needs N >= 2 and M >= 1, got {n}, {m}")
+    _check_shift_sizes(n, m)
+    group = make_abelian_group([n], max_order=max_order)
     dim = n * m
-    if dim > max_dim:
-        raise DimTooLargeError(f"dimension {dim} exceeds cap {max_dim}")
-    group = make_abelian_group([n])
+    _check_dim(dim)
     src = _shift_sources(n, m, dim)
     return UnitaryRepresentation(
         group, dim, _freeze(src), _trivial_phase(src.shape), ("shift", n, m)
     )
 
 
+def _check_gabor_sizes(l: int, m: int) -> None:
+    if l < 2 or m < 2:
+        raise ParseError(f"gabor model needs factors at least 2, got {l}, {m}")
+
+
 def gabor_representation(
-    l: int, m: int, max_dim: int = DEFAULT_MAX_DIM
+    l: int, m: int, max_order: int = DEFAULT_MAX_ORDER
 ) -> UnitaryRepresentation:
     """Z_l x Z_m acting on C^(l*m) by stride-m shifts and stride-l modulations.
 
@@ -192,15 +211,14 @@ def gabor_representation(
     lattice the commutator phase exp(-2i pi (lj)(mk) / n) is exp(-2i pi jk),
     identically one, so the family is a genuine representation.  Phases are
     reduced to integers mod n before exponentiation, which keeps products of
-    these matrices commuting exactly.
+    these matrices commuting exactly.  The sizes are checked as in
+    shift_model_representation; here order and dimension are both l*m.
     """
     l, m = int(l), int(m)
-    if l < 2 or m < 2:
-        raise ParseError(f"gabor model needs factors at least 2, got {l}, {m}")
+    _check_gabor_sizes(l, m)
+    group = make_abelian_group([l, m], max_order=max_order)
     dim = l * m
-    if dim > max_dim:
-        raise DimTooLargeError(f"dimension {dim} exceeds cap {max_dim}")
-    group = make_abelian_group([l, m])
+    _check_dim(dim)
     x = np.arange(dim)
     roots = np.exp(-2j * np.pi * x / dim)
     # Element index is k * m + j for translation k and modulation j.  The
@@ -309,7 +327,7 @@ def verify_representation(
 
 def orbit_rows(orbit: OrbitSystem) -> np.ndarray:
     """(order, dim) array whose row g is the generator moved by element g."""
-    return _orbit_stack(orbit.rep, _as_generator(orbit.rep, orbit.generator))
+    return _orbit_stack(orbit.rep, _as_generator(orbit.generator, orbit.rep.dim))
 
 
 def _orbit_stack(rep: UnitaryRepresentation, psis: np.ndarray) -> np.ndarray:
@@ -334,8 +352,8 @@ def correlation_function(
     rep: UnitaryRepresentation, phi, psi
 ) -> GroupFunction:
     """g -> <phi, U(g) psi>, with the inner product linear in phi."""
-    phi = _as_generator(rep, phi)
-    psi = _as_generator(rep, psi)
+    phi = _as_generator(phi, rep.dim)
+    psi = _as_generator(psi, rep.dim)
     return group_function(rep.group, _correlation_values(rep, phi, psi))
 
 
@@ -367,37 +385,22 @@ def bracket_operator(
     return operator_from_coefficients(correlation_function(rep, phi, psi))
 
 
-def parse_rep_spec(
-    spec: str,
-    max_order: int = DEFAULT_MAX_ORDER,
-    max_dim: int = DEFAULT_MAX_DIM,
-) -> UnitaryRepresentation:
+def parse_rep_spec(spec: str, max_order: int = DEFAULT_MAX_ORDER) -> UnitaryRepresentation:
     """Resolve 'regular:GROUP', 'shift:N,M', or 'gabor:L,M'.
 
-    Only the grammar and the caps are checked here; each builder checks the
-    range of its own parameters.  A regular representation's dimension is
-    its order: its group is built under max_order, which takes O(order)
-    memory, and refused over max_dim before its action is built.
+    Only the grammar is checked here; each builder checks the range of its
+    own parameters and the order and dimension caps.
     """
     spec = spec.strip()
     head, sep, tail = spec.partition(":")
     if not sep:
         raise ParseError(f"representation spec {spec!r} has no ':'")
     if head == "regular":
-        group = group_from_spec(tail, max_order=max_order)
-        if group.order > max_dim:
-            raise DimTooLargeError(f"dimension {group.order} exceeds cap {max_dim}")
-        return regular_representation(group)
-    if head not in ("shift", "gabor"):
+        return regular_representation(group_from_spec(tail, max_order=max_order))
+    builders = {"shift": shift_model_representation, "gabor": gabor_representation}
+    if head not in builders:
         raise ParseError(f"unknown representation kind {head!r}")
     parts = tail.split(",")
     if len(parts) != 2 or not all(_is_count(p.strip()) for p in parts):
         raise ParseError(f"{head} spec needs two integers, got {tail!r}")
-    a, b = (int(p) for p in parts)
-    if head == "shift":
-        if a > max_order:
-            raise ParseError(f"shift group order {a} exceeds cap {max_order}")
-        return shift_model_representation(a, b, max_dim=max_dim)
-    if a * b > max_order:
-        raise ParseError(f"gabor group order {a * b} exceeds cap {max_order}")
-    return gabor_representation(a, b, max_dim=max_dim)
+    return builders[head](*(int(p) for p in parts), max_order=max_order)

@@ -124,24 +124,27 @@ def check_representation_validity(
 def check_gabor_commutativity(models) -> CheckResult:
     """Commutativity of the shift-modulation lattice, on exact integer phases.
 
-    models lists the (l, m) sizes of gabor models.  For the (l, m) model the
-    composed action of (k, j) then (k', j') carries the integer phase
-    l j x + l j' (x - m k) mod n.  Commutativity is exact when swapping the
-    pair leaves all phases and shifts unchanged as integers, which avoids
-    trusting bitwise floating products.  The two products U(a) U(b) and
-    U(b) U(a) are also compared with a strict tolerance, entry by entry on
-    their monomial form.  It never compares a product with U(ab), so an
-    action that breaks the law but still commutes passes it; the suite
-    passes it the sizes of its parsed gabor models, whose law
+    models lists representations; those of gabor models are checked and the
+    others skipped.  For the (l, m) model the composed action of (k, j) then
+    (k', j') carries the integer phase l j x + l j' (x - m k) mod n.
+    Commutativity is exact when swapping the pair leaves all phases and
+    shifts unchanged as integers, which avoids trusting bitwise floating
+    products.  The two products U(a) U(b) and U(b) U(a) are also compared
+    with a strict tolerance, entry by entry on their monomial form.  It never
+    compares a product with U(ab), so an action that breaks the law but still
+    commutes passes it; the suite passes it its parsed models, whose law
     check_representation_validity checks over all pairs.
     """
     worst = 0.0
     exact = True
     count = 0
-    for l, m in models:
+    for rep in models:
+        kind, *sizes = rep.model
+        if kind != "gabor":
+            continue
+        l, m = sizes
         n = l * m
         x = np.arange(n)
-        rep = gabor_representation(l, m)
         # One row per (k1, j1, k2, j2), the last running fastest.
         k1, j1, k2, j2 = (i.reshape(-1, 1) for i in np.indices((l, m, l, m)))
         t12 = (l * j1 * x + l * j2 * ((x - m * k1) % n)) % n
@@ -190,7 +193,7 @@ def check_bracket_gramian(
 
 
 def _random_factor_matrix(
-    rng: np.random.Generator, max_dim: int
+    rng: np.random.Generator, max_side: int
 ) -> tuple[np.ndarray, np.ndarray]:
     """A random K with controlled, well separated nonzero singular values.
 
@@ -198,8 +201,8 @@ def _random_factor_matrix(
     only their first rank columns are factored: those columns alone give the
     first rank columns of Q, the only ones K uses.
     """
-    rows = int(rng.integers(2, max_dim + 1))
-    cols = int(rng.integers(2, max_dim + 1))
+    rows = int(rng.integers(2, max_side + 1))
+    cols = int(rng.integers(2, max_side + 1))
     rank = int(rng.integers(1, min(rows, cols) + 1))
     sing = np.sort(rng.uniform(0.5, 2.0, size=rank)) + 0.05 * np.arange(rank)
     q1, _ = np.linalg.qr(_cvec(rng, rows * rows).reshape(rows, rows)[:, :rank])
@@ -211,15 +214,18 @@ def _random_factor_matrix(
 def check_duallemma_suite(
     rng: np.random.Generator,
     samples: int = 200,
-    max_dim: int = 32,
+    max_side: int = 32,
     tol: float = 1e-10,
 ) -> CheckResult:
-    """All four spectral tests agree, and flip together when A is pushed up."""
+    """All four spectral tests agree, and flip together when A is pushed up.
+
+    Each sample's K has between 2 and max_side rows and columns.
+    """
     disagreements = 0
     false_negatives = 0
     stuck_flips = 0
     for _ in range(samples):
-        k, s2 = _random_factor_matrix(rng, max_dim)
+        k, s2 = _random_factor_matrix(rng, max_side)
         a = float(s2.min()) * (1.0 - 1e-3)
         b = float(s2.max()) * (1.0 + 1e-3)
         distinct = np.unique(s2)
@@ -533,11 +539,10 @@ def run_verification_suite(
 
     reps = [regular_representation(g) for g in groups]
     models = [parse_rep_spec(spec) for spec in _DEFAULT_MODELS]
-    gabor_sizes = [tuple(rep.model[1:]) for rep in models if rep.model[0] == "gabor"]
 
     results = [
         check_representation_validity(reps + models),
-        check_gabor_commutativity(gabor_sizes),
+        check_gabor_commutativity(models),
         check_bracket_gramian(reps, rng, samples=samples),
         check_duallemma_suite(rng, samples=max(samples, 25)),
     ]

@@ -130,6 +130,16 @@ def _convolution_matrices(group: FiniteGroup, kernels: np.ndarray) -> np.ndarray
     return kernels[..., idx]
 
 
+def _hermitian_spectrum(matrix: np.ndarray) -> np.ndarray:
+    """Eigenvalues of the hermitized matrix (F + F*) / 2.
+
+    Halving before the sum is exact and keeps a kernel near the largest
+    float from overflowing.
+    """
+    half = matrix / 2.0
+    return np.linalg.eigvalsh(half + half.conj().T)
+
+
 def operator_from_coefficients(coefficients: GroupFunction) -> ConvolutionOperator:
     """Wrap a kernel as the operator sum_g c(g) rho(g)*."""
     return ConvolutionOperator(coefficients)

@@ -4,8 +4,7 @@ import numpy as np
 import pytest
 
 from framelab import (
-    BadFactorizationError,
-    BadLengthError,
+    DimMismatchError,
     DualFunction,
     InvalidPError,
     NotAbelianError,
@@ -33,6 +32,7 @@ from framelab import (
     make_abelian_group,
     make_builtin_group,
     operator_from_coefficients,
+    ParseError,
     periodization_bracket,
     regular_representation,
     scalar_bracket,
@@ -230,9 +230,9 @@ def test_periodization_matches_operator_route(n, m):
 
 
 def test_periodization_length_checks():
-    with pytest.raises(BadLengthError):
+    with pytest.raises(DimMismatchError):
         periodization_bracket(np.ones(5), 3, 2)
-    with pytest.raises(BadLengthError):
+    with pytest.raises(ParseError):
         periodization_bracket(np.ones(6), 0, 6)
 
 
@@ -301,9 +301,9 @@ def test_zak_linearity_and_inverse():
 
 
 def test_zak_factorization_checks():
-    with pytest.raises(BadFactorizationError):
+    with pytest.raises(DimMismatchError):
         zak_transform(np.ones(5), 2, 2)
-    with pytest.raises(BadFactorizationError):
+    with pytest.raises(ParseError):
         gabor_bracket_via_zak(np.ones(4), np.ones(4), 4, 1)
 
 

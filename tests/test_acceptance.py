@@ -72,7 +72,7 @@ def test_criterion_1_bracket_operator_equals_gramian():
 
 def test_criterion_2_duallemma_four_tests_agree():
     rng = np.random.default_rng(2)
-    result = check_duallemma_suite(rng, samples=200, max_dim=32, tol=1e-10)
+    result = check_duallemma_suite(rng, samples=200, max_side=32, tol=1e-10)
     details = result.details
     assert details["disagreements"] == 0, details
     assert details["false_negatives"] == 0, details
@@ -256,7 +256,8 @@ def test_criterion_8_representations_verify_and_gabor_commutes():
     assert validity.passed, (
         f"representation deviation {validity.max_deviation:.3e} exceeds 1e-13"
     )
-    commute = check_gabor_commutativity(models=((2, 2), (2, 3), (4, 3)))
+    gabors = [gabor_representation(l, m) for l, m in ((2, 2), (2, 3), (4, 3))]
+    commute = check_gabor_commutativity(models=gabors)
     assert commute.passed
     assert commute.details["integer_phases_exact"] is True
     _announce(

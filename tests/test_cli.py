@@ -636,6 +636,14 @@ def test_regular_over_the_dim_cap_exits_2(tmp_path, capsys, monkeypatch, rep):
     assert out == "" and err == "error: dimension 6000 exceeds cap 4096\n"
 
 
+@pytest.mark.parametrize("rep", ["regular:Z5000", "shift:5000,1", "gabor:50,100"])
+def test_an_order_over_the_cap_prints_one_message(tmp_path, capsys, rep):
+    psi = _write_psi(tmp_path, [1.0, 0.0])
+    code, out, err = run_cli(capsys, "analyze", "--rep", rep, "--psi", psi)
+    _assert_clean_parse_error(code, err)
+    assert out == "" and err == "error: order 5000 exceeds cap 4096\n"
+
+
 def test_bracket_oracle_near_the_largest_float(tmp_path, capsys):
     # c(e) = 1.69e308 fits, but F + F* would not before halving.
     psi = _write_psi(tmp_path, [1.3e154, 0.0])
@@ -919,8 +927,8 @@ def test_a_broken_gabor_action_fails_the_oracle_and_the_routes(
 
     build = reps.gabor_representation
 
-    def row_one_times_1j(l, m, max_dim=reps.DEFAULT_MAX_DIM):
-        rep = build(l, m, max_dim)
+    def row_one_times_1j(l, m, max_order=reps.DEFAULT_MAX_ORDER):
+        rep = build(l, m, max_order)
         phase = rep.phase.copy()
         phase[1] *= 1j
         return dataclasses.replace(rep, phase=phase)

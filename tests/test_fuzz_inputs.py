@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import framelab.representations as representations
 from framelab import FrameLabError, group_from_spec, parse_rep_spec
 from framelab.io import load_generator
 
@@ -128,9 +129,12 @@ _spec_tails = st.text(alphabet="0123456789xZDH,:.-+ ²٣\x00", max_size=12) | st
 @settings(max_examples=300)
 @given(head=_spec_heads, tail=_spec_tails)
 def test_parse_rep_spec_on_arbitrary_strings(head, tail):
-    rep = _expect_result_or_typed_error(
-        lambda: parse_rep_spec(head + tail, max_order=_CAP, max_dim=_CAP)
-    )
+    # Patched here: hypothesis refuses the function-scoped monkeypatch fixture.
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(representations, "DEFAULT_MAX_DIM", _CAP)
+        rep = _expect_result_or_typed_error(
+            lambda: parse_rep_spec(head + tail, max_order=_CAP)
+        )
     if rep is not None:
         assert rep.src.shape == (rep.group.order, rep.dim)
         assert rep.group.order <= _CAP and rep.dim <= _CAP

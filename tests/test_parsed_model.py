@@ -17,11 +17,13 @@ from framelab import (
     block_spectrum,
     correlation_function,
     dihedral_group,
+    gabor_bracket_via_zak,
     gabor_representation,
     heisenberg_group,
     make_abelian_group,
     make_group_from_table,
     parse_rep_spec,
+    periodization_bracket,
     regular_representation,
     shift_model_representation,
 )
@@ -86,6 +88,26 @@ def test_verify_default_models_match_the_builders():
         ("shift:4,0", lambda: shift_model_representation(4, 0)),
         ("gabor:1,4", lambda: gabor_representation(1, 4)),
         ("gabor:3,1", lambda: gabor_representation(3, 1)),
+        pytest.param(
+            "shift:1,2",
+            lambda: periodization_bracket(np.ones(2), 1, 2),
+            id="shift:1,2-periodization",
+        ),
+        pytest.param(
+            "shift:4,0",
+            lambda: periodization_bracket(np.ones(0), 4, 0),
+            id="shift:4,0-periodization",
+        ),
+        pytest.param(
+            "gabor:1,4",
+            lambda: gabor_bracket_via_zak(np.ones(4), np.ones(4), 1, 4),
+            id="gabor:1,4-zak",
+        ),
+        pytest.param(
+            "gabor:3,1",
+            lambda: gabor_bracket_via_zak(np.ones(3), np.ones(3), 3, 1),
+            id="gabor:3,1-zak",
+        ),
         ("regular:D1", lambda: dihedral_group(1)),
         ("regular:H0", lambda: heisenberg_group(0)),
     ],
@@ -95,6 +117,7 @@ def test_parser_reports_the_builders_range_error(spec, build):
         build()
     with pytest.raises(ParseError) as parsed:
         parse_rep_spec(spec)
+    assert type(parsed.value) is type(direct.value)
     assert str(parsed.value) == str(direct.value)
 
 

@@ -342,9 +342,9 @@ def test_parse_rep_spec_errors(bad):
 
 def test_parse_rep_spec_caps():
     with pytest.raises(DimTooLargeError):
-        parse_rep_spec("shift:64,64", max_dim=1000)
+        parse_rep_spec("shift:64,65")
     with pytest.raises(DimTooLargeError):
-        parse_rep_spec("gabor:64,64", max_dim=1000)
+        parse_rep_spec("gabor:64,65", max_order=8192)
 
 
 def test_shift_model_input_validation():

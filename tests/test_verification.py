@@ -26,6 +26,7 @@ from framelab import (
     gabor_representation,
     make_builtin_group,
     regular_representation,
+    shift_model_representation,
     verify_representation,
 )
 from framelab.abelian import _inverse_multipliers, _sandwich_sides
@@ -101,7 +102,8 @@ def test_representation_validity_over_mixed_models():
 
 
 def test_gabor_commutativity_integer_phase_route():
-    result = check_gabor_commutativity(models=((2, 2), (3, 4)))
+    models = [gabor_representation(2, 2), gabor_representation(3, 4)]
+    result = check_gabor_commutativity(models=models)
     assert result.passed
     assert result.details["integer_phases_exact"] is True
 
@@ -184,6 +186,9 @@ _NO_SAMPLE_RUNS = {
     "zak": lambda rng: check_zak_calibration(rng, samples=0),
     "representations": lambda rng: check_representation_validity([]),
     "gabor": lambda rng: check_gabor_commutativity(models=()),
+    "gabor-shift-only": lambda rng: check_gabor_commutativity(
+        models=[shift_model_representation(4, 2)]
+    ),
 }
 
 
@@ -292,19 +297,21 @@ def _scaled_row(row, scale, entries=slice(None)):
 
 
 def test_gabor_checks_fail_on_a_broken_action_without_the_guard(monkeypatch):
-    def run():
+    def run(build):
+        # The Zak calibration builds its own actions; the commutativity
+        # check is handed the broken ones.
+        monkeypatch.setattr(verification, "gabor_representation", build)
         zak = check_zak_calibration(np.random.default_rng(0), samples=25)
-        return zak.passed, check_gabor_commutativity([(2, 3), (3, 4)]).passed
+        models = [build(2, 3), build(3, 4)]
+        return zak.passed, check_gabor_commutativity(models).passed
 
-    assert run() == (True, True)
+    assert run(gabor_representation) == (True, True)
     # One entry off: the action breaks the law and stops commuting.
-    monkeypatch.setattr(verification, "gabor_representation", _scaled_row(1, 1j, 0))
-    assert run() == (False, False)
+    assert run(_scaled_row(1, 1j, 0)) == (False, False)
     # A whole row times a unit scalar: U(1) U(1^-1) is 1j times the identity,
     # so the law fails, yet every pair still commutes.  Only the Zak
     # calibration catches it.
-    monkeypatch.setattr(verification, "gabor_representation", _scaled_row(1, 1j))
-    assert run() == (False, True)
+    assert run(_scaled_row(1, 1j)) == (False, True)
     rep = verification.gabor_representation(3, 4)
     assert not verify_representation(rep).passed
 
