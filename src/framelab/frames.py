@@ -461,9 +461,7 @@ def analyze_orbit(orbit: OrbitSystem, tol: float = 1e-10) -> FrameReport:
     )
 
 
-def verify_bracket_equals_gramian(
-    orbit: OrbitSystem, tol: float = 1e-11
-) -> BracketGramianCheck:
+def verify_bracket_equals_gramian(orbit: OrbitSystem) -> BracketGramianCheck:
     """Compare the correlation-kernel operator against the orbit Gram matrix.
 
     The two matrices are built independently: one from |group| inner products

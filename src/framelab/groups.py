@@ -263,6 +263,12 @@ _LAWS = {
 }
 
 
+def _check_order(order: int, max_order: int) -> None:
+    """Refuse a group whose order exceeds max_order."""
+    if order > max_order:
+        raise OrderTooLargeError(f"order {order} exceeds cap {max_order}")
+
+
 def make_abelian_group(
     factors, max_order: int = DEFAULT_MAX_ORDER
 ) -> FiniteGroup:
@@ -274,8 +280,7 @@ def make_abelian_group(
         if d < 2:
             raise EmptyFactorsError(f"cyclic factor {d} is below 2")
     order = math.prod(factors)
-    if order > max_order:
-        raise OrderTooLargeError(f"order {order} exceeds cap {max_order}")
+    _check_order(order, max_order)
 
     # The inverse negates every digit: index -x mod d along each factor's axis.
     negated = np.ix_(*((-np.arange(d)) % d for d in factors))
@@ -293,8 +298,7 @@ def dihedral_group(n: int, max_order: int = DEFAULT_MAX_ORDER) -> FiniteGroup:
     if n < 2:
         raise ParseError(f"dihedral parameter {n} is below 2")
     order = 2 * n
-    if order > max_order:
-        raise OrderTooLargeError(f"order {order} exceeds cap {max_order}")
+    _check_order(order, max_order)
 
     idx = np.arange(order, dtype=np.int64)
     k, j = idx % n, idx // n
@@ -313,8 +317,7 @@ def heisenberg_group(p: int, max_order: int = DEFAULT_MAX_ORDER) -> FiniteGroup:
     if p < 2:
         raise ParseError(f"heisenberg parameter {p} is below 2")
     order = p**3
-    if order > max_order:
-        raise OrderTooLargeError(f"order {order} exceeds cap {max_order}")
+    _check_order(order, max_order)
 
     a, b, c = np.unravel_index(np.arange(order, dtype=np.int64), (p, p, p))
     inverses = (((-a) % p) * p + ((-b) % p)) * p + ((-c + a * b) % p)
@@ -360,8 +363,7 @@ def make_group_from_table(table, max_order: int = DEFAULT_MAX_ORDER) -> FiniteGr
     ):
         raise MalformedTableError("table entries are not integers")
     n = arr.shape[0]
-    if n > max_order:
-        raise OrderTooLargeError(f"order {n} exceeds cap {max_order}")
+    _check_order(n, max_order)
     if arr.min() < 0 or arr.max() >= n:
         raise MalformedTableError("table entries fall outside 0..order-1")
     arr = arr.astype(np.int64)

@@ -1,9 +1,10 @@
 """Randomized self-checks behind the `frame-lab verify` command.
 
-Each check returns a CheckResult with the worst deviation it saw; the
-acceptance tests reuse these runners with their own sample counts and
-tolerances.  All randomness flows from one seeded generator so a verify run
-is reproducible from its reported seed.
+Each check returns a CheckResult with the worst deviation it saw and the
+tolerance it held that to; each runner fixes its own tolerance and draw
+sizes, and the acceptance tests reuse the runners with their own sample
+counts.  All randomness flows from one seeded generator so a verify run is
+reproducible from its reported seed.
 """
 
 from __future__ import annotations
@@ -87,26 +88,20 @@ class CheckResult:
         return payload
 
 
-def _cvec(rng: np.random.Generator, n: int) -> np.ndarray:
-    """n complex values: n real parts drawn first, then n imaginary parts."""
-    re, im = rng.standard_normal((2, n))
-    return re + 1j * im
+def _cvec(rng: np.random.Generator, *shape: int) -> np.ndarray:
+    """Complex values of the given shape, one row of the last axis at a time.
 
-
-def _cvecs(rng: np.random.Generator, shape: tuple[int, ...], n: int) -> np.ndarray:
-    """An array of _cvec(rng, n) draws, the last axis of shape running fastest.
-
-    A Generator draws values in sequence, so this consumes the stream exactly
-    as the same _cvec calls in order would.
+    Each row of n values draws its n real parts first, then its n imaginary
+    parts, the rows in C order; a Generator draws values in sequence, so one
+    call consumes the stream exactly as a call per row would.
     """
-    draws = rng.standard_normal((*shape, 2, n))
+    draws = rng.standard_normal((*shape[:-1], 2, shape[-1]))
     return draws[..., 0, :] + 1j * draws[..., 1, :]
 
 
-def check_representation_validity(
-    reps: list[UnitaryRepresentation], tol: float = 1e-13
-) -> CheckResult:
+def check_representation_validity(reps: list[UnitaryRepresentation]) -> CheckResult:
     """Identity, unitarity, and the group law for every given representation."""
+    tol = 1e-13
     worst = 0.0
     failing = None
     for rep in reps:
@@ -169,15 +164,14 @@ def check_bracket_gramian(
     reps: list[UnitaryRepresentation],
     rng: np.random.Generator,
     samples: int = 100,
-    tol: float = 1e-11,
-    trace_tol: float = 1e-12,
 ) -> CheckResult:
     """Correlation-kernel operator vs orbit Gram matrix, entrywise and in trace."""
+    tol, trace_tol = 1e-11, 1e-12
     worst = 0.0
     worst_trace = 0.0
     count = 0
     for rep in reps:
-        dev, trace_dev = _bracket_gramian_deviations(rep, _cvecs(rng, (samples,), rep.dim))
+        dev, trace_dev = _bracket_gramian_deviations(rep, _cvec(rng, samples, rep.dim))
         worst = max(worst, float(dev.max(initial=0.0)))
         worst_trace = max(worst_trace, float(trace_dev.max(initial=0.0)))
         count += samples
@@ -211,16 +205,12 @@ def _random_factor_matrix(
     return k, sing**2
 
 
-def check_duallemma_suite(
-    rng: np.random.Generator,
-    samples: int = 200,
-    max_side: int = 32,
-    tol: float = 1e-10,
-) -> CheckResult:
+def check_duallemma_suite(rng: np.random.Generator, samples: int = 200) -> CheckResult:
     """All four spectral tests agree, and flip together when A is pushed up.
 
     Each sample's K has between 2 and max_side rows and columns.
     """
+    max_side, tol = 32, 1e-10
     disagreements = 0
     false_negatives = 0
     stuck_flips = 0
@@ -281,16 +271,15 @@ def check_lambda_structure(
     groups: list[FiniteGroup],
     rng: np.random.Generator,
     pairs: int = 100,
-    tol: float = 1e-10,
-    p_values=(1, 2, 4, np.inf),
 ) -> CheckResult:
     """Multiplier transform: homomorphism, star, p-norm isometry, spectrum."""
+    tol, p_values = 1e-10, (1, 2, 4, np.inf)
     worst = 0.0
     count = 0
     for group in groups:
         if group.abelian is None:
             continue
-        c1, c2 = _cvecs(rng, (pairs, 2), group.order).transpose(1, 0, 2)
+        c1, c2 = _cvec(rng, pairs, 2, group.order).transpose(1, 0, 2)
         m1 = _multipliers(group, c1)
         m2 = _multipliers(group, c2)
         prod = m1 * m2
@@ -331,13 +320,13 @@ def check_support_lemma(
     reps: list[UnitaryRepresentation],
     rng: np.random.Generator,
     samples: int = 100,
-    tol: float = 1e-10,
 ) -> CheckResult:
     """Multiplier of the support projection equals the support indicator.
 
     reps are regular representations; those of groups without
     cyclic-product coordinates are skipped.
     """
+    tol = 1e-10
     mismatches = 0
     worst = 0.0
     count = 0
@@ -407,13 +396,13 @@ def check_sandwich_suite(
     rng: np.random.Generator,
     samples: int = 100,
     adversarial: int = 20,
-    tol: float = 1e-10,
 ) -> CheckResult:
     """Operator-side and scalar-side two-sided bounds always agree.
 
     reps are regular representations; those of groups without
     cyclic-product coordinates are skipped.
     """
+    tol = 1e-10
     disagreements = 0
     wrong_calls = 0
     count = 0
@@ -450,21 +439,19 @@ def check_sandwich_suite(
 
 
 def check_periodization_calibration(
-    rng: np.random.Generator,
-    samples: int = 100,
-    tol: float = 1e-10,
-    max_n: int = 16,
-    max_m: int = 8,
+    rng: np.random.Generator, samples: int = 100
 ) -> CheckResult:
     """Folded-spectrum bracket vs operator-route bracket for shift models.
 
-    Every sample's shape and generator are drawn first, in order; the samples
-    of each shape are then checked as one stack on one representation.
+    Every sample's shape, N in 2..16 and M in 1..8, and generator are drawn
+    first, in order; the samples of each shape are then checked as one stack
+    on one representation.
     """
+    tol = 1e-10
     draws: dict[tuple[int, int], list[np.ndarray]] = {}
     for _ in range(samples):
-        n = int(rng.integers(2, max_n + 1))
-        m = int(rng.integers(1, max_m + 1))
+        n = int(rng.integers(2, 17))
+        m = int(rng.integers(1, 9))
         draws.setdefault((n, m), []).append(_cvec(rng, n * m))
     worst = 0.0
     for (n, m), psis in draws.items():
@@ -476,24 +463,15 @@ def check_periodization_calibration(
     return CheckResult("periodization_calibration", worst <= tol, worst, tol, samples)
 
 
-def check_zak_calibration(
-    rng: np.random.Generator,
-    samples: int = 100,
-    tol: float = 1e-10,
-    max_product: int = 36,
-) -> CheckResult:
+def check_zak_calibration(rng: np.random.Generator, samples: int = 100) -> CheckResult:
     """Zak-product bracket vs operator-route bracket for shift-modulation models.
 
-    Every element's action enters the operator-route values, so on the
-    shapes drawn an action with any element off, even by a unit scalar,
-    fails this comparison.
+    The shapes drawn are those with L, M >= 2 and L * M <= 36.  Every
+    element's action enters the operator-route values, so on these shapes an
+    action with any element off, even by a unit scalar, fails this comparison.
     """
-    shapes = [
-        (l, m)
-        for l in range(2, max_product // 2 + 1)
-        for m in range(2, max_product // 2 + 1)
-        if l * m <= max_product
-    ]
+    tol = 1e-10
+    shapes = [(l, m) for l in range(2, 19) for m in range(2, 19) if l * m <= 36]
     # Even samples are self-brackets; shapes group as in the periodization check.
     draws: dict[tuple[int, int], list[tuple[np.ndarray, np.ndarray]]] = {}
     for i in range(samples):
@@ -521,7 +499,7 @@ def run_verification_suite(
     group_specs=DEFAULT_GROUP_SPECS,
     seed: int = 0,
     samples: int = 25,
-    max_order: int | None = None,
+    max_order: int = DEFAULT_MAX_ORDER,
 ) -> dict:
     """Run every named check and bundle the results for reporting.
 
@@ -531,10 +509,9 @@ def run_verification_suite(
     given group is commutative.  Returns a JSON-ready dict; overall `passed`
     is the conjunction of the individual verdicts.
     """
-    cap = DEFAULT_MAX_ORDER if max_order is None else max_order
     rng = np.random.default_rng(seed)
     specs = list(group_specs)
-    groups = [group_from_spec(s, max_order=cap) for s in specs]
+    groups = [group_from_spec(s, max_order=max_order) for s in specs]
     abelian = [g for g in groups if g.abelian is not None]
 
     reps = [regular_representation(g) for g in groups]

@@ -1,8 +1,9 @@
 """Acceptance gate: the structural claims at full sample counts.
 
 Each test covers one criterion and prints a single summary line (visible
-with `pytest -s` and in failure reports).  Tolerances and sample counts are
-stated inline; none of them are tuned down for speed.
+with `pytest -s` and in failure reports).  Sample counts are stated inline;
+the tolerances the runners fix are asserted on their results, so loosening
+one fails here.  None of them are tuned down for speed.
 """
 
 import json
@@ -21,6 +22,7 @@ from framelab import (
     riesz_bounds,
     vector_system,
 )
+import framelab.verification as verification
 from framelab.cli import main
 from framelab.verification import (
     check_bracket_gramian,
@@ -52,10 +54,10 @@ def test_criterion_1_bracket_operator_equals_gramian():
         [regular_representation(group_from_spec(s)) for s in specs],
         rng,
         samples=100,
-        tol=1e-11,
-        trace_tol=1e-12,
     )
     elapsed = time.perf_counter() - start
+    assert result.tolerance == 1e-11
+    assert result.details["trace_tolerance"] == 1e-12
     assert result.passed, (
         f"bracket/Gramian deviation {result.max_deviation:.3e} over {result.samples}"
         f" generators exceeds 1e-11"
@@ -65,24 +67,38 @@ def test_criterion_1_bracket_operator_equals_gramian():
     _announce(
         "criterion 1",
         f"bracket=Gramian on 500 generators across {specs}, worst entry "
-        f"{result.max_deviation:.2e} (tol 1e-11), worst trace "
-        f"{result.details['trace_deviation']:.2e} (tol 1e-12), {elapsed:.1f}s",
+        f"{result.max_deviation:.2e} (tol {result.tolerance:.0e}), worst trace "
+        f"{result.details['trace_deviation']:.2e} "
+        f"(tol {result.details['trace_tolerance']:.0e}), {elapsed:.1f}s",
     )
 
 
-def test_criterion_2_duallemma_four_tests_agree():
+def test_criterion_2_duallemma_four_tests_agree(monkeypatch):
+    # The runner hands each K and its spectral tolerance to _duallemma_reports.
+    seen = []
+    reports = verification._duallemma_reports
+
+    def recording(k, lower_bounds, b, tol):
+        seen.append((max(k.shape), tol))
+        return reports(k, lower_bounds, b, tol=tol)
+
+    monkeypatch.setattr(verification, "_duallemma_reports", recording)
     rng = np.random.default_rng(2)
-    result = check_duallemma_suite(rng, samples=200, max_side=32, tol=1e-10)
+    result = check_duallemma_suite(rng, samples=200)
     details = result.details
+    assert len(seen) == 200
+    assert max(side for side, _ in seen) <= 32
+    assert {tol for _, tol in seen} == {1e-10}
+    assert result.tolerance == 0.0
     assert details["disagreements"] == 0, details
     assert details["false_negatives"] == 0, details
     assert details["stuck_flips"] == 0, details
     assert result.passed
     _announce(
         "criterion 2",
-        "four equivalent spectral tests agree on 200 random K (dims <= 32), "
-        "bracketing bounds all-true and perturbed lower bounds all-false, "
-        "0 disagreements",
+        f"four equivalent spectral tests (tol {seen[0][1]:.0e}) agree on 200 "
+        f"random K (dims <= 32), bracketing bounds all-true and perturbed lower "
+        f"bounds all-false, 0 disagreements (tol {result.tolerance:g})",
     )
 
 
@@ -144,8 +160,9 @@ def test_criterion_4_multiplier_transform_structure():
         assert make_builtin_group(spec).order <= 48
     rng = np.random.default_rng(4)
     result = check_lambda_structure(
-        [group_from_spec(s) for s in specs], rng, pairs=100, tol=1e-10
+        [group_from_spec(s) for s in specs], rng, pairs=100
     )
+    assert result.tolerance == 1e-10
     assert result.passed, (
         f"multiplier structure deviation {result.max_deviation:.3e} exceeds 1e-10"
     )
@@ -155,7 +172,7 @@ def test_criterion_4_multiplier_transform_structure():
         f"multiplication, star, p-norms (p in {{1,2,4,inf}}) and spectra match "
         f"through the multiplier transform on {result.samples} operator pairs "
         f"over {specs}, worst relative deviation {result.max_deviation:.2e} "
-        f"(tol 1e-10)",
+        f"(tol {result.tolerance:.0e})",
     )
 
 
@@ -163,8 +180,9 @@ def test_criterion_5_support_lemma_and_sandwich_agreement():
     specs = ["Z4", "Z2xZ2", "Z3xZ4"]
     rng = np.random.default_rng(5)
     support = check_support_lemma(
-        [regular_representation(group_from_spec(s)) for s in specs], rng, samples=100, tol=1e-10
+        [regular_representation(group_from_spec(s)) for s in specs], rng, samples=100
     )
+    assert support.tolerance == 1e-10
     assert support.passed, support.details
     assert support.details["mismatches"] == 0
     assert support.samples == 300
@@ -182,25 +200,26 @@ def test_criterion_5_support_lemma_and_sandwich_agreement():
         "criterion 5",
         f"support projection multiplier is an exact 0/1 indicator on "
         f"{support.samples} positive operators (worst gap "
-        f"{support.max_deviation:.2e}); operator and scalar sandwich tests "
+        f"{support.max_deviation:.2e}, tol {support.tolerance:.0e}); operator and scalar sandwich tests "
         f"agree on 120 cases including 20 near-boundary (+-1e-6) ones",
     )
 
 
 def test_criterion_6_fast_bracket_calibrations():
     rng = np.random.default_rng(6)
-    period = check_periodization_calibration(
-        rng, samples=100, tol=1e-10, max_n=16, max_m=8
-    )
+    period = check_periodization_calibration(rng, samples=100)
+    assert period.tolerance == 1e-10
     assert period.passed, period.max_deviation
-    zak = check_zak_calibration(rng, samples=100, tol=1e-10, max_product=36)
+    zak = check_zak_calibration(rng, samples=100)
+    assert zak.tolerance == 1e-10
     assert zak.passed, zak.max_deviation
     _announce(
         "criterion 6",
         f"folded-spectrum bracket matches the operator route on 100 shift "
-        f"systems (N<=16, M<=8, worst {period.max_deviation:.2e}) and the Zak "
-        f"product bracket on 100 shift-modulation systems (L*M<=36, worst "
-        f"{zak.max_deviation:.2e}), tol 1e-10",
+        f"systems (N<=16, M<=8, worst {period.max_deviation:.2e}, tol "
+        f"{period.tolerance:.0e}) and the Zak product bracket on 100 "
+        f"shift-modulation systems (L*M<=36, worst {zak.max_deviation:.2e}, "
+        f"tol {zak.tolerance:.0e})",
     )
 
 
@@ -252,7 +271,8 @@ def test_criterion_8_representations_verify_and_gabor_commutes():
         for s in ("Z2", "Z4", "Z2xZ2", "Z3xZ4", "D4", "H3")
     ]
     reps += [shift_model_representation(4, 2), gabor_representation(2, 3)]
-    validity = check_representation_validity(reps, tol=1e-13)
+    validity = check_representation_validity(reps)
+    assert validity.tolerance == 1e-13
     assert validity.passed, (
         f"representation deviation {validity.max_deviation:.3e} exceeds 1e-13"
     )
@@ -263,6 +283,6 @@ def test_criterion_8_representations_verify_and_gabor_commutes():
     _announce(
         "criterion 8",
         f"8 built-in representations verify to {validity.max_deviation:.2e} "
-        f"(tol 1e-13); shift-modulation commutativity is exact on integer "
+        f"(tol {validity.tolerance:.0e}); shift-modulation commutativity is exact on integer "
         f"phases and dense products agree to {commute.max_deviation:.2e}",
     )

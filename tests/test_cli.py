@@ -483,6 +483,14 @@ def test_env_var_caps_group_order(tmp_path, capsys, monkeypatch):
     code, _, err = run_cli(capsys, "analyze", "--rep", "regular:Z48", "--psi", psi)
     assert code == 2
     assert "16" in err
+    # verify's own models and calibration shapes (order up to 36) run under
+    # the default cap; only the --groups specs meet the variable's cap.
+    monkeypatch.setenv("FRAME_LAB_MAX_ORDER", "4")
+    code, out, _ = run_cli(capsys, "verify", "--groups", "Z2", "--samples", "2")
+    assert code == 0 and json.loads(out)["passed"] is True
+    code, _, err = run_cli(capsys, "verify", "--groups", "Z8", "--samples", "2")
+    assert code == 2
+    assert err == "error: order 8 exceeds cap 4\n"
     monkeypatch.setenv("FRAME_LAB_MAX_ORDER", "banana")
     code, _, _ = run_cli(capsys, "analyze", "--rep", "regular:Z4", "--psi", psi)
     assert code == 2

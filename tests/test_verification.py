@@ -259,6 +259,10 @@ def test_cvec_draws_real_then_imaginary_parts(n):
     z = verification._cvec(rng, n)
     expected = former.standard_normal(n) + 1j * former.standard_normal(n)
     assert z.tobytes() == expected.tobytes()
+    # A stack of rows draws as one call per row, in C order.
+    stack = verification._cvec(rng, 3, 2, n)
+    rows = [former.standard_normal(n) + 1j * former.standard_normal(n) for _ in range(6)]
+    assert stack.tobytes() == np.reshape(rows, (3, 2, n)).tobytes()
     assert rng.bit_generator.state == former.bit_generator.state
 
 
