@@ -96,7 +96,6 @@ from .representations import (
     verify_representation,
 )
 from .vnalgebra import (
-    BLOCK_STRUCTURES,
     ConvolutionOperator,
     ProjectionOperator,
     SpectralData,

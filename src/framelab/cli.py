@@ -91,6 +91,12 @@ def _cmd_analyze(args) -> int:
     rep = parse_rep_spec(args.rep, max_order=_max_order())
     psi = load_generator(args.psi)
     report = analyze_orbit(OrbitSystem(rep, psi), tol=args.tol)
+    # A verdict its own routes contradict, or could not be checked against,
+    # is not printed.
+    disagreement = max(report.route_agreement.values())
+    if not disagreement <= _ORACLE_TOL:
+        sys.stderr.write(f"error: routes disagree by {disagreement:.3e}\n")
+        return EXIT_FAIL
     if args.format == "csv":
         _write(spectrum_csv(report.gram_spectrum), args.out)
         return EXIT_OK

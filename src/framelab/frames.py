@@ -23,12 +23,7 @@ from .representations import (
     _orbit_stack,
     orbit_rows,
 )
-from .vnalgebra import (
-    BLOCK_STRUCTURES,
-    _convolution_matrices,
-    _hermitian_spectrum,
-    block_spectrum,
-)
+from .vnalgebra import _convolution_matrices, _hermitian_spectrum, block_spectrum
 
 __all__ = [
     "BLOCK_SPECTRUM_ORDER",
@@ -59,9 +54,9 @@ VERDICT_ZERO = "zero_system"
 # verdict degrades to bessel_only_degenerate there.
 GAP_GUARD = 1e3
 
-# Above this group order, analyze_orbit takes the spectrum of an orbit of a
-# cyclic product or D<n>, under any of its representations, from the
-# irreducible blocks of the correlation kernel instead of two dense
+# Above this group order, analyze_orbit takes the spectrum of an orbit of
+# any group, under any of its representations, from the blocks of the
+# correlation kernel over an abelian subgroup instead of two dense
 # O(order^3) eigensolves.  Every order the self-checks and examples use lies
 # below it, where the dense routes decide and their output keeps its bytes.
 BLOCK_SPECTRUM_ORDER = 64
@@ -360,7 +355,7 @@ def _dense_routes(orbit: OrbitSystem) -> tuple[np.ndarray, dict[str, float]]:
 
 
 def _block_routes(orbit: OrbitSystem) -> tuple[np.ndarray, dict[str, float]]:
-    """Spectrum from the irreducible blocks of the bracket kernel.
+    """Spectrum from the blocks of the bracket kernel (block_spectrum).
 
     The Gram matrix of any unitary orbit is the convolution operator of
     c(g) = <psi, U(g) psi>, so this holds whatever space the group acts on.
@@ -397,9 +392,7 @@ def _block_routes(orbit: OrbitSystem) -> tuple[np.ndarray, dict[str, float]]:
 
 
 def _uses_blocks(group) -> bool:
-    return (
-        group.order > BLOCK_SPECTRUM_ORDER and group.structure_tag in BLOCK_STRUCTURES
-    )
+    return group.order > BLOCK_SPECTRUM_ORDER
 
 
 def analyze_orbit(orbit: OrbitSystem, tol: float = 1e-10) -> FrameReport:
@@ -408,15 +401,14 @@ def analyze_orbit(orbit: OrbitSystem, tol: float = 1e-10) -> FrameReport:
     Three routes produce the same spectral data: the Gram matrix of the
     orbit, the operator whose kernel is the correlation function, and (for
     commutative groups) its multiplier transform.  Up to order
-    BLOCK_SPECTRUM_ORDER, and for every group other than a cyclic product or
-    D<n>, the verdict and bounds come from the Gram route and
+    BLOCK_SPECTRUM_ORDER the verdict and bounds come from the Gram route and
     route_agreement records how far the other routes stray, as max
-    deviation relative to lambda_max.  Above it the spectrum
-    comes from the irreducible blocks of the correlation kernel
-    (block_spectrum); "bracket" then holds the Gram-vs-operator deviation on
-    a few seeded columns and the trace and Frobenius-norm deviations of that
-    spectrum, and "scalar" how far the multiplier at the characters with
-    those seeded indices lies from it.
+    deviation relative to lambda_max.  Above it, for every group, the
+    spectrum comes from the blocks of the correlation kernel over an abelian
+    subgroup (block_spectrum); "bracket" then holds the Gram-vs-operator
+    deviation on a few seeded columns and the trace and Frobenius-norm
+    deviations of that spectrum, and "scalar" how far the multiplier at the
+    characters with those seeded indices lies from it.
     """
     psi = np.asarray(orbit.generator, dtype=np.complex128).reshape(-1)
     # The verdict depends on the spectrum relative to lambda_max, not on the

@@ -242,6 +242,7 @@ def check_duallemma_suite(rng: np.random.Generator, samples: int = 200) -> Check
             "disagreements": disagreements,
             "false_negatives": false_negatives,
             "stuck_flips": stuck_flips,
+            "slack": tol,
         },
     )
 
@@ -408,7 +409,9 @@ def check_sandwich_suite(
     count = 0
     reps = [rep for rep in reps if rep.group.abelian is not None]
     if not reps:
-        return CheckResult("sandwich_equivalence", True, 0.0, tol, 0, {"skipped": 1})
+        return CheckResult(
+            "sandwich_equivalence", True, 0.0, tol, 0, {"skipped": 1, "slack": tol}
+        )
 
     # Case i draws its generator for reps[i % len(reps)] in the order of the
     # cases; each representation's cases are then tested as one stack.
@@ -434,7 +437,7 @@ def check_sandwich_suite(
         float(bad),
         0.0,
         count,
-        {"disagreements": disagreements, "wrong_calls": wrong_calls},
+        {"disagreements": disagreements, "wrong_calls": wrong_calls, "slack": tol},
     )
 
 

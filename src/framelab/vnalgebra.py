@@ -23,7 +23,6 @@ from .errors import (
 from .groups import FiniteGroup, GroupFunction, convolve, group_function, same_group
 
 __all__ = [
-    "BLOCK_STRUCTURES",
     "ConvolutionOperator",
     "ProjectionOperator",
     "SpectralData",
@@ -276,46 +275,53 @@ def _spectral_stack(mats: np.ndarray, tol: float) -> tuple[np.ndarray, np.ndarra
 def block_spectrum(kernel: GroupFunction) -> np.ndarray:
     """Ascending spectrum of a selfadjoint convolution operator, block by block.
 
-    The group algebra splits into one block per irreducible representation
-    pi, and the operator with kernel c has spectrum the union of the spectra
-    of pi(c), each counted dim(pi) times.  For a cyclic product every irrep
-    is a character, so the spectrum is the mixed-radix DFT of c.  For D<n>,
-    with A and B the DFTs of c on the rotations r^k and the reflections
-    r^k s, the 1-dimensional irreps give A[0] +- B[0] (and A[n/2] +- B[n/2]
-    for even n) and the 2-dimensional irrep h gives the block
-    [[A[h], B[h]], [B[-h], A[-h]]].  The kernel must be selfadjoint,
-    c(g^-1) = conj(c(g)), as every self-bracket is.  Other structures raise
-    ValueError.
+    Over the cosets A t of an abelian subgroup A (see _cosets), the entries
+    F[b t, b' s] = c(s^-1 b'^-1 b t) depend on b'^-1 b alone, so the
+    characters of A split F into one [G:A] x [G:A] block per character: the
+    DFT over A of c(s^-1 b t).  Any group is accepted; on a cyclic product
+    A is the group and the spectrum is the DFT of c.  The kernel must be
+    selfadjoint, c(g^-1) = conj(c(g)), as every self-bracket is.
     """
-    group = kernel.group
-    blocks = _BLOCK_SPECTRA.get(group.structure_tag)
-    if blocks is None:
-        raise ValueError(
-            f"irreducible blocks are known for {sorted(BLOCK_STRUCTURES)}, "
-            f"not {group.structure_tag}"
-        )
-    return np.sort(blocks(group, kernel.values))
+    group, c = kernel.group, kernel.values
+    cosets = _cosets(group)  # cosets[t, b] = b t
+    if (index := len(cosets)) == 1:
+        return np.sort(np.fft.fftn(c[cosets[0]]).real.ravel())
+    left = group.rows(group.inverses[cosets.reshape(index, -1)[:, 0]])  # s^-1 g
+    # blocks[s, t, chi] is block chi at (t, s); its transpose has its spectrum.
+    blocks = np.fft.fftn(c[left[:, cosets]], axes=tuple(range(2, cosets.ndim + 1)))
+    stack = np.moveaxis(blocks.reshape(index, index, -1), -1, 0)
+    return np.sort(np.linalg.eigvalsh(stack).ravel())
 
 
-def _cyclic_product_blocks(group: FiniteGroup, c: np.ndarray) -> np.ndarray:
-    return np.fft.fftn(c.reshape(group.structure[1])).real.ravel()
+def _cosets(group: FiniteGroup) -> np.ndarray:
+    """The group as T x A for an abelian subgroup A: entry [t, b] = b t.
 
-
-def _dihedral_blocks(group: FiniteGroup, c: np.ndarray) -> np.ndarray:
-    n = group.structure[1]
-    a, b = np.fft.fft(c[:n]), np.fft.fft(c[n:])
-    ends = [0, n // 2] if n % 2 == 0 else [0]
-    h = np.arange(1, (n + 1) // 2)
-    blocks = np.stack([a[h], b[h], b[-h], a[-h]], axis=-1).reshape(-1, 2, 2)
-    return np.concatenate(
-        [(a[ends] + b[ends]).real, (a[ends] - b[ends]).real,
-         np.repeat(np.linalg.eigvalsh(blocks).ravel(), 2)]
-    )
-
-
-# The structure tags whose irreducible blocks block_spectrum knows.
-_BLOCK_SPECTRA = {"cyclic-product": _cyclic_product_blocks, "dihedral": _dihedral_blocks}
-BLOCK_STRUCTURES = frozenset(_BLOCK_SPECTRA)
+    T starts at the identity; A's axes, one per cyclic factor, run through
+    the powers of its generators.  The builtin indexings are such layouts:
+    A is the cyclic product, the rotations of D<n>, or {(0, b, c)} in H<N>.
+    A table group's A is generated by its first element of largest order.
+    """
+    kind = group.structure_tag
+    if kind == "cyclic-product":
+        return np.arange(group.order).reshape(1, *group.structure[1])
+    if kind == "dihedral":
+        return np.arange(group.order).reshape(2, group.structure[1])
+    if kind == "heisenberg":
+        return np.arange(group.order).reshape((group.structure[1],) * 3)
+    table, e = group.table, group.identity
+    # Power all elements at once; the last to reach e have the largest order.
+    live, power = np.arange(group.order), np.full(group.order, e)
+    while live.size:
+        g, power = live[0], table[power, live]
+        live, power = live[power != e], power[power != e]
+    powers = [e]
+    while (x := table[powers[-1], g]) != e:
+        powers.append(x)
+    taken, cosets = np.zeros(group.order, dtype=bool), []
+    while not taken.all():
+        cosets.append(table[powers, np.argmin(taken) if cosets else e])
+        taken[cosets[-1]] = True
+    return np.array(cosets)
 
 
 def is_positive(op: ConvolutionOperator, tol: float = 1e-10) -> bool:

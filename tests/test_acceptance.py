@@ -90,6 +90,7 @@ def test_criterion_2_duallemma_four_tests_agree(monkeypatch):
     assert max(side for side, _ in seen) <= 32
     assert {tol for _, tol in seen} == {1e-10}
     assert result.tolerance == 0.0
+    assert details["slack"] == 1e-10
     assert details["disagreements"] == 0, details
     assert details["false_negatives"] == 0, details
     assert details["stuck_flips"] == 0, details
@@ -98,7 +99,8 @@ def test_criterion_2_duallemma_four_tests_agree(monkeypatch):
         "criterion 2",
         f"four equivalent spectral tests (tol {seen[0][1]:.0e}) agree on 200 "
         f"random K (dims <= 32), bracketing bounds all-true and perturbed lower "
-        f"bounds all-false, 0 disagreements (tol {result.tolerance:g})",
+        f"bounds all-false, 0 disagreements (tol {result.tolerance:g}, "
+        f"slack {details['slack']:.0e})",
     )
 
 
@@ -196,12 +198,14 @@ def test_criterion_5_support_lemma_and_sandwich_agreement():
     assert sandwich.details["disagreements"] == 0
     assert sandwich.details["wrong_calls"] == 0
     assert sandwich.samples == 120
+    assert sandwich.details["slack"] == 1e-10
     _announce(
         "criterion 5",
         f"support projection multiplier is an exact 0/1 indicator on "
         f"{support.samples} positive operators (worst gap "
         f"{support.max_deviation:.2e}, tol {support.tolerance:.0e}); operator and scalar sandwich tests "
-        f"agree on 120 cases including 20 near-boundary (+-1e-6) ones",
+        f"agree on 120 cases including 20 near-boundary (+-1e-6) ones (slack "
+        f"{sandwich.details['slack']:.0e})",
     )
 
 

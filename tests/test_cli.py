@@ -946,6 +946,30 @@ def test_a_broken_gabor_action_fails_the_oracle_and_the_routes(
     code, out, _ = run_cli(capsys, "bracket", "--rep", "gabor:3,4", "--psi", psi, "--oracle")
     assert code == 1
     assert json.loads(out)["oracle_deviation"] > 1e-3
-    code, out, _ = run_cli(capsys, "analyze", "--rep", "gabor:3,4", "--psi", psi)
+    code, out, err = run_cli(capsys, "analyze", "--rep", "gabor:3,4", "--psi", psi)
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error: routes disagree by ")
+    assert float(err.split()[-1]) > 1e-3
+
+
+@pytest.mark.parametrize("spec,dim", [("regular:Z72", 72), ("regular:H5", 125)])
+def test_analyze_refuses_a_verdict_its_routes_contradict(
+    tmp_path, capsys, monkeypatch, spec, dim
+):
+    import framelab.frames as frames
+
+    block_spectrum = frames.block_spectrum
+    psi = _write_psi(tmp_path, np.random.default_rng(5).standard_normal(dim))
+    code, out, _ = run_cli(capsys, "analyze", "--rep", spec, "--psi", psi)
     assert code == 0
-    assert json.loads(out)["routes"]["bracket"] > 1e-3
+    assert max(json.loads(out)["routes"].values()) < 1e-12
+    monkeypatch.setattr(frames, "block_spectrum", lambda k: block_spectrum(k) * (1 + 1e-6))
+    for fmt in ("json", "csv"):
+        code, out, err = run_cli(capsys, "analyze", "--rep", spec, "--psi", psi, "--format", fmt)
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error: routes disagree by ")
+    target = tmp_path / "report.json"
+    assert run_cli(capsys, "analyze", "--rep", spec, "--psi", psi, "--out", str(target))[0] == 1
+    assert not target.exists()

@@ -534,6 +534,7 @@ def unreadable_tables(monkeypatch):
         ["analyze", "--rep", "regular:Z1024"],
         ["analyze", "--rep", "regular:D512"],
         ["analyze", "--rep", "regular:Z2xZ36"],
+        ["analyze", "--rep", "regular:H5"],
         ["bracket", "--oracle", "--rep", "shift:60,4"],
         ["bracket", "--oracle", "--rep", "gabor:10,12"],
     ],

@@ -8,10 +8,10 @@ import pytest
 from hypothesis import given, strategies as st
 
 import framelab.frames as frames
+import framelab.groups as groups
 import framelab.verification as verification
 from framelab import (
     BLOCK_SPECTRUM_ORDER,
-    BLOCK_STRUCTURES,
     DimTooLargeError,
     ParseError,
     block_spectrum,
@@ -144,7 +144,7 @@ _GROUPS_BY_TAG = {
 
 
 def test_every_block_structure_has_a_group_here():
-    assert BLOCK_STRUCTURES <= set(_GROUPS_BY_TAG)
+    assert set(_GROUPS_BY_TAG) == {*groups._LAWS, "custom-table"}
 
 
 @pytest.mark.parametrize("tag", sorted(_GROUPS_BY_TAG))
@@ -154,10 +154,6 @@ def test_block_spectrum_accepts_exactly_the_block_structures(tag):
     rep = regular_representation(group)
     psi = np.random.default_rng(5).standard_normal((rep.dim, 2)) @ [1, 1j]
     kernel = correlation_function(rep, psi, psi)
-    if tag not in BLOCK_STRUCTURES:
-        with pytest.raises(ValueError):
-            block_spectrum(kernel)
-        return
     dense = np.linalg.eigvalsh(kernel.values[group.table[group.inverses].T])
     np.testing.assert_allclose(block_spectrum(kernel), dense, atol=1e-12 * dense[-1])
 
@@ -170,11 +166,13 @@ def test_block_spectrum_accepts_exactly_the_block_structures(tag):
     ],
 )
 def test_analyze_takes_blocks_for_regular_block_structures_only(spec):
-    # Blocks exactly for block structures above the threshold, whatever the
-    # model: the Gram matrix of any unitary orbit is the convolution operator
-    # of its correlation kernel.  (The name, kept so the test ids stay put,
-    # dates from when only regular: orbits took blocks.)
+    # Blocks exactly above the threshold, whatever the group and the model:
+    # the Gram matrix of any unitary orbit is the convolution operator of its
+    # correlation kernel.  (The name, kept so the test ids stay put, dates
+    # from when only regular: orbits of some structures took blocks.)
     group = parse_rep_spec(spec).group
-    want = group.order > BLOCK_SPECTRUM_ORDER and group.structure_tag in BLOCK_STRUCTURES
-    assert want == (spec in ("regular:Z72", "regular:D40", "shift:72,1", "gabor:9,8"))
+    want = group.order > BLOCK_SPECTRUM_ORDER
+    assert want == (
+        spec in ("regular:Z72", "regular:D40", "regular:H5", "shift:72,1", "gabor:9,8")
+    )
     assert frames._uses_blocks(group) == want

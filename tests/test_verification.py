@@ -154,7 +154,7 @@ def test_adversarial_sandwich_bounds_are_called_as_expected(case):
 def test_sandwich_suite_calls_a_low_support_bound_wrong_nowhere():
     rng = np.random.default_rng(0)
     result = check_sandwich_suite(_reps("Z512"), rng, samples=3, adversarial=4)
-    assert result.details == {"disagreements": 0, "wrong_calls": 0}
+    assert result.details == {"disagreements": 0, "wrong_calls": 0, "slack": 1e-10}
     assert result.passed
 
 

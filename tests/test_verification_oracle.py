@@ -220,6 +220,7 @@ def oracle_duallemma_suite(rng, samples, max_dim=32, tol=1e-10):
             "disagreements": disagreements,
             "false_negatives": false_negatives,
             "stuck_flips": stuck_flips,
+            "slack": tol,
         },
     )
 
@@ -287,7 +288,9 @@ def oracle_support_lemma(specs, rng, samples, tol=1e-10):
 def oracle_sandwich_suite(specs, rng, samples, adversarial, tol=1e-10):
     reps = [regular_representation(g) for g in _abelian_groups(specs)]
     if not reps:
-        return CheckResult("sandwich_equivalence", True, 0.0, tol, 0, {"skipped": 1})
+        return CheckResult(
+            "sandwich_equivalence", True, 0.0, tol, 0, {"skipped": 1, "slack": tol}
+        )
     disagreements = wrong_calls = count = 0
 
     def run_case(rep, c, a, b, expected):
@@ -330,7 +333,7 @@ def oracle_sandwich_suite(specs, rng, samples, adversarial, tol=1e-10):
         float(bad),
         0.0,
         count,
-        {"disagreements": disagreements, "wrong_calls": wrong_calls},
+        {"disagreements": disagreements, "wrong_calls": wrong_calls, "slack": tol},
     )
 
 
