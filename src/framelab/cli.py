@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import argparse
+import contextlib
 import math
 import os
 import sys
@@ -73,10 +74,20 @@ def _require_finite(values, what: str) -> None:
 
 
 def _write(text: str, out: str | None) -> None:
-    if out:
+    if out is not None:
         _write_file(Path(out), text)
-    else:
+        return
+    # The flush is inside the handler: with stdout buffered, a full disk or a
+    # closed pipe first shows when the buffer is written out.
+    try:
         sys.stdout.write(text)
+        sys.stdout.flush()
+    except OSError as exc:
+        # Closing drops the bytes still buffered; the interpreter would
+        # otherwise fail to flush them again at exit and exit with 120.
+        with contextlib.suppress(OSError):
+            sys.stdout.close()
+        raise OutputWriteError(f"cannot write to standard output: {exc}") from exc
 
 
 def _write_file(path: Path, text: str) -> None:
@@ -156,7 +167,7 @@ def _cmd_bracket(args) -> int:
         )
         if args.format == "csv":
             _write(values_csv(op.coefficients.values), args.out)
-            if args.out:
+            if args.out is not None:
                 side = Path(args.out).with_suffix(".spectrum.csv")
                 _write_file(side, spectrum_csv(spectrum))
             return EXIT_OK
@@ -218,46 +229,40 @@ def _cmd_verify(args) -> int:
     return EXIT_OK if result["passed"] else EXIT_FAIL
 
 
-def _common_args(p, needs_rep: bool, needs_tol: bool = False) -> None:
-    if needs_rep:
-        p.add_argument("--rep", required=True, help="regular:GROUP | shift:N,M | gabor:L,M")
-        p.add_argument("--psi", required=True, help="generator file (JSON or CSV)")
-    if needs_tol:
-        p.add_argument("--tol", type=float, default=1e-10)
-    p.add_argument("--out", default=None, help="write output here instead of stdout")
-    if needs_rep:
-        p.add_argument("--format", choices=("json", "csv"), default="json")
-    p.add_argument("--seed", type=int, default=0)
+# Options shared by several subcommands: (flag, add_argument keywords).
+_REP = ("--rep", {"required": True, "help": "regular:GROUP | shift:N,M | gabor:L,M"})
+_PSI = ("--psi", {"required": True, "help": "generator file (JSON or CSV)"})
+_OUT = ("--out", {"default": None, "help": "write output here instead of stdout"})
+_FORMAT = ("--format", {"choices": ("json", "csv"), "default": "json"})
+_SEED = ("--seed", {"type": int, "default": 0})
 
-
-def _analyze_args(p) -> None:
-    _common_args(p, needs_rep=True, needs_tol=True)
-
-
-def _bracket_args(p) -> None:
-    _common_args(p, needs_rep=True)
-    p.add_argument(
-        "--oracle",
-        action="store_true",
-        help="recompute along an independent route and report the deviation",
-    )
-
-
-def _verify_args(p) -> None:
-    _common_args(p, needs_rep=False)
-    p.add_argument(
-        "--groups", default=None, help="comma separated group specs to verify over"
-    )
-    p.add_argument(
-        "--samples", type=int, default=25, help="random draws per check"
-    )
-
-
-# Each subcommand's help line and argument adder, in the order --help lists them.
+# Each subcommand's help line and options, in the order --help lists them.
+# _build_parser hands each option to add_argument and _exact_args reads the
+# same keywords, so the two readers of a command line share one definition.
+# An option that is not required states its default, even where argparse
+# has one, because _exact_args fills it in.
 _SUBCOMMANDS = {
-    "analyze": ("classify an orbit and report bounds", _analyze_args),
-    "bracket": ("compute the self-bracket of a generator", _bracket_args),
-    "verify": ("run the randomized invariant suites", _verify_args),
+    "analyze": (
+        "classify an orbit and report bounds",
+        (_REP, _PSI, ("--tol", {"type": float, "default": 1e-10}), _OUT, _FORMAT, _SEED),
+    ),
+    "bracket": (
+        "compute the self-bracket of a generator",
+        (_REP, _PSI, _OUT, _FORMAT, _SEED, ("--oracle", {
+            "action": "store_true",
+            "default": False,
+            "help": "recompute along an independent route and report the deviation",
+        })),
+    ),
+    "verify": (
+        "run the randomized invariant suites",
+        (
+            _OUT,
+            _SEED,
+            ("--groups", {"default": None, "help": "comma separated group specs to verify over"}),
+            ("--samples", {"type": int, "default": 25, "help": "random draws per check"}),
+        ),
+    ),
 }
 
 
@@ -276,21 +281,70 @@ def _build_parser(names=tuple(_SUBCOMMANDS)) -> argparse.ArgumentParser:
     every = None if len(names) == len(_SUBCOMMANDS) else "{%s}" % ",".join(_SUBCOMMANDS)
     sub = parser.add_subparsers(dest="command", required=True, metavar=every)
     for name in names:
-        help_text, add_args = _SUBCOMMANDS[name]
-        add_args(sub.add_parser(name, help=help_text))
+        help_text, options = _SUBCOMMANDS[name]
+        p = sub.add_parser(name, help=help_text)
+        for flag, keywords in options:
+            p.add_argument(flag, **keywords)
     return parser
+
+
+def _exact_args(argv: list[str]) -> argparse.Namespace | None:
+    """The Namespace argparse returns for argv, if argv is spelled exactly.
+
+    Exactly means: a subcommand, then each given option once, by its full
+    flag, each value its own word, not starting with "-", converting by the
+    option's type and lying in its choices, and every required option given.
+    Anything else (help, `--flag=value`, abbreviations, repeats, errors)
+    returns None, for argparse to read. Building argparse's parser takes
+    about a fifth of a cheap request, which an exact command line skips.
+    """
+    if not argv or argv[0] not in _SUBCOMMANDS:
+        return None
+    options = _SUBCOMMANDS[argv[0]][1]
+    keywords_of = dict(options)
+    given = {}
+    words = iter(argv[1:])
+    for flag in words:
+        keywords = keywords_of.get(flag)
+        if keywords is None or flag in given:
+            return None
+        if keywords.get("action") == "store_true":
+            given[flag] = True
+            continue
+        value = next(words, None)
+        if value is None or value.startswith("-"):
+            return None
+        try:
+            value = keywords.get("type", str)(value)
+        except (TypeError, ValueError):
+            return None
+        if value not in keywords.get("choices", (value,)):
+            return None
+        given[flag] = value
+    args = argparse.Namespace(command=argv[0])
+    for flag, keywords in options:
+        if flag in given:
+            value = given[flag]
+        elif keywords.get("required"):
+            return None
+        else:
+            value = keywords.get("default")
+        setattr(args, flag[2:], value)
+    return args
 
 
 def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else list(argv)
-    # A first word that names a subcommand is the only one argparse can
-    # dispatch to; anything else (help, no words, an unknown name) gets the
-    # parser with every subcommand, whose messages list them all.
-    if argv and argv[0] in _SUBCOMMANDS:
-        parser = _build_parser((argv[0],))
-    else:
-        parser = _build_parser()
-    args = parser.parse_args(argv)
+    args = _exact_args(argv)
+    if args is None:
+        # A first word that names a subcommand is the only one argparse can
+        # dispatch to; anything else (help, no words, an unknown name) gets
+        # the parser with every subcommand, whose messages list them all.
+        if argv and argv[0] in _SUBCOMMANDS:
+            parser = _build_parser((argv[0],))
+        else:
+            parser = _build_parser()
+        args = parser.parse_args(argv)
     handlers = {
         "analyze": _cmd_analyze,
         "bracket": _cmd_bracket,

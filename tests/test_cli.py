@@ -1,6 +1,10 @@
 """Command line behavior: formats, exit codes, determinism, file parsing."""
 
+import argparse
+import contextlib
+import errno
 import importlib
+import io
 import json
 import os
 import subprocess
@@ -11,7 +15,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 import framelab
 from framelab.cli import main
@@ -853,18 +857,138 @@ def test_parser_of_the_named_subcommand_prints_what_the_full_parser_prints(
 
 
 def test_a_named_subcommand_builds_only_its_own_arguments(capsys, monkeypatch):
-    import framelab.cli as cli
-
     built = []
-    for name, (help_text, add_args) in cli._SUBCOMMANDS.items():
-        def recording(p, name=name, add_args=add_args):
-            built.append(name)
-            add_args(p)
+    add_parser = argparse._SubParsersAction.add_parser
 
-        monkeypatch.setitem(cli._SUBCOMMANDS, name, (help_text, recording))
-    code, out, _ = run_cli(capsys, "verify", "--groups", "Z2", "--samples", "1")
+    def recording(self, name, **kwargs):
+        built.append(name)
+        return add_parser(self, name, **kwargs)
+
+    monkeypatch.setattr(argparse._SubParsersAction, "add_parser", recording)
+    # `--samples=1` is a spelling only argparse reads.
+    code, out, _ = run_cli(capsys, "verify", "--groups", "Z2", "--samples=1")
     assert code == 0 and json.loads(out)["passed"] is True
     assert built == ["verify"]
+
+
+def test_an_exact_command_line_builds_no_parser(tmp_path, capsys, monkeypatch):
+    import framelab.cli as cli
+
+    def refuse(*_args):
+        raise AssertionError("an exact command line built the argparse parser")
+
+    monkeypatch.setattr(cli, "_build_parser", refuse)
+    psi = _write_psi(tmp_path, [1.0, 0.5, 0.0, 0.0])
+    for argv in (
+        ["analyze", "--psi", psi, "--tol", "1e-9", "--rep", "regular:Z4", "--format", "csv"],
+        ["bracket", "--oracle", "--rep", "regular:Z4", "--psi", psi, "--seed", "3"],
+        ["verify", "--samples", "1", "--groups", "Z2", "--out", str(tmp_path / "v.json")],
+    ):
+        code, _, err = run_cli(capsys, *argv)
+        assert code == 0, err
+
+
+def _argparse_outcome(argv):
+    """vars() of the Namespace argparse parses argv into, or None on an exit."""
+    import framelab.cli as cli
+
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        try:
+            return vars(cli._build_parser().parse_args(argv))
+        except SystemExit:
+            return None
+
+
+def _typed(values):
+    # repr tells 0 from 0.0 and False, and reads a NaN as equal to a NaN.
+    return {key: (type(value), repr(value)) for key, value in values.items()}
+
+
+_ARGV_WORDS = (
+    "--rep", "--psi", "--tol", "--out", "--format", "--seed", "--oracle", "--groups",
+    "--samples", "--re", "--ps", "--sam", "--o", "--form", "--rep=regular:Z4",
+    "--samples=3", "--seed=2", "--format=csv", "--out=", "-h", "--help", "--", "-",
+    "regular:Z4", "psi.json", "Z2,Z3", "3", "0", "-3", "-1.5", "1e-12", "nan", "inf",
+    "1_0", " 7 ", "0x10", "abc", "1.5", "json", "csv", "xml", "",
+)
+# Values each option converts and accepts, for exact spellings.
+_GOOD_VALUES = {
+    "--rep": ("regular:Z4", "", "a b", "x=y"),
+    "--psi": ("psi.json", "=", " "),
+    "--tol": ("1e-9", "nan", " 2 ", "1_0", "+3", "0"),
+    "--out": ("out.json", "", "o.csv"),
+    "--format": ("json", "csv"),
+    "--seed": ("0", "7", "1_000", " 4 "),
+    "--groups": ("Z2,Z3", "", "D4"),
+    "--samples": ("1", "25", "+2"),
+}
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        [],
+        ["bogus"],
+        ["ana", "--groups", "Z2"],
+        ["verify", "--samples=1"],
+        ["verify", "--sam", "1"],
+        ["verify", "-h"],
+        ["verify", "--"],
+        ["verify", "extra"],
+        ["verify", "--tol", "1"],
+        ["verify", "--seed", "1", "--seed", "2"],
+        ["bracket", "--oracle", "--oracle", "--rep", "regular:Z4", "--psi", "p"],
+        ["bracket", "--oracle", "yes", "--rep", "regular:Z4", "--psi", "p"],
+        ["verify", "--groups"],
+        ["verify", "--out", "--seed", "1"],
+        ["verify", "--seed", "-1"],
+        ["verify", "--samples", "1.5"],
+        ["analyze", "--rep", "regular:Z4", "--psi", "p", "--tol", "abc"],
+        ["analyze", "--rep", "regular:Z4", "--psi", "p", "--format", "xml"],
+        ["analyze", "--rep", "regular:Z4"],
+    ],
+)
+def test_the_exact_reader_leaves_every_other_spelling_to_argparse(argv):
+    import framelab.cli as cli
+
+    assert cli._exact_args(argv) is None
+
+
+@settings(max_examples=400, deadline=None)
+@given(
+    first=st.sampled_from(["analyze", "bracket", "verify", "ana", "bogus", "-h", ""]),
+    rest=st.lists(st.sampled_from(_ARGV_WORDS), max_size=9),
+)
+def test_the_exact_reader_returns_what_argparse_returns(first, rest):
+    import framelab.cli as cli
+
+    argv = [first, *rest]
+    exact = cli._exact_args(argv)
+    if exact is not None:
+        want = _argparse_outcome(argv)
+        assert want is not None, argv
+        assert _typed(vars(exact)) == _typed(want), argv
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data())
+def test_the_exact_reader_accepts_every_exact_spelling(data):
+    import framelab.cli as cli
+
+    name = data.draw(st.sampled_from(sorted(cli._SUBCOMMANDS)))
+    options = cli._SUBCOMMANDS[name][1]
+    required = [flag for flag, keywords in options if keywords.get("required")]
+    optional = data.draw(st.lists(
+        st.sampled_from([flag for flag, _ in options if flag not in required]), unique=True
+    ))
+    argv = [name]
+    for flag in data.draw(st.permutations(required + optional)):
+        argv.append(flag)
+        if flag in _GOOD_VALUES:
+            argv.append(data.draw(st.sampled_from(_GOOD_VALUES[flag])))
+    exact = cli._exact_args(argv)
+    assert exact is not None, argv
+    assert _typed(vars(exact)) == _typed(_argparse_outcome(argv)), argv
 
 
 def test_main_without_argv_reads_sys_argv(capsys, monkeypatch):
@@ -894,6 +1018,70 @@ def test_analyze_refuses_a_directory_as_output_file(tmp_path, capsys):
     )
     assert code == 2
     assert err.startswith(f"error: cannot write output file {tmp_path}: ")
+
+
+class _FullStdout(io.StringIO):
+    """A stdout whose `method` fails as a write to a full disk does."""
+
+    def __init__(self, method):
+        super().__init__()
+        self.method = method
+
+    def write(self, text):
+        if self.method == "write":
+            raise OSError(errno.ENOSPC, "No space left on device")
+        return super().write(text)
+
+    def flush(self):
+        if self.method == "flush":
+            raise OSError(errno.ENOSPC, "No space left on device")
+
+
+@pytest.mark.parametrize("method", ["write", "flush"])
+def test_an_unwritable_stdout_is_a_typed_error(tmp_path, capsys, monkeypatch, method):
+    psi = _write_psi(tmp_path, [1.0, 0.5, 0.0, 0.0])
+    monkeypatch.setattr(sys, "stdout", _FullStdout(method))
+    code = main(["analyze", "--rep", "regular:Z4", "--psi", psi])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err == "error: cannot write to standard output: [Errno 28] No space left on device\n"
+
+
+@pytest.mark.skipif(
+    not sys.platform.startswith("linux") or not os.path.exists("/dev/full"),
+    reason="needs Linux's /dev/full",
+)
+@pytest.mark.parametrize("unbuffered", [False, True])
+def test_a_full_stdout_exits_2_without_a_traceback(tmp_path, unbuffered):
+    psi = _write_psi(tmp_path, [1.0, 0.5, 0.0, 0.0])
+    env = {key: value for key, value in os.environ.items() if key != "PYTHONUNBUFFERED"}
+    env["PYTHONPATH"] = str(Path(framelab.__file__).resolve().parents[1])
+    if unbuffered:
+        env["PYTHONUNBUFFERED"] = "1"
+    with open("/dev/full", "w") as full:
+        proc = subprocess.run(
+            [sys.executable, "-m", "framelab.cli", "analyze", "--rep", "regular:Z4", "--psi", psi],
+            stdout=full,
+            stderr=subprocess.PIPE,
+            text=True,
+            env=env,
+            timeout=120,
+        )
+    assert proc.returncode == 2
+    assert proc.stderr.startswith("error: cannot write to standard output: ")
+    assert "Traceback" not in proc.stderr and "Exception ignored" not in proc.stderr
+
+
+@pytest.mark.parametrize(
+    "command, rep, order, extra",
+    [("analyze", "regular:Z4", 4, ()), ("bracket", "regular:D4", 8, ("--format", "csv"))],
+)
+def test_an_empty_output_path_is_refused(tmp_path, capsys, command, rep, order, extra):
+    psi = _write_psi(tmp_path, [1.0, 0.5] + [0.0] * (order - 2))
+    code, out, err = run_cli(capsys, command, "--rep", rep, "--psi", psi, *extra, "--out", "")
+    assert code == 2
+    assert out == ""
+    assert "error: cannot write output file " in err
 
 
 def test_bracket_refuses_an_unwritable_spectrum_sidecar(tmp_path, capsys):
