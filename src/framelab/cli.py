@@ -75,7 +75,7 @@ def _require_finite(values, what: str) -> None:
 
 def _write(text: str, out: str | None) -> None:
     if out is not None:
-        _write_file(Path(out), text)
+        _write_file(out, text)
         return
     # The flush is inside the handler: with stdout buffered, a full disk or a
     # closed pipe first shows when the buffer is written out.
@@ -90,12 +90,13 @@ def _write(text: str, out: str | None) -> None:
         raise OutputWriteError(f"cannot write to standard output: {exc}") from exc
 
 
-def _write_file(path: Path, text: str) -> None:
+def _write_file(path: str, text: str) -> None:
     try:
-        path.write_text(text)
+        with open(path, "w") as fh:
+            fh.write(text)
     except (OSError, ValueError) as exc:
         # ValueError covers a path holding a NUL.
-        raise OutputWriteError(f"cannot write output file {path}: {exc}") from exc
+        raise OutputWriteError(f"cannot write output file {path!r}: {exc}") from exc
 
 
 def _cmd_analyze(args) -> int:
@@ -169,7 +170,7 @@ def _cmd_bracket(args) -> int:
             _write(values_csv(op.coefficients.values), args.out)
             if args.out is not None:
                 side = Path(args.out).with_suffix(".spectrum.csv")
-                _write_file(side, spectrum_csv(spectrum))
+                _write_file(str(side), spectrum_csv(spectrum))
             return EXIT_OK
         payload = {
             "schema": SCHEMA,

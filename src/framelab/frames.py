@@ -17,11 +17,11 @@ from .abelian import _multipliers
 from .errors import NonFiniteResultError, ZeroGeneratorError
 from .groups import _character_rows, group_function
 from .representations import (
+    _LAW_BATCH_ENTRIES,
     OrbitSystem,
     _as_generator,
     _kernel_values,
     _orbit_stack,
-    orbit_rows,
 )
 from .vnalgebra import _convolution_matrices, _hermitian_spectrum, block_spectrum
 
@@ -291,9 +291,7 @@ def _power_of_two_scaled(psi: np.ndarray) -> tuple[np.ndarray, int]:
     of the scaled generator are exactly 4^-e times those of psi (short of
     underflow in entries far below the largest), and neither can overflow.
     """
-    peak = max(
-        float(np.abs(psi.real).max(initial=0.0)), float(np.abs(psi.imag).max(initial=0.0))
-    )
+    peak = max(float(np.abs(psi.real).max()), float(np.abs(psi.imag).max()))
     exp = int(np.frexp(peak)[1])
     scaled = np.empty_like(psi)
     scaled.real = np.ldexp(psi.real, -exp)
@@ -336,8 +334,7 @@ def _dense_routes(orbit: OrbitSystem) -> tuple[np.ndarray, dict[str, float]]:
     real parts are the spectrum and whose imaginary parts are zero.
     """
     rep = orbit.rep
-    psi = _as_generator(orbit.generator, rep.dim)
-    gram, c = _grams_and_kernels(rep, psi)  # c(g) = <psi, U(g) psi>
+    gram, c = _grams_and_kernels(rep, orbit.generator)  # c(g) = <psi, U(g) psi>
     w = np.linalg.eigvalsh(gram)
     lam_max = max(float(w[-1]), 1e-300)
 
@@ -359,25 +356,36 @@ def _block_routes(orbit: OrbitSystem) -> tuple[np.ndarray, dict[str, float]]:
 
     The Gram matrix of any unitary orbit is the convolution operator of
     c(g) = <psi, U(g) psi>, so this holds whatever space the group acts on.
-    No order x order matrix is formed.  The bracket route checks the paper's
-    identity on what is left: Gram against operator on a few seeded columns,
-    and the trace and squared Frobenius norm of the Gram matrix against the
-    first two moments of the block spectrum.  On a cyclic product the scalar
-    route checks the multiplier at the characters with the same seeded
-    indices (characters are enumerated like the elements).
+    No order x order matrix is formed, and the orbit is gathered from
+    rep.rows in blocks of about _LAW_BATCH_ENTRIES entries.  The bracket
+    route checks the paper's identity on what is left: Gram against
+    operator on a few seeded columns, and the trace and squared Frobenius
+    norm of the Gram matrix against the first two moments of the block
+    spectrum.  On a cyclic product the scalar route checks the multiplier at
+    the characters with the same seeded indices (characters are enumerated
+    like the elements).
     """
-    psi, group = orbit.generator, orbit.rep.group
+    rep, psi = orbit.rep, orbit.generator
+    group = rep.group
     order = group.order
-    moved = orbit_rows(orbit)  # row g is U(g) psi
-    # c(g) = <psi, U(g) psi> = conj(moved[g] @ conj(psi)), which is also the
-    # Gram column of the identity; conjugating the short side spares a copy
-    # of moved.
-    c = (moved @ psi.conj()).conj()
+    cols = np.random.default_rng(0).choice(order, _BLOCK_CHECK_COLUMNS, replace=False)
+    # Row g of a block is U(g) psi.  c(g) = conj(U(g) psi @ conj(psi)) is
+    # also the Gram column of the identity, and Gram column j is
+    # conj(U(g) psi @ conj(U(j) psi)); conjugating the short side spares a
+    # copy of each block.  The blocks are of near-equal size: a block of one
+    # row would take a vector-vector product, which rounds differently.
+    right = _orbit_stack(rep, psi, cols).conj().T
+    c = np.empty(order, dtype=np.complex128)
+    gram_cols = np.empty((order, _BLOCK_CHECK_COLUMNS), dtype=np.complex128)
+    blocks = -(-order * rep.dim // _LAW_BATCH_ENTRIES)
+    for block in np.array_split(np.arange(order), blocks):
+        moved = _orbit_stack(rep, psi, block)
+        c[block] = moved @ psi.conj()
+        gram_cols[block] = moved @ right
+    c, gram_cols = c.conj(), gram_cols.conj()
     w = block_spectrum(group_function(group, c))
     lam_max = max(float(w[-1]), 1e-300)
 
-    cols = np.random.default_rng(0).choice(order, _BLOCK_CHECK_COLUMNS, replace=False)
-    gram_cols = (moved @ moved[cols].conj().T).conj()  # moved.conj() @ moved[j]
     op_cols = c[group.rows(group.inverses[cols])].T  # F[x, j] = c(j^-1 x)
     dev_cols = float(np.abs(gram_cols - op_cols).max()) / lam_max
     trace = float(c[group.identity].real)
@@ -405,12 +413,14 @@ def analyze_orbit(orbit: OrbitSystem, tol: float = 1e-10) -> FrameReport:
     route_agreement records how far the other routes stray, as max
     deviation relative to lambda_max.  Above it, for every group, the
     spectrum comes from the blocks of the correlation kernel over an abelian
-    subgroup (block_spectrum); "bracket" then holds the Gram-vs-operator
-    deviation on a few seeded columns and the trace and Frobenius-norm
-    deviations of that spectrum, and "scalar" how far the multiplier at the
-    characters with those seeded indices lies from it.
+    subgroup (block_spectrum), with the orbit gathered a block of rows at a
+    time; "bracket" then holds the Gram-vs-operator deviation on a few
+    seeded columns and the trace and Frobenius-norm deviations of that
+    spectrum, and "scalar" how far the multiplier at the characters with
+    those seeded indices lies from it.  The generator is checked on entry,
+    as orbit_matrix checks it.
     """
-    psi = np.asarray(orbit.generator, dtype=np.complex128).reshape(-1)
+    psi = _as_generator(orbit.generator, orbit.rep.dim)
     # The verdict depends on the spectrum relative to lambda_max, not on the
     # scale of psi; only a squared norm that is zero or has lost precision
     # below the smallest normal float leaves nothing to classify.  The norm

@@ -7,11 +7,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import (
-    DimMismatchError,
-    DimTooLargeError,
-    ParseError,
-)
+from .errors import DimMismatchError, DimTooLargeError, ParseError
 from .groups import (
     DEFAULT_MAX_ORDER,
     FiniteGroup,
@@ -47,25 +43,25 @@ DEFAULT_MAX_DIM = 4096
 _EXHAUSTIVE_PAIR_ORDER = 64
 _RANDOM_PAIR_COUNT = 200
 
-# Pairs per batch when checking the group law are chosen so one batch holds
-# about this many entries, whatever the dimension.
+# Pairs per batch when checking the group law, and orbit rows per block when
+# analyze gathers an orbit, are chosen so one batch holds about this many
+# entries, whatever the dimension.
 _LAW_BATCH_ENTRIES = 1 << 20
+
 
 @dataclass(frozen=True, eq=False)
 class UnitaryRepresentation:
     """A monomial unitary action: (U(g) v)[x] = phase[g, x] * v[src[g, x]].
 
     Every representation built here permutes coordinates and multiplies them
-    by unit phases, so two read-only (order, dim) arrays hold the whole
-    action and the orbit of psi is the single gather phase * psi[src].
-    `model` is the parsed spec the routes dispatch on: ("regular",),
-    ("shift", n, m) or ("gabor", l, m).
+    by unit phases.  `model`, the parsed spec ("regular",), ("shift", n, m)
+    or ("gabor", l, m), fixes the action: rows(elements) evaluates the rows
+    of any elements from it, and `src` and `phase` are the read-only
+    (order, dim) rows of every element, filled on first read.
     """
 
     group: FiniteGroup
     dim: int
-    src: np.ndarray  # (order, dim) int64, the coordinate each output reads
-    phase: np.ndarray  # (order, dim) complex128
     model: tuple
 
     @property
@@ -79,10 +75,56 @@ class UnitaryRepresentation:
             return f"{kind}:{','.join(map(str, sizes))}"
         return f"regular:{self.group.spec}" if self.group.spec else "regular"
 
+    def rows(self, elements) -> tuple[np.ndarray, np.ndarray]:
+        """The sources (int64) and phases (complex128) of U(g) for g in elements.
+
+        Each has the shape of elements plus a last axis of length dim.  A
+        regular row reads the product law, (lambda(g) v)[x] = v[g^-1 x]; a
+        shift or gabor source row is a window of one doubled arange; a
+        permutation's phases are a read-only view of the value one.
+        """
+        elements = np.asarray(elements, dtype=np.int64)
+        kind, *sizes = self.model
+        if kind == "regular":
+            src = self.group.rows(self.group.inverses[elements])
+        else:
+            # Row r of windows is (x + r) mod dim.  Shift k moves by k * m,
+            # and gabor element k * m + j by the same k * m.
+            m, dim = sizes[1], self.dim
+            shifts = elements * m if kind == "shift" else elements - elements % m
+            twice = np.arange(2 * dim)
+            twice[dim:] -= dim
+            windows = np.ndarray((dim + 1, dim), twice.dtype, twice, 0, 2 * twice.strides)
+            src = windows[dim - shifts]
+        if kind != "gabor":
+            return src, np.broadcast_to(np.complex128(1), src.shape)
+        # The phase index l * j * x mod dim is l * (j * x mod m), so one
+        # (m, dim) block holds the phase row of every modulation j.
+        l, m = sizes
+        x = np.arange(self.dim)
+        roots = np.exp(-2j * np.pi * x / self.dim)
+        return src, roots[l * ((x[:m, None] * x) % m)][elements % m]
+
+    @cached_property
+    def _action(self) -> tuple[np.ndarray, np.ndarray]:
+        src, phase = self.rows(np.arange(self.group.order))
+        return _freeze(src), _freeze(phase)
+
+    @cached_property
+    def src(self) -> np.ndarray:
+        """(order, dim) int64, the coordinate each output reads."""
+        return self._action[0]
+
+    @cached_property
+    def phase(self) -> np.ndarray:
+        """(order, dim) complex128 unit phases."""
+        return self._action[1]
+
     def matrix(self, g: int) -> np.ndarray:
         """The dense (dim, dim) matrix of one element."""
+        src, phase = self.rows(g)
         mat = np.zeros((self.dim, self.dim), dtype=np.complex128)
-        mat[np.arange(self.dim), self.src[g]] = self.phase[g]
+        mat[np.arange(self.dim), src] = phase
         return _freeze(mat)
 
     @cached_property
@@ -128,28 +170,6 @@ def _as_generator(vec, dim: int) -> np.ndarray:
     return arr
 
 
-def _trivial_phase(shape: tuple[int, int]) -> np.ndarray:
-    """All-ones phases of a permutation action, as a read-only view of one value."""
-    return np.broadcast_to(np.complex128(1), shape)
-
-
-def _shift_sources(count: int, stride: int, dim: int, repeat: int = 1) -> np.ndarray:
-    """Sources (x - stride * k) mod dim of the shifts k = 0..count-1, as rows.
-
-    Each shift's row appears `repeat` times in a row.  The row of shift k is
-    the window of one doubled arange that starts at dim - stride * k, so one
-    strided view reads every window and one copy lays them out, with no
-    remainder taken per entry.
-    """
-    twice = np.arange(2 * dim)
-    twice[dim:] -= dim
-    step = twice.strides[0]
-    windows = np.ndarray(
-        (count, repeat, dim), twice.dtype, twice, dim * step, (-stride * step, 0, step)
-    )
-    return np.ascontiguousarray(windows).reshape(count * repeat, dim)
-
-
 def _check_dim(dim: int) -> None:
     """Refuse a space above DEFAULT_MAX_DIM, as it reads at call time."""
     if dim > DEFAULT_MAX_DIM:
@@ -164,10 +184,7 @@ def regular_representation(group: FiniteGroup) -> UnitaryRepresentation:
     any product is evaluated.
     """
     _check_dim(group.order)
-    src = group.rows(group.inverses)
-    return UnitaryRepresentation(
-        group, group.order, _freeze(src), _trivial_phase(src.shape), ("regular",)
-    )
+    return UnitaryRepresentation(group, group.order, ("regular",))
 
 
 def _check_shift_sizes(n: int, m: int) -> None:
@@ -188,12 +205,8 @@ def shift_model_representation(
     n, m = int(n), int(m)
     _check_shift_sizes(n, m)
     group = make_abelian_group([n], max_order=max_order)
-    dim = n * m
-    _check_dim(dim)
-    src = _shift_sources(n, m, dim)
-    return UnitaryRepresentation(
-        group, dim, _freeze(src), _trivial_phase(src.shape), ("shift", n, m)
-    )
+    _check_dim(n * m)
+    return UnitaryRepresentation(group, n * m, ("shift", n, m))
 
 
 def _check_gabor_sizes(l: int, m: int) -> None:
@@ -217,19 +230,8 @@ def gabor_representation(
     l, m = int(l), int(m)
     _check_gabor_sizes(l, m)
     group = make_abelian_group([l, m], max_order=max_order)
-    dim = l * m
-    _check_dim(dim)
-    x = np.arange(dim)
-    roots = np.exp(-2j * np.pi * x / dim)
-    # Element index is k * m + j for translation k and modulation j.  The
-    # source depends on k alone, and the phase index l * j * x mod n, which is
-    # l * (j * x mod m), on j alone: the (m, dim) phase block of j = 0..m-1
-    # repeats for every k, read l times through a zero stride.
-    src = _shift_sources(l, m, dim, repeat=m)
-    block = roots[l * ((x[:m, None] * x) % m)]
-    tiled = np.ndarray((l, m, dim), block.dtype, block, 0, (0, *block.strides))
-    phase = np.ascontiguousarray(tiled).reshape(dim, dim)
-    return UnitaryRepresentation(group, dim, _freeze(src), _freeze(phase), ("gabor", l, m))
+    _check_dim(l * m)
+    return UnitaryRepresentation(group, l * m, ("gabor", l, m))
 
 
 def _product_action(
@@ -301,12 +303,8 @@ def verify_representation(
         a, b = rng.integers(0, n, size=(_RANDOM_PAIR_COUNT, 2)).T
 
     step = max(1, _LAW_BATCH_ENTRIES // d)
-    devs = np.concatenate(
-        [
-            _law_deviation(rep, a[i : i + step], b[i : i + step])
-            for i in range(0, a.size, step)
-        ]
-    )
+    batches = range(0, a.size, step)
+    devs = np.concatenate([_law_deviation(rep, a[i : i + step], b[i : i + step]) for i in batches])
     at = int(np.argmax(devs))
     hom_dev = float(devs[at])
     worst = (int(a[at]), int(b[at])) if hom_dev > 0 else None
@@ -330,17 +328,19 @@ def orbit_rows(orbit: OrbitSystem) -> np.ndarray:
     return _orbit_stack(orbit.rep, _as_generator(orbit.generator, orbit.rep.dim))
 
 
-def _orbit_stack(rep: UnitaryRepresentation, psis: np.ndarray) -> np.ndarray:
+def _orbit_stack(rep: UnitaryRepresentation, psis: np.ndarray, elements=None) -> np.ndarray:
     """orbit_rows of one generator, or of each row of a (k, dim) stack.
 
-    np.take keeps each (order, dim) block C-contiguous, as BLAS needs it to
-    run the products on it exactly as on a single generator.  The gather
-    lands in a fresh complex buffer that the phases multiply in place, with
-    the phase as the left operand: complex products round differently with
-    their operands swapped.
+    Given elements, only their rows are gathered, from rep.rows.  np.take
+    keeps each (order, dim) block C-contiguous, as BLAS needs it to run the
+    products on it exactly as on a single generator.  The gather lands in a
+    fresh complex buffer that the phases multiply in place, with the phase
+    as the left operand: complex products round differently with their
+    operands swapped.
     """
-    moved = np.take(psis.astype(np.complex128, copy=False), rep.src, axis=-1)
-    return np.multiply(rep.phase, moved, out=moved)
+    src, phase = (rep.src, rep.phase) if elements is None else rep.rows(elements)
+    moved = np.take(psis.astype(np.complex128, copy=False), src, axis=-1)
+    return np.multiply(phase, moved, out=moved)
 
 
 def orbit_matrix(orbit: OrbitSystem) -> np.ndarray:
@@ -348,39 +348,26 @@ def orbit_matrix(orbit: OrbitSystem) -> np.ndarray:
     return orbit_rows(orbit).T.copy()
 
 
-def correlation_function(
-    rep: UnitaryRepresentation, phi, psi
-) -> GroupFunction:
+def correlation_function(rep: UnitaryRepresentation, phi, psi) -> GroupFunction:
     """g -> <phi, U(g) psi>, with the inner product linear in phi."""
     phi = _as_generator(phi, rep.dim)
     psi = _as_generator(psi, rep.dim)
-    return group_function(rep.group, _correlation_values(rep, phi, psi))
-
-
-def _correlation_values(
-    rep: UnitaryRepresentation, phis: np.ndarray, psis: np.ndarray
-) -> np.ndarray:
-    """correlation_function values of one generator pair or of (k, dim) stacks.
-
-    A stack runs the same matrix-vector product per row as a single pair, so
-    each row keeps its bits.
-    """
-    return _kernel_values(_orbit_stack(rep, psis), phis)
+    return group_function(rep.group, _kernel_values(_orbit_stack(rep, psi), phi))
 
 
 def _kernel_values(moved: np.ndarray, phis: np.ndarray) -> np.ndarray:
     """<phi, U(g) psi> from moved, the _orbit_stack of the psis.
 
-    moved is conjugated in place, so a caller that also needs the orbit
-    itself takes what it needs from it first.
+    One generator pair or (k, dim) stacks of them: a stack runs the same
+    matrix-vector product per row as a single pair, so each row keeps its
+    bits.  moved is conjugated in place, so a caller that also needs the
+    orbit itself takes what it needs from it first.
     """
     np.conjugate(moved, out=moved)
     return (moved @ phis[..., None])[..., 0]
 
 
-def bracket_operator(
-    rep: UnitaryRepresentation, phi, psi
-) -> ConvolutionOperator:
+def bracket_operator(rep: UnitaryRepresentation, phi, psi) -> ConvolutionOperator:
     """The operator whose Fourier coefficients are <phi, U(g) psi>."""
     return operator_from_coefficients(correlation_function(rep, phi, psi))
 

@@ -27,7 +27,8 @@ from .groups import DEFAULT_MAX_ORDER, FiniteGroup, _convolve_values, group_from
 from .representations import (
     UnitaryRepresentation,
     _action_deviation,
-    _correlation_values,
+    _kernel_values,
+    _orbit_stack,
     _product_action,
     gabor_representation,
     parse_rep_spec,
@@ -345,7 +346,7 @@ def check_support_lemma(
         kernels = np.empty((samples, group.order), dtype=np.complex128)
         kernels[0::2] = _inverse_multipliers(group, np.array(draws[0::2]))
         psis = np.array(draws[1::2]).reshape(-1, group.order)
-        kernels[1::2] = _correlation_values(rep, psis, psis)
+        kernels[1::2] = _kernel_values(_orbit_stack(rep, psis), psis)
         mats = _convolution_matrices(group, kernels)
         via_proj = _multipliers(group, _support_projections(group, mats, tol))
         chi = _support_indicators(_multipliers(group, kernels), tol)
@@ -422,7 +423,7 @@ def check_sandwich_suite(
         if not at:
             continue
         stack = np.array([psis[j] for j in at])
-        kernels = _correlation_values(rep, stack, stack)
+        kernels = _kernel_values(_orbit_stack(rep, stack), stack)
         mults = _multipliers(rep.group, kernels).real
         bounds = [_sandwich_bounds(*cases[j], mult, tol) for j, mult in zip(at, mults)]
         a, b, expected = (np.array(column) for column in zip(*bounds))
@@ -460,7 +461,7 @@ def check_periodization_calibration(
     for (n, m), psis in draws.items():
         stack = np.array(psis)
         rep = shift_model_representation(n, m)
-        oracle = _multipliers(rep.group, _correlation_values(rep, stack, stack))
+        oracle = _multipliers(rep.group, _kernel_values(_orbit_stack(rep, stack), stack))
         fast = _periodization_values(stack, n, m)
         worst = max(worst, _calibration_deviation(fast, oracle))
     return CheckResult("periodization_calibration", worst <= tol, worst, tol, samples)
@@ -486,7 +487,7 @@ def check_zak_calibration(rng: np.random.Generator, samples: int = 100) -> Check
     for (l, m), pairs in draws.items():
         phis, psis = (np.array(column) for column in zip(*pairs))
         rep = gabor_representation(l, m)
-        oracle = _multipliers(rep.group, _correlation_values(rep, phis, psis))
+        oracle = _multipliers(rep.group, _kernel_values(_orbit_stack(rep, psis), phis))
         fast = _zak_values(phis, psis, l, m)
         worst = max(worst, _calibration_deviation(fast, oracle))
     return CheckResult("zak_calibration", worst <= tol, worst, tol, samples)

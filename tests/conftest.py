@@ -1,7 +1,9 @@
-"""Shared test settings and fixtures.
+"""Shared test settings, fixtures and helpers.
 
 Property tests draw the same examples on every run.
 """
+
+import dataclasses
 
 import pytest
 from hypothesis import settings
@@ -22,3 +24,17 @@ def biased_gramian(monkeypatch):
         return dev + 1e-6, trace_dev
 
     monkeypatch.setattr(verification, "_bracket_gramian_deviations", biased)
+
+
+def faulty_rows(rep, src=None, phase=None):
+    """A copy of rep whose rows() read the given (order, dim) src or phase.
+
+    A test plants a fault in a copy of rep.src or rep.phase and passes it
+    here.  The copy's cached src and phase and every gather of chosen
+    elements go through rows(), so each sees the same fault.
+    """
+    src = rep.src if src is None else src
+    phase = rep.phase if phase is None else phase
+    broken = dataclasses.replace(rep)
+    object.__setattr__(broken, "rows", lambda elements: (src[elements], phase[elements]))
+    return broken

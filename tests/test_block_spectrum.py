@@ -1,6 +1,5 @@
 """Block spectra over abelian subgroups against the dense Gram eigensolve they replace."""
 
-import dataclasses
 import itertools
 import json
 import math
@@ -16,6 +15,7 @@ import framelab.groups as groups
 from framelab import (
     BLOCK_SPECTRUM_ORDER,
     OrbitSystem,
+    UnitaryRepresentation,
     analyze_orbit,
     block_spectrum,
     correlation_function,
@@ -30,6 +30,8 @@ from framelab import (
     regular_representation,
     vector_system,
 )
+
+from conftest import faulty_rows
 
 
 def _right_invariant(group, f, h):
@@ -156,6 +158,27 @@ def parse(tmp_path_factory):
     return lambda spec: parse_rep_spec(spec.replace("table:", f"table:{folder}/"))
 
 
+@pytest.mark.parametrize("rows_per_block", [None, 5])
+@pytest.mark.parametrize("spec", [*_BLOCK_SPECS, "shift:72,2", "gabor:9,8"])
+def test_block_route_reads_rows_not_the_cached_action(spec, rows_per_block, parse, monkeypatch):
+    # The block route gathers the orbit from rep.rows; with the cached
+    # (order, dim) src and phase made to raise, and in blocks of any size,
+    # it reports the same bits.
+    rep = parse(spec)
+    rng = np.random.default_rng(8)
+    psi = rng.standard_normal(rep.dim) + 1j * rng.standard_normal(rep.dim)
+    want = analyze_orbit(OrbitSystem(rep, psi)).to_json_dict()
+
+    def refuse(self):
+        raise AssertionError(f"the cached action of {self.label} was read")
+
+    monkeypatch.setattr(UnitaryRepresentation, "src", property(refuse))
+    monkeypatch.setattr(UnitaryRepresentation, "phase", property(refuse))
+    if rows_per_block is not None:
+        monkeypatch.setattr(frames, "_LAW_BATCH_ENTRIES", rows_per_block * rep.dim)
+    assert analyze_orbit(OrbitSystem(rep, psi)).to_json_dict() == want
+
+
 @pytest.mark.parametrize("spec", _BLOCK_SPECS)
 def test_block_route_agrees_with_dense_route(spec, parse, monkeypatch):
     rep = parse(spec)
@@ -207,7 +230,7 @@ def test_block_route_flags_a_broken_representation():
     phase = rep.phase.copy()
     phase[np.arange(1, rep.group.order)] *= 1j  # not a representation any more
     phase.setflags(write=False)
-    broken = dataclasses.replace(rep, phase=phase)
+    broken = faulty_rows(rep, phase=phase)
     psi = np.random.default_rng(2).standard_normal(rep.dim)
     assert analyze_orbit(OrbitSystem(rep, psi)).route_agreement["bracket"] < 1e-12
     assert analyze_orbit(OrbitSystem(broken, psi)).route_agreement["bracket"] > 1e-3
@@ -255,10 +278,16 @@ def test_block_route_builds_no_character_table(spec, monkeypatch):
     assert analyze_orbit(OrbitSystem(rep, psi)).route_agreement["scalar"] <= 1e-12
 
 
-@pytest.mark.parametrize("spec", ["regular:Z4096", "regular:Z64xZ64", "regular:H16"])
+@pytest.mark.parametrize(
+    "spec",
+    ["regular:Z4096", "regular:Z64xZ64", "regular:D2048", "regular:H16", "shift:2048,2",
+     "gabor:64,64"],
+)
 def test_block_route_at_the_cap_peaks_below_two_orbits(spec):
-    # The (order, order) complex orbit takes 256 MiB; a character table
-    # would add 384 MiB more.
+    # A whole (order, dim) complex orbit takes 256 MiB at order and dim
+    # 4096, and a character table would add 384 MiB more.  The block route
+    # gathers the orbit about 2^20 entries at a time and fills neither the
+    # action's (order, dim) src nor its phase.
     rep = parse_rep_spec(spec)
     psi = np.random.default_rng(6).standard_normal(rep.dim)
     tracemalloc.start()
@@ -271,7 +300,8 @@ def test_block_route_at_the_cap_peaks_below_two_orbits(spec):
         tracemalloc.stop()
     assert max(report.route_agreement.values()) <= 1e-12
     assert ("scalar" in report.route_agreement) == (rep.group.abelian is not None)
-    assert peak < 450 * 2**20
+    assert peak < 64 * 2**20
+    assert "src" not in vars(rep) and "phase" not in vars(rep)
 
 
 @pytest.mark.parametrize("spec", ["regular:Z4", "regular:D5", *_BLOCK_SPECS])

@@ -22,6 +22,8 @@ from framelab.cli import main
 from framelab.io import dump_json, load_generator, pairs_from_complex, spectrum_csv, values_csv
 from framelab import NonFiniteResultError, ParseError, make_abelian_group
 
+from conftest import faulty_rows
+
 
 def _write_psi(tmp_path, values, name="psi.json"):
     path = tmp_path / name
@@ -463,6 +465,20 @@ def test_exit_code_dim_mismatch(tmp_path, capsys):
     code, _, err = run_cli(capsys, "analyze", "--rep", "regular:Z4", "--psi", psi)
     assert code == 3
     assert "length" in err or "dim" in err
+
+
+@pytest.mark.parametrize(
+    "rep, dim", [("regular:Z4", 4), ("regular:Z72", 72), ("shift:40,2", 80), ("gabor:9,8", 72)]
+)
+@pytest.mark.parametrize("length", ["short", "long"])
+def test_exit_code_dim_mismatch_on_both_routes(tmp_path, capsys, rep, dim, length):
+    # regular:Z4 takes the dense route; the other three take the blocks.
+    count = dim - 1 if length == "short" else dim + 1
+    psi = _write_psi(tmp_path, [1.0, 0.5] + [0.0] * (count - 2))
+    code, out, err = run_cli(capsys, "analyze", "--rep", rep, "--psi", psi)
+    assert code == 3
+    assert out == ""
+    assert err == f"error: generator has length {count}, representation dim is {dim}\n"
 
 
 def test_exit_code_zero_generator(tmp_path, capsys):
@@ -1007,7 +1023,7 @@ def test_verify_refuses_an_output_file_in_a_missing_directory(tmp_path, capsys):
     code, out, err = run_cli(capsys, "verify", "--samples", "2", "--out", str(target))
     assert code == 2
     assert out == ""
-    assert err.startswith(f"error: cannot write output file {target}: ")
+    assert err.startswith(f"error: cannot write output file {str(target)!r}: ")
     assert "Traceback" not in err
 
 
@@ -1017,7 +1033,7 @@ def test_analyze_refuses_a_directory_as_output_file(tmp_path, capsys):
         capsys, "analyze", "--rep", "regular:Z4", "--psi", psi, "--out", str(tmp_path)
     )
     assert code == 2
-    assert err.startswith(f"error: cannot write output file {tmp_path}: ")
+    assert err.startswith(f"error: cannot write output file {str(tmp_path)!r}: ")
 
 
 class _FullStdout(io.StringIO):
@@ -1078,10 +1094,14 @@ def test_a_full_stdout_exits_2_without_a_traceback(tmp_path, unbuffered):
 )
 def test_an_empty_output_path_is_refused(tmp_path, capsys, command, rep, order, extra):
     psi = _write_psi(tmp_path, [1.0, 0.5] + [0.0] * (order - 2))
-    code, out, err = run_cli(capsys, command, "--rep", rep, "--psi", psi, *extra, "--out", "")
-    assert code == 2
-    assert out == ""
-    assert "error: cannot write output file " in err
+    # The path is named as it was given, not as pathlib normalises it.
+    for path, reason in (("", "No such file or directory"), ("./", "Is a directory")):
+        code, out, err = run_cli(capsys, command, "--rep", rep, "--psi", psi, *extra, "--out", path)
+        assert code == 2
+        assert out == ""
+        line = err.splitlines()[-1]  # bracket prints a notice before it
+        assert line.startswith(f"error: cannot write output file {path!r}: [Errno ")
+        assert line.endswith(f"] {reason}: {path!r}")
 
 
 def test_bracket_refuses_an_unwritable_spectrum_sidecar(tmp_path, capsys):
@@ -1095,7 +1115,7 @@ def test_bracket_refuses_an_unwritable_spectrum_sidecar(tmp_path, capsys):
         "--format", "csv", "--out", str(out_path),
     )
     assert code == 2
-    assert f"error: cannot write output file {sidecar}: " in err
+    assert f"error: cannot write output file {str(sidecar)!r}: " in err
     assert out_path.read_text().startswith("index,re,im\n")
 
 
@@ -1117,8 +1137,6 @@ def test_verify_has_no_inject_fault_flag(capsys):
 def test_a_broken_gabor_action_fails_the_oracle_and_the_routes(
     tmp_path, capsys, monkeypatch
 ):
-    import dataclasses
-
     import framelab.representations as reps
 
     build = reps.gabor_representation
@@ -1127,7 +1145,7 @@ def test_a_broken_gabor_action_fails_the_oracle_and_the_routes(
         rep = build(l, m, max_order)
         phase = rep.phase.copy()
         phase[1] *= 1j
-        return dataclasses.replace(rep, phase=phase)
+        return faulty_rows(rep, phase=phase)
 
     monkeypatch.setattr(reps, "gabor_representation", row_one_times_1j)
     psi = _write_psi(tmp_path, np.random.default_rng(4).standard_normal(12))

@@ -11,8 +11,10 @@ from framelab import (
     VERDICT_FRAME_NOT_RIESZ,
     VERDICT_RIESZ,
     VERDICT_ZERO,
+    DimMismatchError,
     NonFiniteResultError,
     OrbitSystem,
+    ParseError,
     ZeroGeneratorError,
     analyze_orbit,
     bracket_operator,
@@ -508,9 +510,22 @@ def test_analyze_orbit_rejects_underflowing_norm():
 
 
 def test_analyze_orbit_rejects_an_empty_generator():
+    # Its length is checked against the dimension on entry, as orbit_matrix
+    # and correlation_function check it.
     rep = regular_representation(make_abelian_group([3]))
-    with pytest.raises(ZeroGeneratorError):
+    with pytest.raises(DimMismatchError):
         analyze_orbit(OrbitSystem(rep, np.zeros(0)))
+
+
+@pytest.mark.parametrize("spec", ["regular:Z4", "regular:Z72", "shift:40,2", "gabor:9,8"])
+@pytest.mark.parametrize("bad", [np.nan, np.inf, complex(0, -np.inf)])
+def test_analyze_orbit_rejects_a_non_finite_generator_on_both_routes(spec, bad):
+    # regular:Z4 takes the dense route; the other three take the blocks.
+    rep = parse_rep_spec(spec)
+    psi = np.ones(rep.dim, dtype=np.complex128)
+    psi[1] = bad
+    with pytest.raises(ParseError, match="non-finite"):
+        analyze_orbit(OrbitSystem(rep, psi))
 
 
 def _count_orbit_stacks(monkeypatch):
@@ -547,14 +562,14 @@ def test_each_orbit_stack_is_gathered_once(monkeypatch, spec):
 @pytest.mark.parametrize("spec", ["regular:D4", "gabor:2,3", "regular:H3"])
 def test_bracket_gramian_deviations_keep_the_former_bits(spec):
     from framelab.frames import _bracket_gramian_deviations
-    from framelab.representations import _correlation_values, _orbit_stack
+    from framelab.representations import _kernel_values, _orbit_stack
     from framelab.vnalgebra import _convolution_matrices
 
     rep = parse_rep_spec(spec)
     psis = _cvec(np.random.default_rng(6), 4 * rep.dim).reshape(4, rep.dim)
     synthesis = _orbit_stack(rep, psis).transpose(0, 2, 1).copy()
     gram = synthesis.conj().transpose(0, 2, 1) @ synthesis
-    kernels = _correlation_values(rep, psis, psis)
+    kernels = _kernel_values(_orbit_stack(rep, psis), psis)
     former = np.abs(_convolution_matrices(rep.group, kernels) - gram).max(axis=(1, 2))
     max_dev, _ = _bracket_gramian_deviations(rep, psis)
     assert max_dev.tobytes() == former.tobytes()

@@ -1,6 +1,5 @@
 """The monomial action core: gathers against the dense matrices they replace."""
 
-import dataclasses
 import json
 import tracemalloc
 
@@ -23,6 +22,8 @@ from framelab import (
     regular_representation,
     verify_representation,
 )
+
+from conftest import faulty_rows
 
 
 @pytest.fixture(scope="module")
@@ -83,13 +84,19 @@ bounded_complex = st.complex_numbers(
 )
 
 
+def _table_spec(table_dir, spec):
+    """spec itself, or a regular:table: spec for a drawn table."""
+    if not isinstance(spec, list):
+        return spec
+    path = table_dir / f"t{len(spec)}.json"
+    path.write_text(json.dumps({"table": spec}))
+    return f"regular:table:{path}"
+
+
 @settings(max_examples=60, deadline=None)
 @given(spec=rep_specs, data=st.data())
 def test_gather_matches_dense_oracle(table_dir, spec, data):
-    if isinstance(spec, list):
-        path = table_dir / f"t{len(spec)}.json"
-        path.write_text(json.dumps({"table": spec}))
-        spec = f"regular:table:{path}"
+    spec = _table_spec(table_dir, spec)
     rep = parse_rep_spec(spec)
     assert np.array_equal(rep.matrices, _loop_matrices(spec, rep))
     psi = data.draw(arrays(np.complex128, rep.dim, elements=bounded_complex))
@@ -104,6 +111,27 @@ def test_gather_matches_dense_oracle(table_dir, spec, data):
     for g in (0, rep.group.order - 1):
         assert np.array_equal(rep.matrix(g), rep.matrices[g])
     assert verify_representation(rep).passed
+
+
+@settings(max_examples=60, deadline=None)
+@given(spec=rep_specs, data=st.data())
+def test_rows_of_any_elements_are_the_cached_rows(table_dir, spec, data):
+    # Elements of any shape, in any order and with repeats; rows is asked
+    # first, so the caches are filled after it.
+    rep = parse_rep_spec(_table_spec(table_dir, spec))
+    shape = tuple(data.draw(st.lists(st.integers(0, 4), max_size=3), label="shape"))
+    elements = data.draw(
+        arrays(np.int64, shape, elements=st.integers(0, rep.group.order - 1)), label="elements"
+    )
+    src, phase = rep.rows(elements)
+    assert "src" not in vars(rep) and "phase" not in vars(rep)
+    assert src.dtype == np.int64 and phase.dtype == np.complex128
+    assert src.shape == phase.shape == (*shape, rep.dim)
+    assert np.array_equal(src, rep.src[elements])
+    assert np.array_equal(
+        np.ascontiguousarray(phase).view(np.int64),
+        np.ascontiguousarray(rep.phase[elements]).view(np.int64),
+    )
 
 
 def test_correlation_matches_dense_oracle():
@@ -149,7 +177,7 @@ def test_verify_flags_a_wrong_source_coordinate():
     rep = regular_representation(make_abelian_group([6]))
     src = rep.src.copy()
     src[4, [0, 1]] = src[4, [1, 0]]
-    result = verify_representation(dataclasses.replace(rep, src=src))
+    result = verify_representation(faulty_rows(rep, src=src))
     assert not result.passed
     assert result.homomorphism_deviation >= 1.0
     assert result.unitarity_deviation == 0.0
@@ -158,7 +186,7 @@ def test_verify_flags_a_wrong_source_coordinate():
 
     src = rep.src.copy()
     src[4, 0] = src[4, 1]
-    result = verify_representation(dataclasses.replace(rep, src=src))
+    result = verify_representation(faulty_rows(rep, src=src))
     assert result.unitarity_deviation >= 1.0
 
 

@@ -1,7 +1,5 @@
 """Concrete unitary representations and orbit brackets."""
 
-import dataclasses
-
 import numpy as np
 import pytest
 
@@ -30,6 +28,8 @@ from framelab import (
     trace_tau,
     verify_representation,
 )
+
+from conftest import faulty_rows
 
 
 def _cvec(rng, n):
@@ -139,7 +139,7 @@ def test_verify_flags_corrupted_matrix():
     rep = gabor_representation(2, 2)
     phase = rep.phase.copy()
     phase[3] = phase[3] * 1.001
-    broken = dataclasses.replace(rep, phase=phase)
+    broken = faulty_rows(rep, phase=phase)
     result = verify_representation(broken)
     assert not result.passed
     assert result.max_deviation > 1e-4
@@ -158,7 +158,7 @@ def test_law_check_evaluates_each_left_factor_once(spec, monkeypatch):
     assert rep.group.order == 64
     phase = rep.phase.copy()
     phase[5] *= 1j
-    pair = (rep, dataclasses.replace(rep, phase=phase))
+    pair = (rep, faulty_rows(rep, phase=phase))
     with monkeypatch.context() as m:
         m.setattr(reps, "_law_deviation", _law_deviation_row_per_pair)
         want = [verify_representation(r) for r in pair]
@@ -206,7 +206,8 @@ def test_orbit_stack_and_correlation_keep_the_former_bits(spec, dtype):
         assert got.dtype == np.complex128
         assert got.tobytes() == moved.tobytes()
         values = (moved.conj() @ phis[..., None])[..., 0]
-        assert reps._correlation_values(rep, phis, psis).tobytes() == values.tobytes()
+        got = reps._kernel_values(reps._orbit_stack(rep, psis), phis)
+        assert got.tobytes() == values.tobytes()
         assert psis.tobytes() == kept.tobytes()
 
 

@@ -1,7 +1,5 @@
 """The self-check suite: clean passes, failure paths, and skip notices."""
 
-import dataclasses
-
 import numpy as np
 import pytest
 
@@ -31,6 +29,8 @@ from framelab import (
 )
 from framelab.abelian import _inverse_multipliers, _sandwich_sides
 from framelab.groups import group_from_spec
+
+from conftest import faulty_rows
 
 
 def _groups(*specs):
@@ -295,7 +295,7 @@ def _scaled_row(row, scale, entries=slice(None)):
         rep = gabor_representation(l, m)
         phase = rep.phase.copy()
         phase[row, entries] *= scale
-        return dataclasses.replace(rep, phase=phase)
+        return faulty_rows(rep, phase=phase)
 
     return build
 
