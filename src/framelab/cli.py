@@ -2,12 +2,12 @@
 
 from __future__ import annotations
 
-import argparse
 import contextlib
 import math
 import os
 import sys
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -21,12 +21,11 @@ from .errors import (
     ParseError,
     ZeroGeneratorError,
 )
-from .frames import GAP_GUARD, analyze_orbit
+from .frames import GAP_GUARD, _uses_blocks, analyze_orbit
 from .groups import DEFAULT_MAX_ORDER
 from .io import SCHEMA, dump_json, load_generator, pairs_from_complex, spectrum_csv, values_csv
 from .representations import OrbitSystem, bracket_operator, parse_rep_spec
-from .verification import DEFAULT_GROUP_SPECS, run_verification_suite
-from .vnalgebra import _hermitian_spectrum
+from .vnalgebra import _hermitian_spectrum, block_spectrum
 
 EXIT_OK = 0
 EXIT_FAIL = 1
@@ -155,7 +154,12 @@ def _cmd_bracket(args) -> int:
     _require_finite(op.coefficients.values, "the bracket kernel")
 
     if rep.group.abelian is None:
-        spectrum = _hermitian_spectrum(op.matrix)
+        # Above BLOCK_SPECTRUM_ORDER the spectrum comes from the kernel's
+        # blocks, as analyze takes it, and no order x order matrix is built.
+        if _uses_blocks(rep.group):
+            spectrum = block_spectrum(op.coefficients)
+        else:
+            spectrum = _hermitian_spectrum(op.matrix)
         _require_finite(spectrum, "the bracket spectrum")
         if rep.group.is_abelian:
             needs = "cyclic-product coordinates"
@@ -214,6 +218,9 @@ def _cmd_bracket(args) -> int:
 
 
 def _cmd_verify(args) -> int:
+    # Imported here so analyze and bracket never load the self-checks.
+    from .verification import DEFAULT_GROUP_SPECS, run_verification_suite
+
     specs = DEFAULT_GROUP_SPECS if args.groups is None else tuple(
         s.strip() for s in args.groups.split(",") if s.strip()
     )
@@ -267,12 +274,14 @@ _SUBCOMMANDS = {
 }
 
 
-def _build_parser(names=tuple(_SUBCOMMANDS)) -> argparse.ArgumentParser:
+def _build_parser(names=tuple(_SUBCOMMANDS)):
     """The argument parser, holding the subparsers of the given subcommands.
 
     argparse builds a help formatter per argument, so a parser that holds
     only the requested subcommand is the cheaper build.
     """
+    import argparse
+
     parser = argparse.ArgumentParser(
         prog="frame-lab",
         description="Riesz/frame analysis of group-representation orbits",
@@ -289,15 +298,17 @@ def _build_parser(names=tuple(_SUBCOMMANDS)) -> argparse.ArgumentParser:
     return parser
 
 
-def _exact_args(argv: list[str]) -> argparse.Namespace | None:
-    """The Namespace argparse returns for argv, if argv is spelled exactly.
+def _exact_args(argv: list[str]) -> SimpleNamespace | None:
+    """What argparse reads from argv, if argv is spelled exactly.
 
     Exactly means: a subcommand, then each given option once, by its full
     flag, each value its own word, not starting with "-", converting by the
     option's type and lying in its choices, and every required option given.
+    The namespace then holds the attributes argparse's Namespace would.
     Anything else (help, `--flag=value`, abbreviations, repeats, errors)
     returns None, for argparse to read. Building argparse's parser takes
-    about a fifth of a cheap request, which an exact command line skips.
+    about a fifth of a cheap request, which an exact command line skips,
+    and importing argparse is skipped with it.
     """
     if not argv or argv[0] not in _SUBCOMMANDS:
         return None
@@ -322,7 +333,7 @@ def _exact_args(argv: list[str]) -> argparse.Namespace | None:
         if value not in keywords.get("choices", (value,)):
             return None
         given[flag] = value
-    args = argparse.Namespace(command=argv[0])
+    args = SimpleNamespace(command=argv[0])
     for flag, keywords in options:
         if flag in given:
             value = given[flag]

@@ -9,6 +9,7 @@ tol * lambda_max.
 
 from __future__ import annotations
 
+import random
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -363,12 +364,14 @@ def _block_routes(orbit: OrbitSystem) -> tuple[np.ndarray, dict[str, float]]:
     norm of the Gram matrix against the first two moments of the block
     spectrum.  On a cyclic product the scalar route checks the multiplier at
     the characters with the same seeded indices (characters are enumerated
-    like the elements).
+    like the elements).  The seeded columns are _BLOCK_CHECK_COLUMNS
+    distinct elements drawn by the standard library's random.Random(0).sample,
+    so they depend on the order alone and need no numpy.random.
     """
     rep, psi = orbit.rep, orbit.generator
     group = rep.group
     order = group.order
-    cols = np.random.default_rng(0).choice(order, _BLOCK_CHECK_COLUMNS, replace=False)
+    cols = np.array(random.Random(0).sample(range(order), _BLOCK_CHECK_COLUMNS))
     # Row g of a block is U(g) psi.  c(g) = conj(U(g) psi @ conj(psi)) is
     # also the Gram column of the identity, and Gram column j is
     # conj(U(g) psi @ conj(U(j) psi)); conjugating the short side spares a

@@ -98,12 +98,19 @@ class UnitaryRepresentation:
             src = windows[dim - shifts]
         if kind != "gabor":
             return src, np.broadcast_to(np.complex128(1), src.shape)
-        # The phase index l * j * x mod dim is l * (j * x mod m), so one
-        # (m, dim) block holds the phase row of every modulation j.
-        l, m = sizes
+        return src, self._modulations[elements % sizes[1]]
+
+    @cached_property
+    def _modulations(self) -> np.ndarray:
+        """(m, dim) complex128 gabor phases: row j is that of modulation j.
+
+        The phase index l * j * x mod dim is l * (j * x mod m), so this one
+        block holds the phase row of every element.
+        """
+        _, l, m = self.model
         x = np.arange(self.dim)
         roots = np.exp(-2j * np.pi * x / self.dim)
-        return src, roots[l * ((x[:m, None] * x) % m)][elements % m]
+        return _freeze(roots[l * ((x[:m, None] * x) % m)])
 
     @cached_property
     def _action(self) -> tuple[np.ndarray, np.ndarray]:

@@ -10,6 +10,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import framelab.abelian as abelian
+import framelab.cli as cli
 import framelab.frames as frames
 import framelab.groups as groups
 from framelab import (
@@ -18,6 +19,7 @@ from framelab import (
     UnitaryRepresentation,
     analyze_orbit,
     block_spectrum,
+    bracket_operator,
     correlation_function,
     dihedral_group,
     gram_matrix,
@@ -30,6 +32,8 @@ from framelab import (
     regular_representation,
     vector_system,
 )
+from framelab.io import pairs_from_complex
+from framelab.vnalgebra import _hermitian_spectrum
 
 from conftest import faulty_rows
 
@@ -149,13 +153,18 @@ _BLOCK_SPECS = (
 
 
 @pytest.fixture(scope="module")
-def parse(tmp_path_factory):
-    """parse_rep_spec, reading each table: path from a folder that holds agl13.json."""
+def spelled(tmp_path_factory):
+    """Each spec with its table: path read from a folder that holds agl13.json."""
     folder = tmp_path_factory.mktemp("tables")
     table = _affine_table(13)
     table = _relabelled(table, np.random.default_rng(9).permutation(len(table)))
     (folder / "agl13.json").write_text(json.dumps({"table": table.tolist()}))
-    return lambda spec: parse_rep_spec(spec.replace("table:", f"table:{folder}/"))
+    return lambda spec: spec.replace("table:", f"table:{folder}/")
+
+
+@pytest.fixture(scope="module")
+def parse(spelled):
+    return lambda spec: parse_rep_spec(spelled(spec))
 
 
 @pytest.mark.parametrize("rows_per_block", [None, 5])
@@ -204,6 +213,30 @@ def test_block_route_agrees_with_dense_route(spec, parse, monkeypatch):
         assert max(blocks.route_agreement.values()) < 1e-12
         verdicts.add(blocks.verdict)
     assert verdicts == {"riesz", "frame_not_riesz"}
+
+
+@pytest.mark.parametrize("spec", ["regular:D40", "regular:H5", "regular:table:agl13.json"])
+def test_bracket_takes_the_block_spectrum_above_the_dense_orders(
+    spec, spelled, tmp_path, capsys, monkeypatch
+):
+    # bracket on a group with no multiplier transform reports the spectrum
+    # of the kernel's blocks, as analyze does, and builds no dense operator.
+    rep = parse_rep_spec(spelled(spec))
+    assert rep.group.abelian is None and rep.group.order > BLOCK_SPECTRUM_ORDER
+    rng = np.random.default_rng(12)
+    psi = rng.standard_normal(rep.dim) + 1j * rng.standard_normal(rep.dim)
+    path = tmp_path / "psi.json"
+    path.write_text(json.dumps({"values": pairs_from_complex(psi)}))
+
+    def refuse(_matrix):
+        raise AssertionError("bracket took a dense eigensolve above the block order")
+
+    monkeypatch.setattr(cli, "_hermitian_spectrum", refuse)
+    assert cli.main(["bracket", "--rep", spelled(spec), "--psi", str(path)]) == 0
+    got = np.array(json.loads(capsys.readouterr().out)["spectrum"])
+    monkeypatch.undo()
+    dense = _hermitian_spectrum(bracket_operator(rep, psi, psi).matrix)
+    assert np.abs(got - dense).max() <= 1e-12 * dense[-1]
 
 
 @pytest.mark.parametrize(

@@ -1179,3 +1179,42 @@ def test_analyze_refuses_a_verdict_its_routes_contradict(
     target = tmp_path / "report.json"
     assert run_cli(capsys, "analyze", "--rep", spec, "--psi", psi, "--out", str(target))[0] == 1
     assert not target.exists()
+
+
+# --------------------------------------------------- what a fresh run loads
+
+_UNUSED_MODULES = ("numpy.random", "framelab.verification", "argparse")
+
+
+@pytest.mark.parametrize(
+    "argv, dim, absent",
+    [
+        # Z144 takes the block route, Z12 the dense one.
+        (["analyze", "--rep", "regular:Z144"], 144, _UNUSED_MODULES),
+        (["analyze", "--rep", "regular:Z12"], 12, _UNUSED_MODULES),
+        (["bracket", "--oracle", "--rep", "shift:60,4"], 240, ("framelab.verification", "argparse")),
+        (["verify", "--samples", "1", "--groups", "Z2"], None, ("argparse",)),
+    ],
+    ids=["analyze-blocks", "analyze-dense", "bracket-oracle", "verify"],
+)
+def test_a_fresh_interpreter_loads_only_what_the_command_runs(tmp_path, argv, dim, absent):
+    if dim is not None:
+        psi = np.random.default_rng(5).standard_normal(dim)
+        argv = [*argv, "--psi", _write_psi(tmp_path, psi)]
+    argv = [*argv, "--out", str(tmp_path / "out.txt")]
+    child = (
+        "import json, sys\n"
+        "from framelab.cli import main\n"
+        "code = main(sys.argv[1:])\n"
+        f"print(json.dumps([code, [m for m in {list(absent)!r} if m in sys.modules]]))\n"
+    )
+    env = {**os.environ, "PYTHONPATH": str(Path(framelab.__file__).resolve().parents[1])}
+    proc = subprocess.run(
+        [sys.executable, "-c", child, *argv],
+        capture_output=True,
+        text=True,
+        env=env,
+        timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout) == [0, []]

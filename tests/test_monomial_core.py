@@ -117,21 +117,41 @@ def test_gather_matches_dense_oracle(table_dir, spec, data):
 @given(spec=rep_specs, data=st.data())
 def test_rows_of_any_elements_are_the_cached_rows(table_dir, spec, data):
     # Elements of any shape, in any order and with repeats; rows is asked
-    # first, so the caches are filled after it.
+    # first, so the caches are filled after it, and asked again on the same
+    # representation, where it reuses what the first call built.
     rep = parse_rep_spec(_table_spec(table_dir, spec))
     shape = tuple(data.draw(st.lists(st.integers(0, 4), max_size=3), label="shape"))
     elements = data.draw(
         arrays(np.int64, shape, elements=st.integers(0, rep.group.order - 1)), label="elements"
     )
-    src, phase = rep.rows(elements)
+    first = rep.rows(elements)
     assert "src" not in vars(rep) and "phase" not in vars(rep)
-    assert src.dtype == np.int64 and phase.dtype == np.complex128
-    assert src.shape == phase.shape == (*shape, rep.dim)
-    assert np.array_equal(src, rep.src[elements])
-    assert np.array_equal(
-        np.ascontiguousarray(phase).view(np.int64),
-        np.ascontiguousarray(rep.phase[elements]).view(np.int64),
-    )
+    second = rep.rows(elements)
+    for src, phase in (first, second):
+        assert src.dtype == np.int64 and phase.dtype == np.complex128
+        assert src.shape == phase.shape == (*shape, rep.dim)
+        assert np.array_equal(src, rep.src[elements])
+        assert np.array_equal(
+            np.ascontiguousarray(phase).view(np.int64),
+            np.ascontiguousarray(rep.phase[elements]).view(np.int64),
+        )
+
+
+def test_gabor_phase_block_is_built_once_per_representation(monkeypatch):
+    rep = parse_rep_spec("gabor:6,4")
+    exps = []
+    exp = np.exp
+
+    def counting(*args, **kwargs):
+        exps.append(args)
+        return exp(*args, **kwargs)
+
+    monkeypatch.setattr(np, "exp", counting)
+    for elements in ([0], [5, 3], np.arange(rep.group.order)):
+        rep.rows(elements)
+    # Filling the src and phase caches reuses the block too.
+    assert rep.src.shape == rep.phase.shape == (rep.group.order, rep.dim)
+    assert len(exps) == 1
 
 
 def test_correlation_matches_dense_oracle():
