@@ -51,11 +51,6 @@ __all__ = [
 
 DEFAULT_MAX_ORDER = 4096
 
-# Exhaustive associativity checking is cubic; above this order we fall back
-# to randomized triples.
-_EXHAUSTIVE_ASSOC_ORDER = 512
-_RANDOM_ASSOC_TRIPLES = 100_000
-
 # Rows per block when a product law is evaluated are chosen so one block
 # holds about this many entries, whatever the order.
 _TABLE_BATCH_ENTRIES = 1 << 18
@@ -116,6 +111,18 @@ class FiniteGroup:
         factors = self.structure[1]
         coords = np.stack(np.unravel_index(np.arange(self.order), factors), axis=1)
         return AbelianStructure(factors, _freeze(coords.astype(np.int64)))
+
+    @cached_property
+    def generators(self) -> tuple[np.ndarray, np.ndarray]:
+        """A generating set S and the products x*s of every x with each s in S.
+
+        Returns (S, columns) with columns[i, x] = x * S[i], found as
+        _generating_set finds them, so |S| <= log2(order).  A builtin reads
+        each column from one row of its law, x*s = (s^-1 x^-1)^-1, and fills
+        no table.
+        """
+        inv = self.inverses
+        return _generating_set(self.order, self.identity, lambda s: inv[self.rows(inv[s])[inv]])
 
     @cached_property
     def table(self) -> np.ndarray:
@@ -324,34 +331,70 @@ def heisenberg_group(p: int, max_order: int = DEFAULT_MAX_ORDER) -> FiniteGroup:
     return FiniteGroup(("heisenberg", p), order, _freeze(inverses), False)
 
 
-def _check_associative(table: np.ndarray) -> None:
+def _generating_set(order: int, identity: int, column) -> tuple[np.ndarray, np.ndarray]:
+    """A generating set S of a group and its columns x -> x*s.
+
+    column(s) gives the products x*s of every x.  The right Cayley graph of S
+    is closed from the identity, and whenever the closure stops short of the
+    whole table, its first unreached element joins S.  In a group the closure
+    H is a subgroup, and a new generator s adds the coset H*s, which misses
+    H; so each generator at least doubles the closure, and |S| <= log2(order).
+    On a table that is no group, the search stops at the first generator that
+    does not.  Returns S as int64 and the (|S|, order) int64 columns.
+    """
+    seen = [False] * order
+    seen[identity] = True
+    members, gens, columns, steps = [identity], [], [], []
+    doubled = True
+    while doubled and len(members) < order:
+        s = seen.index(False)
+        gens.append(s)
+        columns.append(np.asarray(column(s), dtype=np.int64))
+        steps.append(columns[-1].tolist())  # the loop below indexes lists faster
+        # Old members step along the new generator, new ones along every one.
+        size, i = len(members), 0
+        while i < len(members):
+            x = members[i]
+            for step in steps if i >= size else steps[-1:]:
+                if not seen[step[x]]:
+                    seen[step[x]] = True
+                    members.append(step[x])
+            i += 1
+        doubled = len(members) >= 2 * size
+    gens = _freeze(np.array(gens, dtype=np.int64))
+    return gens, _freeze(np.array(columns, dtype=np.int64).reshape(gens.size, order))
+
+
+def _check_associative(table: np.ndarray, generators) -> None:
+    """Light's test: (x*s)*y = x*(s*y) for all x, y and every s in generators.
+
+    The elements s that pass it are closed under products (Clifford and
+    Preston, The Algebraic Theory of Semigroups I, 1.2), so a table that
+    passes it on a set generating it is associative.  Rows x run in blocks
+    of about _TABLE_BATCH_ENTRIES entries.
+    """
     n = table.shape[0]
-    if n <= _EXHAUSTIVE_ASSOC_ORDER:
-        for a in range(n):
-            left = table[table[a], :]  # (a*b)*c
-            right = table[a][table]  # a*(b*c)
+    step = max(1, _TABLE_BATCH_ENTRIES // n)
+    for s in generators:
+        column, row = table[:, s], table[s]
+        for start in range(0, n, step):
+            left = table[column[start : start + step]]  # (x*s)*y
+            right = np.take(table[start : start + step], row, axis=1)  # x*(s*y)
             if not np.array_equal(left, right):
-                b, c = np.argwhere(left != right)[0]
+                x, y = np.argwhere(left != right)[0]
                 raise NotAssociativeError(
-                    f"(a*b)*c != a*(b*c) at (a, b, c) = ({a}, {b}, {c})"
+                    f"(a*b)*c != a*(b*c) at (a, b, c) = ({start + x}, {s}, {y})"
                 )
-        return
-    rng = np.random.default_rng(0)
-    trips = rng.integers(0, n, size=(_RANDOM_ASSOC_TRIPLES, 3))
-    left = table[table[trips[:, 0], trips[:, 1]], trips[:, 2]]
-    right = table[trips[:, 0], table[trips[:, 1], trips[:, 2]]]
-    bad = np.nonzero(left != right)[0]
-    if bad.size:
-        a, b, c = trips[bad[0]]
-        raise NotAssociativeError(
-            f"(a*b)*c != a*(b*c) at (a, b, c) = ({a}, {b}, {c})"
-        )
 
 
 def make_group_from_table(table, max_order: int = DEFAULT_MAX_ORDER) -> FiniteGroup:
-    """Build a group from an explicit multiplication table, verifying the axioms."""
+    """Build a group from an explicit multiplication table, verifying the axioms.
+
+    The checks run in order: entries, a two-sided identity, two-sided
+    inverses, then associativity by Light's test on a generating set.
+    """
     try:
-        arr = np.asarray(table)
+        arr = np.array(table)
     except ValueError as exc:
         raise MalformedTableError("table rows are ragged") from exc
     if arr.ndim != 2 or arr.shape[0] != arr.shape[1] or arr.shape[0] == 0:
@@ -366,7 +409,7 @@ def make_group_from_table(table, max_order: int = DEFAULT_MAX_ORDER) -> FiniteGr
     _check_order(n, max_order)
     if arr.min() < 0 or arr.max() >= n:
         raise MalformedTableError("table entries fall outside 0..order-1")
-    arr = arr.astype(np.int64)
+    arr = arr.astype(np.int64, copy=False)
 
     idx = np.arange(n)
     identity = None
@@ -377,21 +420,32 @@ def make_group_from_table(table, max_order: int = DEFAULT_MAX_ORDER) -> FiniteGr
     if identity is None:
         raise NoIdentityError("no two-sided identity element")
 
-    _check_associative(arr)
+    # The inverse of x is the first y with x*y = y*x = identity.
+    inverses = np.empty(n, dtype=np.int64)
+    step = max(1, _TABLE_BATCH_ENTRIES // n)
+    for start in range(0, n, step):
+        rows = slice(start, start + step)
+        both = (arr[rows] == identity) & (arr[:, rows].T == identity)
+        missing = np.flatnonzero(~both.any(axis=1))
+        if missing.size:
+            raise NoInverseError(f"element {start + missing[0]} has no two-sided inverse")
+        inverses[rows] = np.argmax(both, axis=1)
+    _freeze(inverses)
 
-    right_inv = np.argmax(arr == identity, axis=1)
-    if not np.all(arr[idx, right_inv] == identity):
-        bad = int(np.nonzero(arr[idx, right_inv] != identity)[0][0])
-        raise NoInverseError(f"element {bad} has no right inverse")
-    if not np.all(arr[right_inv, idx] == identity):
-        bad = int(np.nonzero(arr[right_inv, idx] != identity)[0][0])
-        raise NoInverseError(f"element {bad} has no two-sided inverse")
+    # The search for S stops early only at a generator s that does not double
+    # the closure, and Light's test then fails on S.  Were it to pass, s and
+    # every element of the closure H of the other generators would have an
+    # injective row and column (each has an inverse), H would be a group, and
+    # H*s would miss H and double it.
+    gens, columns = _generating_set(n, identity, lambda s: arr[:, s])
+    _check_associative(arr, gens)
 
-    is_abelian = bool(np.array_equal(arr, arr.T))
-    inverses = _freeze(right_inv.astype(np.int64))
+    # A group is abelian when its generators commute with every element.
+    is_abelian = all(np.array_equal(arr[s], col) for s, col in zip(gens, columns))
     group = FiniteGroup(("custom-table",), n, inverses, is_abelian, int(identity))
     # The given table fills the cache that rows and table read.
     vars(group)["table"] = _freeze(arr)
+    vars(group)["generators"] = (gens, columns)
     return group
 
 

@@ -38,11 +38,6 @@ __all__ = [
 
 DEFAULT_MAX_DIM = 4096
 
-# Above this group order, verify_representation samples pairs instead of
-# checking all of them.
-_EXHAUSTIVE_PAIR_ORDER = 64
-_RANDOM_PAIR_COUNT = 200
-
 # Pairs per batch when checking the group law, and orbit rows per block when
 # analyze gathers an orbit, are chosen so one batch holds about this many
 # entries, whatever the dimension.
@@ -160,7 +155,6 @@ class RepVerification:
     unitarity_deviation: float
     homomorphism_deviation: float
     checked_pairs: int
-    exhaustive: bool
     passed: bool
     failing_pair: tuple[int, int] | None
 
@@ -268,26 +262,15 @@ def _action_deviation(
     return np.where(moved, np.maximum(dev, 1.0), dev)
 
 
-def _law_deviation(
-    rep: UnitaryRepresentation, a: np.ndarray, b: np.ndarray
-) -> np.ndarray:
-    """Per pair (a, b), the largest entry of |U(a) U(b) - U(ab)|.
-
-    The product law is evaluated once per distinct left factor.
-    """
-    left, at = np.unique(a, return_inverse=True)
-    ab = rep.group.rows(left)[at, b]
-    return _action_deviation(*_product_action(rep, a, b), rep.src[ab], rep.phase[ab])
-
-
-def verify_representation(
-    rep: UnitaryRepresentation, tol: float = 1e-12, seed: int = 0
-) -> RepVerification:
+def verify_representation(rep: UnitaryRepresentation, tol: float = 1e-12) -> RepVerification:
     """Check the identity, unitarity of every element, and the group law.
 
-    All pairs are checked when the group order is at most 64; otherwise a
-    seeded sample of pairs is used.  A wrong source coordinate counts as a
-    deviation of at least 1.
+    The law U(a s) = U(a) U(s) is checked for every element a and every s
+    in the group's generating set S (FiniteGroup.generators): with U(e) = 1
+    it then holds for every pair, by induction on the length of a word in
+    S.  That is order * |S| pairs, each a*s read from the columns of S, at
+    every order.  A wrong source coordinate counts as a deviation of at
+    least 1.
     """
     group, src, phase = rep.group, rep.src, rep.phase
     n, d = group.order, rep.dim
@@ -302,19 +285,20 @@ def verify_representation(
     if not (np.sort(src, axis=1) == coords).all():
         unit_dev = max(unit_dev, 1.0)
 
-    exhaustive = n <= _EXHAUSTIVE_PAIR_ORDER
-    if exhaustive:
-        a, b = (idx.ravel() for idx in np.indices((n, n)))
-    else:
-        rng = np.random.default_rng(seed)
-        a, b = rng.integers(0, n, size=(_RANDOM_PAIR_COUNT, 2)).T
-
+    gens, columns = group.generators
+    a = np.tile(np.arange(n), gens.size)
+    b, ab = np.repeat(gens, n), columns.reshape(-1)
     step = max(1, _LAW_BATCH_ENTRIES // d)
-    batches = range(0, a.size, step)
-    devs = np.concatenate([_law_deviation(rep, a[i : i + step], b[i : i + step]) for i in batches])
-    at = int(np.argmax(devs))
-    hom_dev = float(devs[at])
-    worst = (int(a[at]), int(b[at])) if hom_dev > 0 else None
+    devs = np.zeros(a.size)
+    for i in range(0, a.size, step):
+        pairs = slice(i, i + step)
+        product = _product_action(rep, a[pairs], b[pairs])
+        devs[pairs] = _action_deviation(*product, src[ab[pairs]], phase[ab[pairs]])
+    hom_dev = float(devs.max(initial=0.0))
+    worst = None
+    if hom_dev > 0:
+        at = int(np.argmax(devs))
+        worst = (int(a[at]), int(b[at]))
 
     max_dev = max(id_dev, unit_dev, hom_dev)
     passed = max_dev <= tol
@@ -324,7 +308,6 @@ def verify_representation(
         unitarity_deviation=unit_dev,
         homomorphism_deviation=hom_dev,
         checked_pairs=int(a.size),
-        exhaustive=exhaustive,
         passed=passed,
         failing_pair=None if passed else worst,
     )

@@ -101,7 +101,11 @@ def _cvec(rng: np.random.Generator, *shape: int) -> np.ndarray:
 
 
 def check_representation_validity(reps: list[UnitaryRepresentation]) -> CheckResult:
-    """Identity, unitarity, and the group law for every given representation."""
+    """Identity, unitarity, and the group law for every given representation.
+
+    verify_representation checks the law on each group's generators, which
+    carries it to every pair; samples counts the representations.
+    """
     tol = 1e-13
     worst = 0.0
     failing = None
@@ -129,7 +133,8 @@ def check_gabor_commutativity(models) -> CheckResult:
     with a strict tolerance, entry by entry on their monomial form.  It never
     compares a product with U(ab), so an action that breaks the law but still
     commutes passes it; the suite passes it its parsed models, whose law
-    check_representation_validity checks over all pairs.
+    check_representation_validity checks on generators, and so for every
+    pair.
     """
     worst = 0.0
     exact = True
@@ -219,8 +224,8 @@ def check_duallemma_suite(rng: np.random.Generator, samples: int = 200) -> Check
         k, s2 = _random_factor_matrix(rng, max_side)
         a = float(s2.min()) * (1.0 - 1e-3)
         b = float(s2.max()) * (1.0 + 1e-3)
-        distinct = np.unique(s2)
-        ceiling = float(distinct[1]) if distinct.size > 1 else b
+        # s2 is strictly increasing, so s2[1] is its second smallest value.
+        ceiling = float(s2[1]) if s2.size > 1 else b
         a_bad = float(s2.min()) + 0.5 * (ceiling - float(s2.min()))
         # The flipped bound shares K and B, so one evaluation serves both.
         report, flipped = _duallemma_reports(k, (a, a_bad), b, tol=tol)

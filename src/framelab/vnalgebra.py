@@ -404,7 +404,8 @@ def _support_projections(group: FiniteGroup, mats: np.ndarray, tol: float) -> np
     keep = np.abs(w) > tol * np.maximum(1.0, norm_inf)[:, None]
     ranks = keep.sum(axis=1)
     proj = np.empty_like(mats)
-    for rank in np.unique(ranks):
+    # The ranks present, in increasing order; np.unique would import numpy.ma.
+    for rank in np.flatnonzero(np.bincount(ranks)):
         rows = np.flatnonzero(ranks == rank)
         cols = np.nonzero(keep[rows])[1].reshape(rows.size, rank)
         basis = np.take_along_axis(v[rows], cols[:, None, :], axis=2)

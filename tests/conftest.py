@@ -5,6 +5,8 @@ Property tests draw the same examples on every run.
 
 import dataclasses
 
+import numpy as np
+
 import pytest
 from hypothesis import settings
 
@@ -38,3 +40,17 @@ def faulty_rows(rep, src=None, phase=None):
     broken = dataclasses.replace(rep)
     object.__setattr__(broken, "rows", lambda elements: (src[elements], phase[elements]))
     return broken
+
+
+def affine_table(p):
+    """AGL(1, p), the maps x -> a x + b mod p, at index (a - 1) p + b."""
+    a, b = np.divmod(np.arange((p - 1) * p), p)
+    a += 1
+    return (a[:, None] * a % p - 1) * p + (a[:, None] * b + b[:, None]) % p
+
+
+def relabelled(table, perm):
+    """The table with each element x renamed perm[x]."""
+    out = np.empty_like(table)
+    out[np.ix_(perm, perm)] = perm[table]
+    return out

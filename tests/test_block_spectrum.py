@@ -35,7 +35,7 @@ from framelab import (
 from framelab.io import pairs_from_complex
 from framelab.vnalgebra import _hermitian_spectrum
 
-from conftest import faulty_rows
+from conftest import affine_table, faulty_rows, relabelled
 
 
 def _right_invariant(group, f, h):
@@ -110,25 +110,11 @@ def _symmetric_table(n):
     return np.searchsorted(perms @ weights, perms[:, perms] @ weights)
 
 
-def _affine_table(p):
-    """AGL(1, p), the maps x -> a x + b mod p, at index (a - 1) p + b."""
-    a, b = np.divmod(np.arange((p - 1) * p), p)
-    a += 1
-    return (a[:, None] * a % p - 1) * p + (a[:, None] * b + b[:, None]) % p
-
-
-def _relabelled(table, perm):
-    """The table with each element x renamed perm[x]."""
-    out = np.empty_like(table)
-    out[np.ix_(perm, perm)] = perm[table]
-    return out
-
-
 # Tables whose identity is element 0, and a relabelling moves it.
 _TABLES = {
     "S4": lambda: _symmetric_table(4),
     "S5": lambda: _symmetric_table(5),
-    **{f"AGL(1,{p})": lambda p=p: _affine_table(p) for p in (2, 3, 5, 7, 11, 13)},
+    **{f"AGL(1,{p})": lambda p=p: affine_table(p) for p in (2, 3, 5, 7, 11, 13)},
     "Z4xZ6": lambda: make_abelian_group([4, 6]).table,
 }
 
@@ -138,7 +124,7 @@ _TABLES = {
 def test_relabelled_table_blocks_match_dense_spectrum(name, data):
     table = _TABLES[name]()
     perm = data.draw(st.permutations(range(len(table))).filter(lambda p: p[0] != 0), label="perm")
-    group = make_group_from_table(_relabelled(table, np.array(perm)))
+    group = make_group_from_table(relabelled(table, np.array(perm)))
     assert group.identity == perm[0]
     rep = regular_representation(group)
     _assert_matches_dense(rep, _psi(data, group))
@@ -156,8 +142,8 @@ _BLOCK_SPECS = (
 def spelled(tmp_path_factory):
     """Each spec with its table: path read from a folder that holds agl13.json."""
     folder = tmp_path_factory.mktemp("tables")
-    table = _affine_table(13)
-    table = _relabelled(table, np.random.default_rng(9).permutation(len(table)))
+    table = affine_table(13)
+    table = relabelled(table, np.random.default_rng(9).permutation(len(table)))
     (folder / "agl13.json").write_text(json.dumps({"table": table.tolist()}))
     return lambda spec: spec.replace("table:", f"table:{folder}/")
 

@@ -22,7 +22,7 @@ from framelab.cli import main
 from framelab.io import dump_json, load_generator, pairs_from_complex, spectrum_csv, values_csv
 from framelab import NonFiniteResultError, ParseError, make_abelian_group
 
-from conftest import faulty_rows
+from conftest import affine_table, faulty_rows, relabelled
 
 
 def _write_psi(tmp_path, values, name="psi.json"):
@@ -534,6 +534,22 @@ def _assert_clean_parse_error(code, err):
     assert code == 2
     assert err.startswith("error: ")
     assert "Traceback" not in err
+
+
+def test_table_that_is_no_group_exits_2_above_order_512(tmp_path, capsys):
+    # A relabelled AGL(1,29), order 812, with one intercalate switch: for the
+    # involution u, rows r and r*u trade their values in columns c and u*c.
+    table = relabelled(affine_table(29), np.random.default_rng(29).permutation(812))
+    r, u, c = 390, 554, 343
+    rows, cols = [r, r, table[r, u], table[r, u]], [c, table[u, c]] * 2
+    table[rows, cols] = table[rows, cols[::-1]]
+    path = tmp_path / "switched.json"
+    path.write_text(json.dumps({"table": table.tolist()}))
+    psi = _write_psi(tmp_path, np.random.default_rng(0).standard_normal(812))
+    code, out, err = run_cli(capsys, "analyze", "--rep", f"regular:table:{path}", "--psi", psi)
+    _assert_clean_parse_error(code, err)
+    assert out == "" and err.startswith("error: (a*b)*c != a*(b*c) at ")
+    assert err.count("\n") == 1
 
 
 @pytest.mark.parametrize("value", ["NaN", "Infinity", "-Infinity"])
@@ -1183,7 +1199,7 @@ def test_analyze_refuses_a_verdict_its_routes_contradict(
 
 # --------------------------------------------------- what a fresh run loads
 
-_UNUSED_MODULES = ("numpy.random", "framelab.verification", "argparse")
+_UNUSED_MODULES = ("numpy.random", "numpy.ma", "framelab.verification", "argparse")
 
 
 @pytest.mark.parametrize(
@@ -1192,8 +1208,12 @@ _UNUSED_MODULES = ("numpy.random", "framelab.verification", "argparse")
         # Z144 takes the block route, Z12 the dense one.
         (["analyze", "--rep", "regular:Z144"], 144, _UNUSED_MODULES),
         (["analyze", "--rep", "regular:Z12"], 12, _UNUSED_MODULES),
-        (["bracket", "--oracle", "--rep", "shift:60,4"], 240, ("framelab.verification", "argparse")),
-        (["verify", "--samples", "1", "--groups", "Z2"], None, ("argparse",)),
+        (
+            ["bracket", "--oracle", "--rep", "shift:60,4"],
+            240,
+            ("numpy.ma", "framelab.verification", "argparse"),
+        ),
+        (["verify", "--samples", "1", "--groups", "Z2"], None, ("numpy.ma", "argparse")),
     ],
     ids=["analyze-blocks", "analyze-dense", "bracket-oracle", "verify"],
 )

@@ -1,12 +1,13 @@
 """Group arithmetic, duals, and convolution."""
 
 import json
+import math
 import tracemalloc
 from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 import framelab.groups as groups_module
 
@@ -37,6 +38,8 @@ from framelab import (
 from framelab.cli import main
 from framelab.groups import same_group
 from framelab.vnalgebra import rho_matrix
+
+from conftest import affine_table, relabelled
 
 # Smallest loop (two-sided identity, two-sided inverses) that is not a group;
 # found by exhaustive search at order 5.
@@ -159,6 +162,89 @@ def test_table_rejects_monoid_without_inverses():
     # multiplicative monoid on {0, 1}: identity is 1, but 0 has no inverse
     with pytest.raises(NoInverseError):
         make_group_from_table([[0, 0], [0, 1]])
+
+
+# Identity 2, and every element is its own inverse.  The search for
+# generators takes 0, closing {2, 0}, then 1, which closes only {2, 0, 1}.
+UNDOUBLED_CLOSURE = [
+    [2, 0, 0, 5, 1, 3],
+    [0, 2, 1, 0, 5, 4],
+    [0, 1, 2, 3, 4, 5],
+    [1, 5, 3, 4, 2, 0],
+    [5, 0, 4, 2, 3, 1],
+    [4, 3, 5, 1, 0, 2],
+]
+
+
+def test_table_whose_closure_does_not_double_is_refused():
+    table = np.array(UNDOUBLED_CLOSURE)
+    gens, columns = groups_module._generating_set(6, 2, lambda s: table[:, s])
+    assert gens.tolist() == [0, 1]
+    assert np.array_equal(columns, table[:, gens].T)
+    with pytest.raises(NotAssociativeError, match=r"\(a\*b\)\*c != a\*\(b\*c\) at"):
+        make_group_from_table(UNDOUBLED_CLOSURE)
+
+
+def _closure(columns, identity):
+    """The elements reached from identity along the given columns x -> x*s."""
+    reached, frontier = {identity}, {identity}
+    while frontier:
+        frontier = set(columns[:, list(frontier)].ravel().tolist()) - reached
+        reached |= frontier
+    return reached
+
+
+@given(group=st.one_of(
+    st.lists(st.integers(2, 9), min_size=1, max_size=4).map(make_abelian_group),
+    st.integers(2, 60).map(dihedral_group),
+    st.integers(2, 6).map(heisenberg_group),
+))
+def test_builtin_generators_generate_and_fill_no_table(group):
+    gens, columns = group.generators
+    assert "table" not in vars(group)
+    assert gens.size <= math.log2(group.order)
+    assert np.array_equal(columns, group.table[:, gens].T)
+    assert _closure(columns, group.identity) == set(group.elements())
+
+
+# Group tables above order 512 that the table check reads.
+_LARGE_TABLES = {
+    "AGL(1,29)": lambda: affine_table(29),
+    "AGL(1,31)": lambda: affine_table(31),
+    "Z2^10": lambda: make_abelian_group([2] * 10).table,
+}
+
+
+def _breaks_associativity_on_row(table, a):
+    """True when (a*b)*c != a*(b*c) for some b and c."""
+    return not np.array_equal(table[table[a]], table[a][table])
+
+
+@settings(max_examples=12)
+@given(name=st.sampled_from(sorted(_LARGE_TABLES)), data=st.data())
+def test_table_check_refuses_every_planted_intercalate_switch(name, data):
+    base = _LARGE_TABLES[name]()
+    n = len(base)
+    perm = np.random.default_rng(data.draw(st.integers(0, 2**16), label="seed")).permutation(n)
+    table = relabelled(base, perm)
+    e = int(perm[0])
+    group = make_group_from_table(table)
+    assert group.identity == e and group.generators[0].size <= math.log2(n)
+
+    # For an involution u, rows a and b = a*u and columns c and d = u*c hold
+    # an intercalate: a*c = b*d = x and a*d = b*c = y.  Switching x and y
+    # keeps a table with identity and inverses, but no group table.
+    elements = st.integers(0, n - 1)
+    involutions = np.flatnonzero((table[np.arange(n), np.arange(n)] == e) & (np.arange(n) != e))
+    u = int(involutions[data.draw(st.integers(0, involutions.size - 1), label="u")])
+    a, c = data.draw(elements, label="a"), data.draw(elements, label="c")
+    b, d = table[a, u], table[u, c]
+    x, y = table[a, c], table[a, d]
+    assume(e not in (a, b, c, d, x, y))
+    table[[a, a, b, b], [c, d, c, d]] = y, x, x, y
+    assert _breaks_associativity_on_row(table, a) or _breaks_associativity_on_row(table, b)
+    with pytest.raises(NotAssociativeError):
+        make_group_from_table(table)
 
 
 def test_table_rejects_no_identity():

@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import framelab.representations as reps
 from framelab import (
@@ -122,17 +123,17 @@ def test_builtin_reps_verify(rep_factory):
     rep = rep_factory()
     result = verify_representation(rep)
     assert result.passed
-    assert result.exhaustive
     assert result.max_deviation < 1e-13
     assert result.failing_pair is None
 
 
-def test_verify_samples_pairs_for_large_groups():
+def test_verify_checks_generators_for_large_groups():
     rep = regular_representation(make_abelian_group([80]))
     result = verify_representation(rep)
+    gens, _ = rep.group.generators
     assert result.passed
-    assert not result.exhaustive
-    assert result.checked_pairs == 200
+    assert gens.tolist() == [1]
+    assert result.checked_pairs == 80 * gens.size
 
 
 def test_verify_flags_corrupted_matrix():
@@ -146,24 +147,42 @@ def test_verify_flags_corrupted_matrix():
     assert result.failing_pair is not None
 
 
-def _law_deviation_row_per_pair(rep, a, b):
-    """The law check evaluating a whole row of the product law per pair."""
-    ab = rep.group.rows(a)[np.arange(a.size), b]
-    return reps._action_deviation(*reps._product_action(rep, a, b), rep.src[ab], rep.phase[ab])
+# Specs of order 65 to 1024.
+_LARGE_SPECS = st.one_of(
+    st.integers(65, 1024).map("regular:Z{}".format),
+    st.integers(33, 512).map("regular:D{}".format),
+    st.integers(5, 10).map("regular:H{}".format),
+    st.tuples(st.integers(65, 1024), st.integers(1, 3)).map("shift:{0[0]},{0[1]}".format),
+    st.tuples(st.integers(2, 32), st.integers(3, 32))
+    .filter(lambda lm: 65 <= lm[0] * lm[1] <= 1024)
+    .map("gabor:{0[0]},{0[1]}".format),
+)
+
+
+@settings(max_examples=15)
+@given(spec=_LARGE_SPECS, data=st.data())
+def test_verify_fails_every_planted_single_element_fault(spec, data):
+    rep = parse_rep_spec(spec)
+    g = data.draw(st.integers(0, rep.group.order - 1), label="element")
+    if data.draw(st.booleans(), label="phase fault"):
+        phase = rep.phase.copy()
+        phase[g] *= 1j
+        broken = faulty_rows(rep, phase=phase)
+    else:
+        src = rep.src.copy()
+        src[g] = np.roll(src[g], 1)
+        broken = faulty_rows(rep, src=src)
+    result = verify_representation(broken)
+    assert not result.passed
+    assert result.failing_pair is not None
 
 
 @pytest.mark.parametrize("spec", ["regular:Z8xZ8", "regular:D32", "shift:64,2", "gabor:8,8"])
 def test_law_check_evaluates_each_left_factor_once(spec, monkeypatch):
+    # a*s for every a is (s^-1 a^-1)^-1: one law row per generator s.
     rep = parse_rep_spec(spec)
-    assert rep.group.order == 64
     phase = rep.phase.copy()
     phase[5] *= 1j
-    pair = (rep, faulty_rows(rep, phase=phase))
-    with monkeypatch.context() as m:
-        m.setattr(reps, "_law_deviation", _law_deviation_row_per_pair)
-        want = [verify_representation(r) for r in pair]
-    assert want[0].passed and want[0].exhaustive and not want[1].passed
-
     sizes = []
     rows = FiniteGroup.rows
 
@@ -172,17 +191,21 @@ def test_law_check_evaluates_each_left_factor_once(spec, monkeypatch):
         return rows(self, elements)
 
     monkeypatch.setattr(FiniteGroup, "rows", recording)
-    assert [verify_representation(r) for r in pair] == want
-    assert 0 < max(sizes) <= 64
+    reports = [verify_representation(r) for r in (rep, faulty_rows(rep, phase=phase))]
+    assert sizes == [1] * rep.group.generators[0].size
+    assert reports[0].passed and not reports[1].passed
+    a, s = reports[1].failing_pair
+    assert 5 in (a, rep.group.product(a, s))
 
 
 def test_gabor_law_holds_on_every_zak_shape():
-    # Every pair of each group, on the shapes the Zak calibration draws.
+    # The law of each group on its generators, on the shapes the Zak
+    # calibration draws.
     shapes = [(l, m) for l in range(2, 19) for m in range(2, 19) if l * m <= 36]
     assert len(shapes) == 69
     for l, m in shapes:
         report = verify_representation(gabor_representation(l, m))
-        assert report.passed and report.exhaustive
+        assert report.passed
 
 
 # gabor:3,4 has phases +-1 and +-i only, which multiply exactly either way;
