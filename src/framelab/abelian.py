@@ -21,7 +21,6 @@ from .representations import (
     _as_generator,
     _check_gabor_sizes,
     _check_shift_sizes,
-    bracket_operator,
     correlation_function,
 )
 from .vnalgebra import (
@@ -148,7 +147,7 @@ def _dual_lp_norms(values: np.ndarray, p_values) -> np.ndarray:
 def scalar_bracket(rep: UnitaryRepresentation, phi, psi) -> DualFunction:
     """Multiplier of the correlation operator of two vectors under a rep."""
     _require_abelian(rep.group)
-    return lambda_multiplier(bracket_operator(rep, phi, psi))
+    return fourier_on_group(correlation_function(rep, phi, psi))
 
 
 def periodization_bracket(psi, n: int, m: int) -> DualFunction:

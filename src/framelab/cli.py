@@ -11,7 +11,7 @@ from types import SimpleNamespace
 
 import numpy as np
 
-from .abelian import _periodization_values, _zak_values, lambda_multiplier
+from .abelian import _periodization_values, _zak_values, fourier_on_group
 from .errors import (
     DimMismatchError,
     FrameLabError,
@@ -21,11 +21,10 @@ from .errors import (
     ParseError,
     ZeroGeneratorError,
 )
-from .frames import GAP_GUARD, _uses_blocks, analyze_orbit
+from .frames import GAP_GUARD, _kernel_spectrum, analyze_orbit
 from .groups import DEFAULT_MAX_ORDER
 from .io import SCHEMA, dump_json, load_generator, pairs_from_complex, spectrum_csv, values_csv
-from .representations import OrbitSystem, bracket_operator, parse_rep_spec
-from .vnalgebra import _hermitian_spectrum, block_spectrum
+from .representations import OrbitSystem, correlation_function, parse_rep_spec
 
 EXIT_OK = 0
 EXIT_FAIL = 1
@@ -122,7 +121,7 @@ def _cmd_analyze(args) -> int:
     return EXIT_OK
 
 
-def _bracket_oracle(rep, op, psi: np.ndarray, values: np.ndarray) -> float:
+def _bracket_oracle(rep, kernel, psi: np.ndarray, values: np.ndarray) -> float:
     """Recompute the bracket along an independent route; return max deviation.
 
     The periodization and Zak routes take their sizes from rep.model and
@@ -135,8 +134,9 @@ def _bracket_oracle(rep, op, psi: np.ndarray, values: np.ndarray) -> float:
         other = _zak_values(psi, psi, *sizes)
     else:
         # Self-brackets are positive, so the multiplier values must match the
-        # (real) spectrum of the operator matrix as a sorted list.
-        eig = _hermitian_spectrum(op.matrix)
+        # (real) spectrum of the operator, taken by analyze's rule, as a
+        # sorted list.
+        eig = _kernel_spectrum(kernel)
         got = np.sort(values.real)
         scale = max(1.0, float(np.abs(eig).max(initial=0.0)))
         return float(np.abs(got - eig).max()) / scale
@@ -150,16 +150,12 @@ def _bracket_oracle(rep, op, psi: np.ndarray, values: np.ndarray) -> float:
 def _cmd_bracket(args) -> int:
     rep = parse_rep_spec(args.rep, max_order=_max_order())
     psi = load_generator(args.psi)
-    op = bracket_operator(rep, psi, psi)
-    _require_finite(op.coefficients.values, "the bracket kernel")
+    kernel = correlation_function(rep, psi, psi)
+    _require_finite(kernel.values, "the bracket kernel")
 
     if rep.group.abelian is None:
-        # Above BLOCK_SPECTRUM_ORDER the spectrum comes from the kernel's
-        # blocks, as analyze takes it, and no order x order matrix is built.
-        if _uses_blocks(rep.group):
-            spectrum = block_spectrum(op.coefficients)
-        else:
-            spectrum = _hermitian_spectrum(op.matrix)
+        # Taken by analyze's rule, with no order x order matrix at the cap.
+        spectrum = _kernel_spectrum(kernel)
         _require_finite(spectrum, "the bracket spectrum")
         if rep.group.is_abelian:
             needs = "cyclic-product coordinates"
@@ -171,7 +167,7 @@ def _cmd_bracket(args) -> int:
             "emitting the operator kernel and spectrum instead\n"
         )
         if args.format == "csv":
-            _write(values_csv(op.coefficients.values), args.out)
+            _write(values_csv(kernel.values), args.out)
             if args.out is not None:
                 side = Path(args.out).with_suffix(".spectrum.csv")
                 _write_file(str(side), spectrum_csv(spectrum))
@@ -182,19 +178,19 @@ def _cmd_bracket(args) -> int:
             "rep": args.rep,
             "seed": args.seed,
             "kind": "operator_kernel",
-            "kernel": pairs_from_complex(op.coefficients.values),
+            "kernel": pairs_from_complex(kernel.values),
             "spectrum": [float(x) for x in spectrum],
             "notice": f"multiplier transform skipped: {skipped}",
         }
         _write(dump_json(payload), args.out)
         return EXIT_OK
 
-    mult = lambda_multiplier(op)
+    mult = fourier_on_group(kernel)
     _require_finite(mult.values, "the bracket")
     code = EXIT_OK
     oracle_dev = None
     if args.oracle:
-        oracle_dev = _bracket_oracle(rep, op, psi, mult.values)
+        oracle_dev = _bracket_oracle(rep, kernel, psi, mult.values)
         if oracle_dev > _ORACLE_TOL:
             code = EXIT_FAIL
     if args.format == "csv":
@@ -274,24 +270,16 @@ _SUBCOMMANDS = {
 }
 
 
-def _build_parser(names=tuple(_SUBCOMMANDS)):
-    """The argument parser, holding the subparsers of the given subcommands.
-
-    argparse builds a help formatter per argument, so a parser that holds
-    only the requested subcommand is the cheaper build.
-    """
+def _build_parser():
+    """The argument parser, with one subparser per subcommand."""
     import argparse
 
     parser = argparse.ArgumentParser(
         prog="frame-lab",
         description="Riesz/frame analysis of group-representation orbits",
     )
-    # A parser short of some subcommands still lists them all in its usage
-    # line, as argparse spells the choices of the full one.
-    every = None if len(names) == len(_SUBCOMMANDS) else "{%s}" % ",".join(_SUBCOMMANDS)
-    sub = parser.add_subparsers(dest="command", required=True, metavar=every)
-    for name in names:
-        help_text, options = _SUBCOMMANDS[name]
+    sub = parser.add_subparsers(dest="command", required=True)
+    for name, (help_text, options) in _SUBCOMMANDS.items():
         p = sub.add_parser(name, help=help_text)
         for flag, keywords in options:
             p.add_argument(flag, **keywords)
@@ -349,14 +337,7 @@ def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else list(argv)
     args = _exact_args(argv)
     if args is None:
-        # A first word that names a subcommand is the only one argparse can
-        # dispatch to; anything else (help, no words, an unknown name) gets
-        # the parser with every subcommand, whose messages list them all.
-        if argv and argv[0] in _SUBCOMMANDS:
-            parser = _build_parser((argv[0],))
-        else:
-            parser = _build_parser()
-        args = parser.parse_args(argv)
+        args = _build_parser().parse_args(argv)
     handlers = {
         "analyze": _cmd_analyze,
         "bracket": _cmd_bracket,

@@ -16,12 +16,12 @@ import numpy as np
 
 from .abelian import _multipliers
 from .errors import NonFiniteResultError, ZeroGeneratorError
-from .groups import _character_rows, group_function
+from .groups import GroupFunction, _character_rows, group_function
 from .representations import (
-    _LAW_BATCH_ENTRIES,
     OrbitSystem,
     _as_generator,
     _kernel_values,
+    _orbit_blocks,
     _orbit_stack,
 )
 from .vnalgebra import _convolution_matrices, _hermitian_spectrum, block_spectrum
@@ -357,8 +357,8 @@ def _block_routes(orbit: OrbitSystem) -> tuple[np.ndarray, dict[str, float]]:
 
     The Gram matrix of any unitary orbit is the convolution operator of
     c(g) = <psi, U(g) psi>, so this holds whatever space the group acts on.
-    No order x order matrix is formed, and the orbit is gathered from
-    rep.rows in blocks of about _LAW_BATCH_ENTRIES entries.  The bracket
+    No order x order matrix is formed, and the orbit is gathered a block of
+    rows at a time (representations._orbit_blocks).  The bracket
     route checks the paper's identity on what is left: Gram against
     operator on a few seeded columns, and the trace and squared Frobenius
     norm of the Gram matrix against the first two moments of the block
@@ -375,14 +375,11 @@ def _block_routes(orbit: OrbitSystem) -> tuple[np.ndarray, dict[str, float]]:
     # Row g of a block is U(g) psi.  c(g) = conj(U(g) psi @ conj(psi)) is
     # also the Gram column of the identity, and Gram column j is
     # conj(U(g) psi @ conj(U(j) psi)); conjugating the short side spares a
-    # copy of each block.  The blocks are of near-equal size: a block of one
-    # row would take a vector-vector product, which rounds differently.
+    # copy of each block.
     right = _orbit_stack(rep, psi, cols).conj().T
     c = np.empty(order, dtype=np.complex128)
     gram_cols = np.empty((order, _BLOCK_CHECK_COLUMNS), dtype=np.complex128)
-    blocks = -(-order * rep.dim // _LAW_BATCH_ENTRIES)
-    for block in np.array_split(np.arange(order), blocks):
-        moved = _orbit_stack(rep, psi, block)
+    for block, moved in _orbit_blocks(rep, psi):
         c[block] = moved @ psi.conj()
         gram_cols[block] = moved @ right
     c, gram_cols = c.conj(), gram_cols.conj()
@@ -404,6 +401,17 @@ def _block_routes(orbit: OrbitSystem) -> tuple[np.ndarray, dict[str, float]]:
 
 def _uses_blocks(group) -> bool:
     return group.order > BLOCK_SPECTRUM_ORDER
+
+
+def _kernel_spectrum(kernel: GroupFunction) -> np.ndarray:
+    """Ascending spectrum of the convolution operator of a self-bracket.
+
+    By analyze's rule: from the kernel's blocks (block_spectrum) above
+    BLOCK_SPECTRUM_ORDER, from the hermitized dense matrix at or below it.
+    """
+    if _uses_blocks(kernel.group):
+        return block_spectrum(kernel)
+    return _hermitian_spectrum(_convolution_matrices(kernel.group, kernel.values))
 
 
 def analyze_orbit(orbit: OrbitSystem, tol: float = 1e-10) -> FrameReport:

@@ -39,8 +39,8 @@ __all__ = [
 DEFAULT_MAX_DIM = 4096
 
 # Pairs per batch when checking the group law, and orbit rows per block when
-# analyze gathers an orbit, are chosen so one batch holds about this many
-# entries, whatever the dimension.
+# an orbit is gathered (_orbit_blocks), are chosen so one batch holds about
+# this many entries, whatever the dimension.
 _LAW_BATCH_ENTRIES = 1 << 20
 
 
@@ -50,9 +50,9 @@ class UnitaryRepresentation:
 
     Every representation built here permutes coordinates and multiplies them
     by unit phases.  `model`, the parsed spec ("regular",), ("shift", n, m)
-    or ("gabor", l, m), fixes the action: rows(elements) evaluates the rows
-    of any elements from it, and `src` and `phase` are the read-only
-    (order, dim) rows of every element, filled on first read.
+    or ("gabor", l, m), fixes the action, and rows(elements), which
+    evaluates the sources and phases of any elements from it, is its one
+    reader: no (order, dim) rows are kept.
     """
 
     group: FiniteGroup
@@ -107,21 +107,6 @@ class UnitaryRepresentation:
         roots = np.exp(-2j * np.pi * x / self.dim)
         return _freeze(roots[l * ((x[:m, None] * x) % m)])
 
-    @cached_property
-    def _action(self) -> tuple[np.ndarray, np.ndarray]:
-        src, phase = self.rows(np.arange(self.group.order))
-        return _freeze(src), _freeze(phase)
-
-    @cached_property
-    def src(self) -> np.ndarray:
-        """(order, dim) int64, the coordinate each output reads."""
-        return self._action[0]
-
-    @cached_property
-    def phase(self) -> np.ndarray:
-        """(order, dim) complex128 unit phases."""
-        return self._action[1]
-
     def matrix(self, g: int) -> np.ndarray:
         """The dense (dim, dim) matrix of one element."""
         src, phase = self.rows(g)
@@ -133,8 +118,9 @@ class UnitaryRepresentation:
     def matrices(self) -> np.ndarray:
         """All dense matrices as an (order, dim, dim) tensor, built on first use."""
         order = self.group.order
+        src, phase = self.rows(np.arange(order))
         mats = np.zeros((order, self.dim, self.dim), dtype=np.complex128)
-        mats[np.arange(order)[:, None], np.arange(self.dim), self.src] = self.phase
+        mats[np.arange(order)[:, None], np.arange(self.dim), src] = phase
         return _freeze(mats)
 
 
@@ -236,17 +222,17 @@ def gabor_representation(
 
 
 def _product_action(
-    rep: UnitaryRepresentation, a: np.ndarray, b: np.ndarray
+    src: np.ndarray, phase: np.ndarray, a: np.ndarray, b: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
     """Sources and phases of U(a) U(b) for each pair (a, b).
 
-    U(a) U(b) reads coordinate src[b][src[a]] with phase
-    phase[a] * phase[b][src[a]]; each entry of the dense product is that one
-    product of phases.
+    src and phase are the (order, dim) rows of every element.  U(a) U(b)
+    reads coordinate src[b][src[a]] with phase phase[a] * phase[b][src[a]];
+    each entry of the dense product is that one product of phases.
     """
-    via = rep.src[a]
+    via = src[a]
     right = b[:, None]
-    return rep.src[right, via], rep.phase[a] * rep.phase[right, via]
+    return src[right, via], phase[a] * phase[right, via]
 
 
 def _action_deviation(
@@ -272,8 +258,8 @@ def verify_representation(rep: UnitaryRepresentation, tol: float = 1e-12) -> Rep
     every order.  A wrong source coordinate counts as a deviation of at
     least 1.
     """
-    group, src, phase = rep.group, rep.src, rep.phase
-    n, d = group.order, rep.dim
+    group, n, d = rep.group, rep.group.order, rep.dim
+    src, phase = rep.rows(np.arange(n))
     coords = np.arange(d)
 
     e = group.identity
@@ -292,7 +278,7 @@ def verify_representation(rep: UnitaryRepresentation, tol: float = 1e-12) -> Rep
     devs = np.zeros(a.size)
     for i in range(0, a.size, step):
         pairs = slice(i, i + step)
-        product = _product_action(rep, a[pairs], b[pairs])
+        product = _product_action(src, phase, a[pairs], b[pairs])
         devs[pairs] = _action_deviation(*product, src[ab[pairs]], phase[ab[pairs]])
     hom_dev = float(devs.max(initial=0.0))
     worst = None
@@ -321,16 +307,29 @@ def orbit_rows(orbit: OrbitSystem) -> np.ndarray:
 def _orbit_stack(rep: UnitaryRepresentation, psis: np.ndarray, elements=None) -> np.ndarray:
     """orbit_rows of one generator, or of each row of a (k, dim) stack.
 
-    Given elements, only their rows are gathered, from rep.rows.  np.take
-    keeps each (order, dim) block C-contiguous, as BLAS needs it to run the
-    products on it exactly as on a single generator.  The gather lands in a
-    fresh complex buffer that the phases multiply in place, with the phase
-    as the left operand: complex products round differently with their
-    operands swapped.
+    Only the rows of the given elements, or of every element, are gathered,
+    from rep.rows.  np.take keeps each (order, dim) block C-contiguous, as
+    BLAS needs it to run the products on it exactly as on a single
+    generator.  The gather lands in a fresh complex buffer that the phases
+    multiply in place, with the phase as the left operand: complex products
+    round differently with their operands swapped.
     """
-    src, phase = (rep.src, rep.phase) if elements is None else rep.rows(elements)
+    src, phase = rep.rows(np.arange(rep.group.order) if elements is None else elements)
     moved = np.take(psis.astype(np.complex128, copy=False), src, axis=-1)
     return np.multiply(phase, moved, out=moved)
+
+
+def _orbit_blocks(rep: UnitaryRepresentation, psi: np.ndarray):
+    """(elements, their _orbit_stack of psi) for each block of the group.
+
+    No whole (order, dim) orbit is formed: the blocks hold about
+    _LAW_BATCH_ENTRIES entries each, and are of near-equal size, as a block
+    of one row would take a vector-vector product, which rounds differently.
+    """
+    order = rep.group.order
+    blocks = -(-order * rep.dim // _LAW_BATCH_ENTRIES)
+    for elements in np.array_split(np.arange(order), blocks):
+        yield elements, _orbit_stack(rep, psi, elements)
 
 
 def orbit_matrix(orbit: OrbitSystem) -> np.ndarray:
@@ -339,10 +338,13 @@ def orbit_matrix(orbit: OrbitSystem) -> np.ndarray:
 
 
 def correlation_function(rep: UnitaryRepresentation, phi, psi) -> GroupFunction:
-    """g -> <phi, U(g) psi>, with the inner product linear in phi."""
+    """g -> <phi, U(g) psi>, linear in phi, from the blocks of _orbit_blocks."""
     phi = _as_generator(phi, rep.dim)
     psi = _as_generator(psi, rep.dim)
-    return group_function(rep.group, _kernel_values(_orbit_stack(rep, psi), phi))
+    values = np.empty(rep.group.order, dtype=np.complex128)
+    for elements, moved in _orbit_blocks(rep, psi):
+        values[elements] = _kernel_values(moved, phi)
+    return group_function(rep.group, values)
 
 
 def _kernel_values(moved: np.ndarray, phis: np.ndarray) -> np.ndarray:

@@ -152,7 +152,8 @@ def check_gabor_commutativity(models) -> CheckResult:
         t21 = (l * j2 * x + l * j1 * ((x - m * k2) % n)) % n
         exact = exact and bool(np.array_equal(t12, t21))
         a, b = (k1 * m + j1).ravel(), (k2 * m + j2).ravel()
-        dev = _action_deviation(*_product_action(rep, a, b), *_product_action(rep, b, a))
+        action = rep.rows(np.arange(n))
+        dev = _action_deviation(*_product_action(*action, a, b), *_product_action(*action, b, a))
         worst = max(worst, float(dev.max()))
         count += a.size
     tol = 1e-14

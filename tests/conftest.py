@@ -31,12 +31,13 @@ def biased_gramian(monkeypatch):
 def faulty_rows(rep, src=None, phase=None):
     """A copy of rep whose rows() read the given (order, dim) src or phase.
 
-    A test plants a fault in a copy of rep.src or rep.phase and passes it
-    here.  The copy's cached src and phase and every gather of chosen
-    elements go through rows(), so each sees the same fault.
+    A test plants a fault in a copy of the rows of every element,
+    rep.rows(np.arange(order)), and passes it here.  Every gather of chosen
+    elements goes through rows(), so each sees the same fault.
     """
-    src = rep.src if src is None else src
-    phase = rep.phase if phase is None else phase
+    every_src, every_phase = rep.rows(np.arange(rep.group.order))
+    src = every_src if src is None else src
+    phase = every_phase if phase is None else phase
     broken = dataclasses.replace(rep)
     object.__setattr__(broken, "rows", lambda elements: (src[elements], phase[elements]))
     return broken

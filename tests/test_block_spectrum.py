@@ -13,6 +13,8 @@ import framelab.abelian as abelian
 import framelab.cli as cli
 import framelab.frames as frames
 import framelab.groups as groups
+import framelab.representations as representations
+import framelab.vnalgebra as vnalgebra
 from framelab import (
     BLOCK_SPECTRUM_ORDER,
     OrbitSystem,
@@ -153,25 +155,47 @@ def parse(spelled):
     return lambda spec: parse_rep_spec(spelled(spec))
 
 
+def _recorded_rows(monkeypatch):
+    """The sizes of the element arrays that UnitaryRepresentation.rows is asked for."""
+    sizes, rows = [], UnitaryRepresentation.rows
+
+    def recording(self, elements):
+        sizes.append(np.size(elements))
+        return rows(self, elements)
+
+    monkeypatch.setattr(UnitaryRepresentation, "rows", recording)
+    return sizes
+
+
 @pytest.mark.parametrize("rows_per_block", [None, 5])
 @pytest.mark.parametrize("spec", [*_BLOCK_SPECS, "shift:72,2", "gabor:9,8"])
 def test_block_route_reads_rows_not_the_cached_action(spec, rows_per_block, parse, monkeypatch):
-    # The block route gathers the orbit from rep.rows; with the cached
-    # (order, dim) src and phase made to raise, and in blocks of any size,
-    # it reports the same bits.
+    # The block route and correlation_function gather the orbit from
+    # rep.rows a block of rows at a time; in blocks of any size they report
+    # the same bits, and at 5 rows per block no larger gather is made.
     rep = parse(spec)
     rng = np.random.default_rng(8)
     psi = rng.standard_normal(rep.dim) + 1j * rng.standard_normal(rep.dim)
     want = analyze_orbit(OrbitSystem(rep, psi)).to_json_dict()
-
-    def refuse(self):
-        raise AssertionError(f"the cached action of {self.label} was read")
-
-    monkeypatch.setattr(UnitaryRepresentation, "src", property(refuse))
-    monkeypatch.setattr(UnitaryRepresentation, "phase", property(refuse))
+    kernel = correlation_function(rep, psi, psi).values
+    sizes = _recorded_rows(monkeypatch)
     if rows_per_block is not None:
-        monkeypatch.setattr(frames, "_LAW_BATCH_ENTRIES", rows_per_block * rep.dim)
+        monkeypatch.setattr(representations, "_LAW_BATCH_ENTRIES", rows_per_block * rep.dim)
     assert analyze_orbit(OrbitSystem(rep, psi)).to_json_dict() == want
+    assert correlation_function(rep, psi, psi).values.tobytes() == kernel.tobytes()
+    assert max(sizes) <= (rep.group.order if rows_per_block is None else rows_per_block)
+
+
+def test_bracket_gathers_the_orbit_a_block_at_a_time(tmp_path, capsys, monkeypatch):
+    # regular:D1024 has order and dimension 2048: four blocks of 512 rows
+    # hold about 2^20 entries each, and no gather reads every element.
+    path = tmp_path / "psi.json"
+    psi = np.random.default_rng(13).standard_normal(2048)
+    path.write_text(json.dumps({"values": pairs_from_complex(psi)}))
+    sizes = _recorded_rows(monkeypatch)
+    assert cli.main(["bracket", "--rep", "regular:D1024", "--psi", str(path)]) == 0
+    assert json.loads(capsys.readouterr().out)["kind"] == "operator_kernel"
+    assert sizes and max(sizes) <= 512
 
 
 @pytest.mark.parametrize("spec", _BLOCK_SPECS)
@@ -201,6 +225,17 @@ def test_block_route_agrees_with_dense_route(spec, parse, monkeypatch):
     assert verdicts == {"riesz", "frame_not_riesz"}
 
 
+def _refuse_dense_operators(monkeypatch):
+    """Make every dense convolution matrix and its hermitized eigensolve raise."""
+
+    def refuse(*_args):
+        raise AssertionError("bracket built a dense operator above the block order")
+
+    for module in (frames, vnalgebra):
+        monkeypatch.setattr(module, "_convolution_matrices", refuse)
+        monkeypatch.setattr(module, "_hermitian_spectrum", refuse)
+
+
 @pytest.mark.parametrize("spec", ["regular:D40", "regular:H5", "regular:table:agl13.json"])
 def test_bracket_takes_the_block_spectrum_above_the_dense_orders(
     spec, spelled, tmp_path, capsys, monkeypatch
@@ -213,16 +248,32 @@ def test_bracket_takes_the_block_spectrum_above_the_dense_orders(
     psi = rng.standard_normal(rep.dim) + 1j * rng.standard_normal(rep.dim)
     path = tmp_path / "psi.json"
     path.write_text(json.dumps({"values": pairs_from_complex(psi)}))
-
-    def refuse(_matrix):
-        raise AssertionError("bracket took a dense eigensolve above the block order")
-
-    monkeypatch.setattr(cli, "_hermitian_spectrum", refuse)
+    _refuse_dense_operators(monkeypatch)
     assert cli.main(["bracket", "--rep", spelled(spec), "--psi", str(path)]) == 0
     got = np.array(json.loads(capsys.readouterr().out)["spectrum"])
     monkeypatch.undo()
     dense = _hermitian_spectrum(bracket_operator(rep, psi, psi).matrix)
     assert np.abs(got - dense).max() <= 1e-12 * dense[-1]
+
+
+def test_bracket_oracle_takes_the_block_spectrum_above_the_dense_orders(
+    tmp_path, capsys, monkeypatch
+):
+    # The regular: oracle takes the operator's spectrum by analyze's rule:
+    # on a cyclic product of order 72 that is the kernel's DFT, with no
+    # dense operator and no eigvalsh.
+    rng = np.random.default_rng(14)
+    psi = rng.standard_normal(72) + 1j * rng.standard_normal(72)
+    path = tmp_path / "psi.json"
+    path.write_text(json.dumps({"values": pairs_from_complex(psi)}))
+    _refuse_dense_operators(monkeypatch)
+
+    def refuse(*_args, **_kwargs):
+        raise AssertionError("the oracle took an eigvalsh")
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", refuse)
+    assert cli.main(["bracket", "--oracle", "--rep", "regular:Z2xZ36", "--psi", str(path)]) == 0
+    assert json.loads(capsys.readouterr().out)["oracle_deviation"] <= 1e-12
 
 
 @pytest.mark.parametrize(
@@ -246,7 +297,7 @@ def test_block_route_skips_dense_eigensolves(spec, calls, monkeypatch):
 
 def test_block_route_flags_a_broken_representation():
     rep = parse_rep_spec("regular:D40")
-    phase = rep.phase.copy()
+    phase = rep.rows(np.arange(rep.group.order))[1].copy()
     phase[np.arange(1, rep.group.order)] *= 1j  # not a representation any more
     phase.setflags(write=False)
     broken = faulty_rows(rep, phase=phase)
@@ -305,8 +356,7 @@ def test_block_route_builds_no_character_table(spec, monkeypatch):
 def test_block_route_at_the_cap_peaks_below_two_orbits(spec):
     # A whole (order, dim) complex orbit takes 256 MiB at order and dim
     # 4096, and a character table would add 384 MiB more.  The block route
-    # gathers the orbit about 2^20 entries at a time and fills neither the
-    # action's (order, dim) src nor its phase.
+    # gathers the orbit about 2^20 entries at a time.
     rep = parse_rep_spec(spec)
     psi = np.random.default_rng(6).standard_normal(rep.dim)
     tracemalloc.start()
@@ -320,7 +370,6 @@ def test_block_route_at_the_cap_peaks_below_two_orbits(spec):
     assert max(report.route_agreement.values()) <= 1e-12
     assert ("scalar" in report.route_agreement) == (rep.group.abelian is not None)
     assert peak < 64 * 2**20
-    assert "src" not in vars(rep) and "phase" not in vars(rep)
 
 
 @pytest.mark.parametrize("spec", ["regular:Z4", "regular:D5", *_BLOCK_SPECS])

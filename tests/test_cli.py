@@ -1,6 +1,5 @@
 """Command line behavior: formats, exit codes, determinism, file parsing."""
 
-import argparse
 import contextlib
 import errno
 import importlib
@@ -888,21 +887,6 @@ def test_parser_of_the_named_subcommand_prints_what_the_full_parser_prints(
     assert _parse_outcome(capsys, main, argv) == want
 
 
-def test_a_named_subcommand_builds_only_its_own_arguments(capsys, monkeypatch):
-    built = []
-    add_parser = argparse._SubParsersAction.add_parser
-
-    def recording(self, name, **kwargs):
-        built.append(name)
-        return add_parser(self, name, **kwargs)
-
-    monkeypatch.setattr(argparse._SubParsersAction, "add_parser", recording)
-    # `--samples=1` is a spelling only argparse reads.
-    code, out, _ = run_cli(capsys, "verify", "--groups", "Z2", "--samples=1")
-    assert code == 0 and json.loads(out)["passed"] is True
-    assert built == ["verify"]
-
-
 def test_an_exact_command_line_builds_no_parser(tmp_path, capsys, monkeypatch):
     import framelab.cli as cli
 
@@ -1159,7 +1143,7 @@ def test_a_broken_gabor_action_fails_the_oracle_and_the_routes(
 
     def row_one_times_1j(l, m, max_order=reps.DEFAULT_MAX_ORDER):
         rep = build(l, m, max_order)
-        phase = rep.phase.copy()
+        phase = rep.rows(np.arange(rep.group.order))[1].copy()
         phase[1] *= 1j
         return faulty_rows(rep, phase=phase)
 

@@ -83,8 +83,9 @@ def test_shift_sources_equal_the_remainder_formula(shape):
     dim = n * m
     rep = shift_model_representation(n, m)
     want = (np.arange(dim) - m * np.arange(n)[:, None]) % dim
-    assert rep.src.dtype == want.dtype and rep.src.flags.c_contiguous
-    assert np.array_equal(rep.src, want)
+    src, _ = rep.rows(np.arange(rep.group.order))
+    assert src.dtype == want.dtype and src.flags.c_contiguous
+    assert np.array_equal(src, want)
 
 
 @given(_gabor_shapes)
@@ -95,10 +96,11 @@ def test_gabor_action_equals_the_remainder_formulas(shape):
     roots = np.exp(-2j * np.pi * np.arange(dim) / dim)
     k, j = np.divmod(np.arange(dim)[:, None], m)
     x = np.arange(dim)
-    assert rep.src.dtype == np.int64 and rep.src.flags.c_contiguous
-    assert rep.phase.flags.c_contiguous and not rep.phase.flags.writeable
-    assert np.array_equal(rep.src, (x - m * k) % dim)
-    assert np.array_equal(_bits(rep.phase), _bits(roots[(l * j * x) % dim]))
+    src, phase = rep.rows(np.arange(rep.group.order))
+    assert src.dtype == np.int64 and src.flags.c_contiguous
+    assert phase.dtype == np.complex128 and phase.flags.c_contiguous
+    assert np.array_equal(src, (x - m * k) % dim)
+    assert np.array_equal(_bits(phase), _bits(roots[(l * j * x) % dim]))
 
 
 @pytest.mark.parametrize("spec", [("shift", 60, 4), ("gabor", 10, 12), ("gabor", 20, 6)])

@@ -136,7 +136,8 @@ def test_parse_rep_spec_on_arbitrary_strings(head, tail):
             lambda: parse_rep_spec(head + tail, max_order=_CAP)
         )
     if rep is not None:
-        assert rep.src.shape == (rep.group.order, rep.dim)
+        src, phase = rep.rows(np.arange(rep.group.order))
+        assert src.shape == phase.shape == (rep.group.order, rep.dim)
         assert rep.group.order <= _CAP and rep.dim <= _CAP
 
 

@@ -116,24 +116,24 @@ def test_gather_matches_dense_oracle(table_dir, spec, data):
 @settings(max_examples=60, deadline=None)
 @given(spec=rep_specs, data=st.data())
 def test_rows_of_any_elements_are_the_cached_rows(table_dir, spec, data):
-    # Elements of any shape, in any order and with repeats; rows is asked
-    # first, so the caches are filled after it, and asked again on the same
-    # representation, where it reuses what the first call built.
+    # Elements of any shape, in any order and with repeats, read the rows of
+    # every element at their indices; rows is asked first, and asked again
+    # on the same representation, where it reuses what the first call built.
     rep = parse_rep_spec(_table_spec(table_dir, spec))
     shape = tuple(data.draw(st.lists(st.integers(0, 4), max_size=3), label="shape"))
     elements = data.draw(
         arrays(np.int64, shape, elements=st.integers(0, rep.group.order - 1)), label="elements"
     )
     first = rep.rows(elements)
-    assert "src" not in vars(rep) and "phase" not in vars(rep)
     second = rep.rows(elements)
+    every_src, every_phase = rep.rows(np.arange(rep.group.order))
     for src, phase in (first, second):
         assert src.dtype == np.int64 and phase.dtype == np.complex128
         assert src.shape == phase.shape == (*shape, rep.dim)
-        assert np.array_equal(src, rep.src[elements])
+        assert np.array_equal(src, every_src[elements])
         assert np.array_equal(
             np.ascontiguousarray(phase).view(np.int64),
-            np.ascontiguousarray(rep.phase[elements]).view(np.int64),
+            np.ascontiguousarray(every_phase[elements]).view(np.int64),
         )
 
 
@@ -149,8 +149,6 @@ def test_gabor_phase_block_is_built_once_per_representation(monkeypatch):
     monkeypatch.setattr(np, "exp", counting)
     for elements in ([0], [5, 3], np.arange(rep.group.order)):
         rep.rows(elements)
-    # Filling the src and phase caches reuses the block too.
-    assert rep.src.shape == rep.phase.shape == (rep.group.order, rep.dim)
     assert len(exps) == 1
 
 
@@ -168,15 +166,16 @@ def test_correlation_matches_dense_oracle():
 def test_permutation_phases_are_a_view_of_one_value(spec):
     rep = parse_rep_spec(spec)
     order, dim = rep.group.order, rep.dim
-    assert rep.phase.shape == (order, dim) and rep.phase.dtype == np.complex128
+    src, phase = rep.rows(np.arange(order))
+    assert phase.shape == (order, dim) and phase.dtype == np.complex128
     # No (order, dim) buffer behind the phases: one 16-byte value, read-only.
-    assert rep.phase.strides == (0, 0)
-    low, high = np.lib.array_utils.byte_bounds(rep.phase)
+    assert phase.strides == (0, 0)
+    low, high = np.lib.array_utils.byte_bounds(phase)
     assert high - low == 16
-    assert not rep.phase.flags.writeable
+    assert not phase.flags.writeable
     assert verify_representation(rep).passed
     psi = np.random.default_rng(5).standard_normal((2, dim)).T @ [1.0, 1j]
-    want = np.ones((order, dim), dtype=np.complex128) * psi[rep.src]
+    want = np.ones((order, dim), dtype=np.complex128) * psi[src]
     got = orbit_rows(OrbitSystem(rep, psi))
     assert np.array_equal(got.view(np.int64), want.view(np.int64))
 
@@ -188,14 +187,14 @@ def test_dense_matrices_are_built_once_on_demand():
     assert mats.shape == (4, 4, 4)
     assert rep.matrices is mats
     assert not mats.flags.writeable
-    assert not rep.src.flags.writeable and not rep.phase.flags.writeable
-    assert rep.src.dtype == np.int64 and rep.phase.dtype == np.complex128
+    src, phase = rep.rows(np.arange(rep.group.order))
+    assert src.dtype == np.int64 and phase.dtype == np.complex128
 
 
 def test_verify_flags_a_wrong_source_coordinate():
     # All phases are 1, so only the source comparison can see the fault.
     rep = regular_representation(make_abelian_group([6]))
-    src = rep.src.copy()
+    src = rep.rows(np.arange(rep.group.order))[0].copy()
     src[4, [0, 1]] = src[4, [1, 0]]
     result = verify_representation(faulty_rows(rep, src=src))
     assert not result.passed
@@ -204,7 +203,7 @@ def test_verify_flags_a_wrong_source_coordinate():
     a, b = result.failing_pair
     assert 4 in (a, b, rep.group.product(a, b))
 
-    src = rep.src.copy()
+    src = rep.rows(np.arange(rep.group.order))[0].copy()
     src[4, 0] = src[4, 1]
     result = verify_representation(faulty_rows(rep, src=src))
     assert result.unitarity_deviation >= 1.0

@@ -138,7 +138,7 @@ def test_verify_checks_generators_for_large_groups():
 
 def test_verify_flags_corrupted_matrix():
     rep = gabor_representation(2, 2)
-    phase = rep.phase.copy()
+    phase = rep.rows(np.arange(rep.group.order))[1].copy()
     phase[3] = phase[3] * 1.001
     broken = faulty_rows(rep, phase=phase)
     result = verify_representation(broken)
@@ -164,12 +164,11 @@ _LARGE_SPECS = st.one_of(
 def test_verify_fails_every_planted_single_element_fault(spec, data):
     rep = parse_rep_spec(spec)
     g = data.draw(st.integers(0, rep.group.order - 1), label="element")
+    src, phase = (rows.copy() for rows in rep.rows(np.arange(rep.group.order)))
     if data.draw(st.booleans(), label="phase fault"):
-        phase = rep.phase.copy()
         phase[g] *= 1j
         broken = faulty_rows(rep, phase=phase)
     else:
-        src = rep.src.copy()
         src[g] = np.roll(src[g], 1)
         broken = faulty_rows(rep, src=src)
     result = verify_representation(broken)
@@ -181,8 +180,9 @@ def test_verify_fails_every_planted_single_element_fault(spec, data):
 def test_law_check_evaluates_each_left_factor_once(spec, monkeypatch):
     # a*s for every a is (s^-1 a^-1)^-1: one law row per generator s.
     rep = parse_rep_spec(spec)
-    phase = rep.phase.copy()
+    phase = rep.rows(np.arange(rep.group.order))[1].copy()
     phase[5] *= 1j
+    broken = faulty_rows(rep, phase=phase)
     sizes = []
     rows = FiniteGroup.rows
 
@@ -191,8 +191,11 @@ def test_law_check_evaluates_each_left_factor_once(spec, monkeypatch):
         return rows(self, elements)
 
     monkeypatch.setattr(FiniteGroup, "rows", recording)
-    reports = [verify_representation(r) for r in (rep, faulty_rows(rep, phase=phase))]
-    assert sizes == [1] * rep.group.generators[0].size
+    reports = [verify_representation(r) for r in (rep, broken)]
+    # One law row per generator; a regular action's own rows, read once for
+    # every element, are the law rows of their inverses.
+    whole = [rep.group.order] if rep.model == ("regular",) else []
+    assert sorted(sizes) == [1] * rep.group.generators[0].size + whole
     assert reports[0].passed and not reports[1].passed
     a, s = reports[1].failing_pair
     assert 5 in (a, rep.group.product(a, s))
@@ -224,7 +227,8 @@ def test_orbit_stack_and_correlation_keep_the_former_bits(spec, dtype):
             psis += 1j * rng.standard_normal(shape)
         phis = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
         kept = psis.copy()
-        moved = rep.phase * np.take(psis, rep.src, axis=-1)
+        src, phase = rep.rows(np.arange(rep.group.order))
+        moved = phase * np.take(psis, src, axis=-1)
         got = reps._orbit_stack(rep, psis)
         assert got.dtype == np.complex128
         assert got.tobytes() == moved.tobytes()

@@ -293,7 +293,7 @@ def _scaled_row(row, scale, entries=slice(None)):
 
     def build(l, m):
         rep = gabor_representation(l, m)
-        phase = rep.phase.copy()
+        phase = rep.rows(np.arange(rep.group.order))[1].copy()
         phase[row, entries] *= scale
         return faulty_rows(rep, phase=phase)
 

@@ -55,9 +55,14 @@ def _inverse_multiplier(group, values):
     return (values @ character_table(group)) / group.order
 
 
+def _orbit(rep, psi):
+    """(order, dim) rows U(g) psi, gathered from the rows of every element."""
+    src, phase = rep.rows(np.arange(rep.group.order))
+    return phase * psi[src]
+
+
 def _correlation(rep, phi, psi):
-    moved = rep.phase * psi[rep.src]
-    return moved.conj() @ phi
+    return _orbit(rep, psi).conj() @ phi
 
 
 def _convolve(group, u, v):
@@ -177,7 +182,7 @@ def oracle_bracket_gramian(specs, rng, samples, tol=1e-11, trace_tol=1e-12):
         rep = regular_representation(group_from_spec(spec))
         for _ in range(samples):
             psi = _cvec(rng, rep.dim)
-            synthesis = (rep.phase * psi[rep.src]).T.copy()
+            synthesis = _orbit(rep, psi).T.copy()
             gram = synthesis.conj().T @ synthesis
             c = _correlation(rep, psi, psi)
             worst = max(worst, float(np.abs(_dense(rep.group, c) - gram).max()))
@@ -633,7 +638,7 @@ def test_bracket_gramian_rows_match_per_sample(spec):
     psis = np.array([_cvec(rng, rep.dim) for _ in range(25)])
     max_dev, trace_dev = _bracket_gramian_deviations(rep, psis)
     for row, psi in enumerate(psis):
-        synthesis = (rep.phase * psi[rep.src]).T.copy()
+        synthesis = _orbit(rep, psi).T.copy()
         gram = synthesis.conj().T @ synthesis
         c = _correlation(rep, psi, psi)
         assert max_dev[row] == float(np.abs(_dense(rep.group, c) - gram).max())
