@@ -21,7 +21,9 @@ from .errors import (
     ParseError,
     ZeroGeneratorError,
 )
-from .frames import GAP_GUARD, _kernel_spectrum, analyze_orbit
+from .frames import (
+    GAP_GUARD, _kernel_spectrum, _seeded_columns, _seeded_scalar_route, analyze_orbit,
+)
 from .groups import DEFAULT_MAX_ORDER
 from .io import SCHEMA, dump_json, load_generator, pairs_from_complex, spectrum_csv, values_csv
 from .representations import OrbitSystem, correlation_function, parse_rep_spec
@@ -125,23 +127,26 @@ def _bracket_oracle(rep, kernel, psi: np.ndarray, values: np.ndarray) -> float:
     """Recompute the bracket along an independent route; return max deviation.
 
     The periodization and Zak routes take their sizes from rep.model and
-    build no group of their own.
+    build no group of their own.  The deviation is relative to the largest
+    value of the other route, and a zero generator reads 0.
     """
     kind, *sizes = rep.model
+    seeded = 0.0
     if kind == "shift":
         other = _periodization_values(psi, *sizes)
     elif kind == "gabor":
         other = _zak_values(psi, psi, *sizes)
     else:
-        # Self-brackets are positive, so the multiplier values must match the
-        # (real) spectrum of the operator, taken by analyze's rule, as a
-        # sorted list.
-        eig = _kernel_spectrum(kernel)
-        got = np.sort(values.real)
-        scale = max(1.0, float(np.abs(eig).max(initial=0.0)))
-        return float(np.abs(got - eig).max()) / scale
-    scale = max(1.0, float(np.abs(other).max(initial=0.0)))
-    return float(np.abs(values - other).max()) / scale
+        # Self-brackets are positive, so the sorted multiplier values must
+        # match the operator's (real) spectrum, taken by analyze's rule; above
+        # BLOCK_SPECTRUM_ORDER that is the same FFT, so analyze's seeded
+        # characters, summed directly, must also sit on it.
+        other = _kernel_spectrum(kernel)
+        values = np.sort(values.real)
+        cols = _seeded_columns(rep.group.order)
+        seeded = _seeded_scalar_route(rep.group, kernel.values, other, cols, 1.0)
+    scale = max(float(np.abs(other).max(initial=0.0)), np.finfo(float).tiny)
+    return max(float(np.abs(values - other).max()), seeded) / scale
 
 
 # An overflow surfaces as NonFiniteResultError from the checks on each

@@ -300,6 +300,11 @@ def _power_of_two_scaled(psi: np.ndarray) -> tuple[np.ndarray, int]:
     return scaled, exp
 
 
+def _seeded_columns(order: int) -> np.ndarray:
+    """Up to _BLOCK_CHECK_COLUMNS distinct elements, by random.Random(0), not numpy.random."""
+    return np.array(random.Random(0).sample(range(order), min(order, _BLOCK_CHECK_COLUMNS)))
+
+
 def _seeded_scalar_route(
     group, c: np.ndarray, w: np.ndarray, chars: np.ndarray, lam_max: float
 ) -> float:
@@ -364,14 +369,12 @@ def _block_routes(orbit: OrbitSystem) -> tuple[np.ndarray, dict[str, float]]:
     norm of the Gram matrix against the first two moments of the block
     spectrum.  On a cyclic product the scalar route checks the multiplier at
     the characters with the same seeded indices (characters are enumerated
-    like the elements).  The seeded columns are _BLOCK_CHECK_COLUMNS
-    distinct elements drawn by the standard library's random.Random(0).sample,
-    so they depend on the order alone and need no numpy.random.
+    like the elements).  The seeded columns are _seeded_columns(order).
     """
     rep, psi = orbit.rep, orbit.generator
     group = rep.group
     order = group.order
-    cols = np.array(random.Random(0).sample(range(order), _BLOCK_CHECK_COLUMNS))
+    cols = _seeded_columns(order)
     # Row g of a block is U(g) psi.  c(g) = conj(U(g) psi @ conj(psi)) is
     # also the Gram column of the identity, and Gram column j is
     # conj(U(g) psi @ conj(U(j) psi)); conjugating the short side spares a

@@ -523,28 +523,19 @@ def character_table(group: FiniteGroup) -> np.ndarray:
     """All characters as a matrix X[m, a] = value of character m at element a.
 
     Character m has values exp(+2i pi sum_i m_i a_i / d_i), computed as
-    _character_rows computes any subset of the rows.  The table is cached on
-    the group's abelian structure; the fill is idempotent, so a concurrent
-    first access is harmless.
+    _character_rows computes any subset of the rows.  Built on each call, it
+    is the reference for characters() and the tests; no command builds it.
     """
     if group.abelian is None:
         raise NotAbelianError("characters need an abelian group with coordinates")
-    cached = getattr(group.abelian, "_char_table", None)
-    if cached is not None:
-        return cached
-    table = _freeze(_character_rows(group, np.arange(group.order)))
-    object.__setattr__(group.abelian, "_char_table", table)
-    return table
+    return _freeze(_character_rows(group, np.arange(group.order)))
 
 
 def characters(group: FiniteGroup) -> list[Character]:
     """The dual group of an abelian group, enumerated by mixed-radix exponents."""
     table = character_table(group)
     coords = group.abelian.coords
-    return [
-        Character(tuple(int(x) for x in coords[m]), table[m])
-        for m in range(group.order)
-    ]
+    return [Character(tuple(map(int, coords[m])), table[m]) for m in range(group.order)]
 
 
 def convolve(u: GroupFunction, v: GroupFunction) -> GroupFunction:

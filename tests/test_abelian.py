@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from framelab import (
     DimMismatchError,
@@ -41,6 +42,7 @@ from framelab import (
     support_projection,
     zak_transform,
 )
+from framelab.abelian import _inverse_multipliers, _multipliers
 
 
 def _cvec(rng, n):
@@ -49,6 +51,36 @@ def _cvec(rng, n):
 
 def _random_op(group, rng):
     return operator_from_coefficients(group_function(group, _cvec(rng, group.order)))
+
+
+@st.composite
+def _factors(draw):
+    """1 to 4 cyclic factors whose product is at most 4096."""
+    count = draw(st.integers(1, 4), label="count")
+    factors, room = [], 4096
+    for left in range(count - 1, -1, -1):
+        factors.append(draw(st.integers(2, room >> left)))
+        room //= factors[-1]
+    return factors
+
+
+@settings(max_examples=30, deadline=None)
+@given(factors=_factors(), rows=st.integers(1, 25), seed=st.integers(0, 2**32 - 1))
+def test_fft_multipliers_match_the_character_table(factors, rows, seed):
+    g = make_abelian_group(factors)
+    rng = np.random.default_rng(seed)
+    stack = rng.standard_normal((rows, g.order)) + 1j * rng.standard_normal((rows, g.order))
+    table = character_table(g)
+
+    def close(got, want):
+        return np.abs(got - want).max() <= 1e-12 * max(1.0, np.abs(want).max())
+
+    # Row r of the products is conj(table) @ stack[r] and stack[r] @ table / order.
+    mult = _multipliers(g, stack)
+    assert close(mult, np.conj(np.conj(stack) @ table.T))
+    assert close(_inverse_multipliers(g, stack), (stack @ table) / g.order)
+    assert close(_inverse_multipliers(g, mult), stack)
+    assert close(_multipliers(g, _inverse_multipliers(g, stack)), stack)
 
 
 def test_multiplier_of_identity_is_one():

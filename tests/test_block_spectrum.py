@@ -276,6 +276,24 @@ def test_bracket_oracle_takes_the_block_spectrum_above_the_dense_orders(
     assert json.loads(capsys.readouterr().out)["oracle_deviation"] <= 1e-12
 
 
+@pytest.mark.parametrize("spec", ["regular:Z2xZ48", "regular:Z200"])
+def test_bracket_oracle_flags_a_scaled_fft(spec, tmp_path, capsys, monkeypatch):
+    # Above BLOCK_SPECTRUM_ORDER the operator's spectrum of a cyclic product
+    # is the multiplier's own FFT, so a wrong FFT moves both alike; the
+    # oracle still sees it at analyze's seeded characters, summed directly.
+    rep = parse_rep_spec(spec)
+    psi = np.random.default_rng(4).standard_normal(rep.dim)
+    path = tmp_path / "psi.json"
+    path.write_text(json.dumps({"values": pairs_from_complex(psi)}))
+    argv = ["bracket", "--oracle", "--rep", spec, "--psi", str(path)]
+    assert cli.main(argv) == 0
+    assert json.loads(capsys.readouterr().out)["oracle_deviation"] <= 1e-12
+    fftn = abelian.np.fft.fftn
+    monkeypatch.setattr(abelian.np.fft, "fftn", lambda *a, **k: fftn(*a, **k) * (1 + 1e-6))
+    assert cli.main(argv) == 1
+    assert json.loads(capsys.readouterr().out)["oracle_deviation"] > 1e-9
+
+
 @pytest.mark.parametrize(
     "spec,calls", [("regular:Z72", 0), ("regular:Z2xZ6xZ8", 0), ("regular:D40", 1)]
 )
@@ -336,16 +354,50 @@ def test_scalar_route_flags_a_scaled_block_spectrum(spec, monkeypatch):
     assert analyze_orbit(OrbitSystem(rep, psi)).route_agreement["scalar"] > 1e-9
 
 
-@pytest.mark.parametrize("spec", ["regular:Z1024", "regular:Z2xZ48"])
-def test_block_route_builds_no_character_table(spec, monkeypatch):
+def _refuse_character_tables(monkeypatch) -> list[int]:
+    """Make character_table raise; return the row counts _character_rows is asked for."""
+
     def refuse(group):
         raise AssertionError(f"the character table of {group.spec} was built")
 
-    for module in (groups, abelian):
-        monkeypatch.setattr(module, "character_table", refuse)
+    asked = []
+    rows = groups._character_rows
+
+    def counted(group, indices):
+        asked.append(int(np.size(indices)))
+        return rows(group, indices)
+
+    for module in (groups, abelian, frames, cli):
+        monkeypatch.setattr(module, "character_table", refuse, raising=False)
+    for module in (groups, frames):
+        monkeypatch.setattr(module, "_character_rows", counted)
+    return asked
+
+
+@pytest.mark.parametrize("spec", ["regular:Z1024", "regular:Z2xZ48"])
+def test_block_route_builds_no_character_table(spec, monkeypatch):
+    asked = _refuse_character_tables(monkeypatch)
     rep = parse_rep_spec(spec)
     psi = np.random.default_rng(5).standard_normal(rep.dim)
     assert analyze_orbit(OrbitSystem(rep, psi)).route_agreement["scalar"] <= 1e-12
+    assert asked == [4]
+
+
+@pytest.mark.parametrize("oracle", [(), ("--oracle",)], ids=["plain", "oracle"])
+@pytest.mark.parametrize("fmt", ["json", "csv"])
+@pytest.mark.parametrize("spec", ["regular:Z1024", "regular:Z2xZ48", "shift:2048,2", "gabor:10,12"])
+def test_bracket_builds_no_character_table(spec, fmt, oracle, tmp_path, capsys, monkeypatch):
+    # The multiplier is an FFT over the invariant factors; only the regular:
+    # oracle sums characters directly, at analyze's 4 seeded indices.
+    rep = parse_rep_spec(spec)
+    psi = np.random.default_rng(5).standard_normal(rep.dim)
+    path = tmp_path / "psi.json"
+    path.write_text(json.dumps({"values": pairs_from_complex(psi)}))
+    asked = _refuse_character_tables(monkeypatch)
+    argv = ["bracket", *oracle, "--rep", spec, "--psi", str(path), "--format", fmt]
+    assert cli.main(argv) == 0
+    capsys.readouterr()
+    assert asked == ([4] if oracle and spec.startswith("regular:") else [])
 
 
 @pytest.mark.parametrize(

@@ -308,6 +308,40 @@ def test_bracket_oracle_on_models(tmp_path, capsys, rep, dim):
     assert json.loads(out)["oracle_deviation"] < 1e-9
 
 
+@pytest.mark.parametrize("scale", [1.0, 1e-3, 1e-6])
+@pytest.mark.parametrize("rep,dim", [("shift:60,4", 240), ("gabor:10,12", 120), ("regular:Z2xZ48", 96)])
+def test_bracket_oracle_sees_a_planted_fault_at_any_scale(
+    tmp_path, capsys, monkeypatch, rep, dim, scale
+):
+    # The deviation is relative to the largest value, so one doubled value
+    # fails the oracle however small the generator.
+    rng = np.random.default_rng(12)
+    psi = _write_psi(tmp_path, scale * (rng.standard_normal(dim) + 1j * rng.standard_normal(dim)))
+    code, out, _ = run_cli(capsys, "bracket", "--rep", rep, "--psi", psi, "--oracle")
+    assert code == 0
+    assert json.loads(out)["oracle_deviation"] < 1e-12
+    transform = framelab.cli.fourier_on_group
+
+    def planted(kernel):
+        mult = transform(kernel)
+        values = mult.values.copy()
+        values[values.size // 3] *= 2
+        return framelab.DualFunction(mult.group, values)
+
+    monkeypatch.setattr(framelab.cli, "fourier_on_group", planted)
+    code, out, _ = run_cli(capsys, "bracket", "--rep", rep, "--psi", psi, "--oracle")
+    assert code == 1
+    assert json.loads(out)["oracle_deviation"] > 1e-6
+
+
+def test_bracket_oracle_reads_zero_for_a_zero_generator(tmp_path, capsys):
+    for rep, dim in (("shift:6,2", 12), ("gabor:3,4", 12), ("regular:Z12", 12)):
+        psi = _write_psi(tmp_path, np.zeros(dim))
+        code, out, _ = run_cli(capsys, "bracket", "--rep", rep, "--psi", psi, "--oracle")
+        assert code == 0
+        assert json.loads(out)["oracle_deviation"] == 0.0
+
+
 def test_bracket_nonabelian_fallback(tmp_path, capsys):
     rng = np.random.default_rng(13)
     psi = _write_psi(tmp_path, rng.standard_normal(8) + 1j * rng.standard_normal(8))

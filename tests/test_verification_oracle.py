@@ -13,7 +13,7 @@ import pytest
 import framelab.abelian as abelian
 import framelab.vnalgebra as vnalgebra
 from framelab.frames import _bracket_gramian_deviations, _duallemma_reports, check_duallemma
-from framelab.groups import character_table, group_from_spec
+from framelab.groups import group_from_spec
 from framelab.representations import (
     gabor_representation,
     regular_representation,
@@ -48,11 +48,12 @@ def _dense(group, c):
 
 
 def _multiplier(group, c):
-    return np.conj(character_table(group)) @ c
+    """The DFT of one kernel over the invariant factors (last factor fastest)."""
+    return np.fft.fftn(c.reshape(group.structure[1])).ravel()
 
 
 def _inverse_multiplier(group, values):
-    return (values @ character_table(group)) / group.order
+    return np.fft.ifftn(values.reshape(group.structure[1])).ravel()
 
 
 def _orbit(rep, psi):
