@@ -231,6 +231,25 @@ def _zak_values(phis: np.ndarray, psis: np.ndarray, l: int, m: int) -> np.ndarra
     return m * prod.reshape(phis.shape)
 
 
+def _transform_bracket(rep: UnitaryRepresentation, psi: np.ndarray) -> np.ndarray:
+    """The model's classical self-bracket of psi, read from psi's own transform.
+
+    |psi^|^2 over the invariant factors for regular: on a cyclic product,
+    the periodization for shift: and the Zak product for gabor:
+    (Hernandez, Sikic, Weiss and Wilson, Colloq. Math. 118, 2010).  Indexed
+    like fourier_on_group's values of the bracket kernel, which it equals on
+    a sound action; it reads only the sizes in rep.model and builds no group.
+    The Zak product stays complex, its imaginary part the rounding of a
+    fused multiply-add.
+    """
+    kind, *sizes = rep.model
+    if kind == "shift":
+        return _periodization_values(psi, *sizes)
+    if kind == "gabor":
+        return _zak_values(psi, psi, *sizes)
+    return np.abs(np.fft.fftn(psi.reshape(rep.group.structure[1]))).ravel() ** 2
+
+
 def support_indicator(mult: DualFunction, tol: float = 1e-10) -> DualFunction:
     """0/1 indicator of where a real multiplier exceeds the zero threshold."""
     indicator = _support_indicators(mult.values[None], tol)[0]

@@ -11,7 +11,7 @@ from types import SimpleNamespace
 
 import numpy as np
 
-from .abelian import _periodization_values, _zak_values, fourier_on_group
+from .abelian import _transform_bracket, fourier_on_group
 from .errors import (
     DimMismatchError,
     FrameLabError,
@@ -21,9 +21,7 @@ from .errors import (
     ParseError,
     ZeroGeneratorError,
 )
-from .frames import (
-    GAP_GUARD, _kernel_spectrum, _seeded_columns, _seeded_scalar_route, analyze_orbit,
-)
+from .frames import GAP_GUARD, _kernel_spectrum, analyze_orbit
 from .groups import DEFAULT_MAX_ORDER
 from .io import SCHEMA, dump_json, load_generator, pairs_from_complex, spectrum_csv, values_csv
 from .representations import OrbitSystem, correlation_function, parse_rep_spec
@@ -123,30 +121,17 @@ def _cmd_analyze(args) -> int:
     return EXIT_OK
 
 
-def _bracket_oracle(rep, kernel, psi: np.ndarray, values: np.ndarray) -> float:
-    """Recompute the bracket along an independent route; return max deviation.
+def _bracket_oracle(rep, psi: np.ndarray, values: np.ndarray) -> float:
+    """Largest deviation of the multiplier from the model's classical bracket.
 
-    The periodization and Zak routes take their sizes from rep.model and
-    build no group of their own.  The deviation is relative to the largest
-    value of the other route, and a zero generator reads 0.
+    The classical bracket is read from psi's own transform
+    (abelian._transform_bracket), with the sizes in rep.model and no group
+    of its own, and compared value by value at each character.  The
+    deviation is relative to its largest value, and a zero generator reads 0.
     """
-    kind, *sizes = rep.model
-    seeded = 0.0
-    if kind == "shift":
-        other = _periodization_values(psi, *sizes)
-    elif kind == "gabor":
-        other = _zak_values(psi, psi, *sizes)
-    else:
-        # Self-brackets are positive, so the sorted multiplier values must
-        # match the operator's (real) spectrum, taken by analyze's rule; above
-        # BLOCK_SPECTRUM_ORDER that is the same FFT, so analyze's seeded
-        # characters, summed directly, must also sit on it.
-        other = _kernel_spectrum(kernel)
-        values = np.sort(values.real)
-        cols = _seeded_columns(rep.group.order)
-        seeded = _seeded_scalar_route(rep.group, kernel.values, other, cols, 1.0)
+    other = _transform_bracket(rep, psi)
     scale = max(float(np.abs(other).max(initial=0.0)), np.finfo(float).tiny)
-    return max(float(np.abs(values - other).max()), seeded) / scale
+    return float(np.abs(values - other).max()) / scale
 
 
 # An overflow surfaces as NonFiniteResultError from the checks on each
@@ -167,9 +152,13 @@ def _cmd_bracket(args) -> int:
             skipped = "group has no cyclic-product coordinates"
         else:
             needs, skipped = "an abelian group", "group is not abelian"
+        unchecked = (
+            "; --oracle checks nothing: the operator kernel has no independent route"
+            if args.oracle else ""
+        )
         sys.stderr.write(
             f"notice: the multiplier transform needs {needs}; "
-            "emitting the operator kernel and spectrum instead\n"
+            f"emitting the operator kernel and spectrum instead{unchecked}\n"
         )
         if args.format == "csv":
             _write(values_csv(kernel.values), args.out)
@@ -195,7 +184,7 @@ def _cmd_bracket(args) -> int:
     code = EXIT_OK
     oracle_dev = None
     if args.oracle:
-        oracle_dev = _bracket_oracle(rep, kernel, psi, mult.values)
+        oracle_dev = _bracket_oracle(rep, psi, mult.values)
         if oracle_dev > _ORACLE_TOL:
             code = EXIT_FAIL
     if args.format == "csv":

@@ -14,9 +14,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .abelian import _multipliers
+from .abelian import _transform_bracket
 from .errors import NonFiniteResultError, ZeroGeneratorError
-from .groups import GroupFunction, _character_rows, group_function
+from .groups import GroupFunction, group_function
 from .representations import (
     OrbitSystem,
     _as_generator,
@@ -300,24 +300,15 @@ def _power_of_two_scaled(psi: np.ndarray) -> tuple[np.ndarray, int]:
     return scaled, exp
 
 
-def _seeded_columns(order: int) -> np.ndarray:
-    """Up to _BLOCK_CHECK_COLUMNS distinct elements, by random.Random(0), not numpy.random."""
-    return np.array(random.Random(0).sample(range(order), min(order, _BLOCK_CHECK_COLUMNS)))
+def _scalar_route(orbit: OrbitSystem, w: np.ndarray, lam_max: float) -> float:
+    """Deviation of the generator's classical bracket from the spectrum w.
 
-
-def _seeded_scalar_route(
-    group, c: np.ndarray, w: np.ndarray, chars: np.ndarray, lam_max: float
-) -> float:
-    """Deviation of the multiplier at a few characters from the spectrum w.
-
-    On an abelian group the operator is diagonal in the characters, so the
-    multiplier at each one is an eigenvalue: its real part must sit on some
-    value of the sorted w and its imaginary part at zero.
+    On a cyclic product the operator is diagonal in the characters, so the
+    bracket read from psi's own transform (abelian._transform_bracket), never
+    from the action, must sort onto the ascending w.
     """
-    vals = np.conj(_character_rows(group, chars)) @ c
-    at = np.clip(np.searchsorted(w, vals.real), 1, w.size - 1)
-    dev_scalar = np.minimum(np.abs(vals.real - w[at - 1]), np.abs(vals.real - w[at]))
-    return float(np.maximum(dev_scalar, np.abs(vals.imag)).max()) / lam_max
+    values = np.sort(_transform_bracket(orbit.rep, orbit.generator).real)
+    return float(np.abs(values - w).max()) / lam_max
 
 
 def _grams_and_kernels(rep, psis: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -336,8 +327,8 @@ def _grams_and_kernels(rep, psis: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 def _dense_routes(orbit: OrbitSystem) -> tuple[np.ndarray, dict[str, float]]:
     """Spectrum from the dense Gram matrix, checked against the operator matrix.
 
-    On a cyclic product the scalar route checks the multiplier, whose sorted
-    real parts are the spectrum and whose imaginary parts are zero.
+    On a cyclic product the scalar route checks it against the generator's
+    classical bracket (_scalar_route).
     """
     rep = orbit.rep
     gram, c = _grams_and_kernels(rep, orbit.generator)  # c(g) = <psi, U(g) psi>
@@ -350,10 +341,7 @@ def _dense_routes(orbit: OrbitSystem) -> tuple[np.ndarray, dict[str, float]]:
     routes = {"bracket": max(dev_matrix, dev_spec)}
 
     if rep.group.abelian is not None:
-        mult = _multipliers(rep.group, c)
-        dev_scalar = float(np.abs(np.sort(mult.real) - w).max()) / lam_max
-        dev_imag = float(np.abs(mult.imag).max()) / lam_max
-        routes["scalar"] = max(dev_scalar, dev_imag)
+        routes["scalar"] = _scalar_route(orbit, w, lam_max)
     return w, routes
 
 
@@ -367,14 +355,14 @@ def _block_routes(orbit: OrbitSystem) -> tuple[np.ndarray, dict[str, float]]:
     route checks the paper's identity on what is left: Gram against
     operator on a few seeded columns, and the trace and squared Frobenius
     norm of the Gram matrix against the first two moments of the block
-    spectrum.  On a cyclic product the scalar route checks the multiplier at
-    the characters with the same seeded indices (characters are enumerated
-    like the elements).  The seeded columns are _seeded_columns(order).
+    spectrum.  On a cyclic product the scalar route checks the spectrum
+    against the generator's classical bracket (_scalar_route).
     """
     rep, psi = orbit.rep, orbit.generator
     group = rep.group
     order = group.order
-    cols = _seeded_columns(order)
+    # Drawn by random.Random(0), not numpy.random, which analyze never loads.
+    cols = np.array(random.Random(0).sample(range(order), _BLOCK_CHECK_COLUMNS))
     # Row g of a block is U(g) psi.  c(g) = conj(U(g) psi @ conj(psi)) is
     # also the Gram column of the identity, and Gram column j is
     # conj(U(g) psi @ conj(U(j) psi)); conjugating the short side spares a
@@ -398,7 +386,7 @@ def _block_routes(orbit: OrbitSystem) -> tuple[np.ndarray, dict[str, float]]:
     routes = {"bracket": max(dev_cols, dev_trace, dev_frob)}
 
     if group.abelian is not None:
-        routes["scalar"] = _seeded_scalar_route(group, c, w, cols, lam_max)
+        routes["scalar"] = _scalar_route(orbit, w, lam_max)
     return w, routes
 
 
@@ -421,18 +409,18 @@ def analyze_orbit(orbit: OrbitSystem, tol: float = 1e-10) -> FrameReport:
     """Classify the orbit of a generator under a representation.
 
     Three routes produce the same spectral data: the Gram matrix of the
-    orbit, the operator whose kernel is the correlation function, and (for
-    commutative groups) its multiplier transform.  Up to order
-    BLOCK_SPECTRUM_ORDER the verdict and bounds come from the Gram route and
-    route_agreement records how far the other routes stray, as max
-    deviation relative to lambda_max.  Above it, for every group, the
+    orbit, the operator whose kernel is the correlation function, and (on
+    cyclic products) the model's classical bracket of the generator.  Up to
+    order BLOCK_SPECTRUM_ORDER the verdict and bounds come from the Gram
+    route and route_agreement records how far the other routes stray, as
+    max deviation relative to lambda_max.  Above it, for every group, the
     spectrum comes from the blocks of the correlation kernel over an abelian
     subgroup (block_spectrum), with the orbit gathered a block of rows at a
     time; "bracket" then holds the Gram-vs-operator deviation on a few
     seeded columns and the trace and Frobenius-norm deviations of that
-    spectrum, and "scalar" how far the multiplier at the characters with
-    those seeded indices lies from it.  The generator is checked on entry,
-    as orbit_matrix checks it.
+    spectrum.  On both routes "scalar" is how far the sorted classical
+    bracket, read from the generator's own transform, lies from the
+    spectrum.  The generator is checked on entry, as orbit_matrix checks it.
     """
     psi = _as_generator(orbit.generator, orbit.rep.dim)
     # The verdict depends on the spectrum relative to lambda_max, not on the

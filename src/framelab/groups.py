@@ -503,32 +503,23 @@ def group_from_spec(spec: str, max_order: int = DEFAULT_MAX_ORDER) -> FiniteGrou
     return make_builtin_group(spec, max_order=max_order)
 
 
-def _character_rows(group: FiniteGroup, indices) -> np.ndarray:
-    """Values X[m, a] of the characters with the given indices, one row each.
-
-    Phases are reduced to integer numerators before exponentiation, so
-    equal phases give equal floats whichever rows are asked for.
-    """
-    structure = group.abelian
-    factors = structure.invariant_factors
-    denom = math.lcm(*factors)
-    weights = np.asarray([denom // d for d in factors], dtype=np.int64)
-    coords = structure.coords
-    numer = (coords[indices] @ (coords * weights).T) % denom
-    roots = np.exp(2j * np.pi * np.arange(denom) / denom)
-    return roots[numer]
-
-
 def character_table(group: FiniteGroup) -> np.ndarray:
     """All characters as a matrix X[m, a] = value of character m at element a.
 
-    Character m has values exp(+2i pi sum_i m_i a_i / d_i), computed as
-    _character_rows computes any subset of the rows.  Built on each call, it
-    is the reference for characters() and the tests; no command builds it.
+    Character m has values exp(+2i pi sum_i m_i a_i / d_i), with the phases
+    reduced to integer numerators before exponentiation, so equal phases
+    give equal floats.  Built on each call, it is the reference for
+    characters() and the tests; no command builds it.
     """
     if group.abelian is None:
         raise NotAbelianError("characters need an abelian group with coordinates")
-    return _freeze(_character_rows(group, np.arange(group.order)))
+    factors = group.abelian.invariant_factors
+    denom = math.lcm(*factors)
+    weights = np.asarray([denom // d for d in factors], dtype=np.int64)
+    coords = group.abelian.coords
+    numer = (coords @ (coords * weights).T) % denom
+    roots = np.exp(2j * np.pi * np.arange(denom) / denom)
+    return _freeze(roots[numer])
 
 
 def characters(group: FiniteGroup) -> list[Character]:

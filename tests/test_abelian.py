@@ -2,7 +2,7 @@
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from framelab import (
     DimMismatchError,
@@ -11,6 +11,7 @@ from framelab import (
     NotAbelianError,
     NotRealValuedError,
     OrbitSystem,
+    analyze_orbit,
     bracket_operator,
     character_table,
     characters,
@@ -34,6 +35,7 @@ from framelab import (
     make_builtin_group,
     operator_from_coefficients,
     ParseError,
+    parse_rep_spec,
     periodization_bracket,
     regular_representation,
     scalar_bracket,
@@ -42,7 +44,7 @@ from framelab import (
     support_projection,
     zak_transform,
 )
-from framelab.abelian import _inverse_multipliers, _multipliers
+from framelab.abelian import _inverse_multipliers, _multipliers, _transform_bracket
 
 
 def _cvec(rng, n):
@@ -54,10 +56,10 @@ def _random_op(group, rng):
 
 
 @st.composite
-def _factors(draw):
-    """1 to 4 cyclic factors whose product is at most 4096."""
+def _factors(draw, cap=4096):
+    """1 to 4 cyclic factors whose product is at most cap."""
     count = draw(st.integers(1, 4), label="count")
-    factors, room = [], 4096
+    factors, room = [], cap
     for left in range(count - 1, -1, -1):
         factors.append(draw(st.integers(2, room >> left)))
         room //= factors[-1]
@@ -81,6 +83,41 @@ def test_fft_multipliers_match_the_character_table(factors, rows, seed):
     assert close(_inverse_multipliers(g, stack), (stack @ table) / g.order)
     assert close(_inverse_multipliers(g, mult), stack)
     assert close(_multipliers(g, _inverse_multipliers(g, stack)), stack)
+
+
+@st.composite
+def _bracket_models(draw):
+    """regular: on a cyclic product of order <= 1024, shift:N,M with N <= 64
+    and M <= 8, or gabor:L,M with L*M <= 256."""
+    kind = draw(st.sampled_from(["regular", "shift", "gabor"]), label="kind")
+    if kind == "regular":
+        return regular_representation(make_abelian_group(draw(_factors(1024))))
+    if kind == "shift":
+        return shift_model_representation(draw(st.integers(2, 64)), draw(st.integers(1, 8)))
+    l = draw(st.integers(2, 128))
+    return gabor_representation(l, draw(st.integers(2, 256 // l)))
+
+
+# The examples put each model on either side of BLOCK_SPECTRUM_ORDER (64),
+# at orders 24 and 1024, 60 and 72, 12 and 256, whatever is drawn.
+@settings(max_examples=60)
+@given(rep=_bracket_models(), seed=st.integers(0, 2**32 - 1))
+@example(rep=parse_rep_spec("regular:Z2xZ3xZ4"), seed=21)
+@example(rep=parse_rep_spec("regular:Z2xZ4xZ8xZ16"), seed=21)
+@example(rep=parse_rep_spec("shift:60,4"), seed=21)
+@example(rep=parse_rep_spec("shift:72,8"), seed=21)
+@example(rep=parse_rep_spec("gabor:4,3"), seed=21)
+@example(rep=parse_rep_spec("gabor:16,16"), seed=21)
+def test_transform_bracket_is_the_operator_multiplier(rep, seed):
+    # The classical bracket read from psi alone sits on the multiplier of the
+    # operator built from the action, character by character, and analyze's
+    # scalar route reads rounding on either side of BLOCK_SPECTRUM_ORDER.
+    psi = _cvec(np.random.default_rng(seed), rep.dim)
+    want = lambda_multiplier(bracket_operator(rep, psi, psi)).values
+    got = _transform_bracket(rep, psi)
+    assert got.shape == want.shape
+    assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
+    assert analyze_orbit(OrbitSystem(rep, psi)).route_agreement["scalar"] <= 1e-12
 
 
 def test_multiplier_of_identity_is_one():

@@ -256,12 +256,11 @@ def test_bracket_takes_the_block_spectrum_above_the_dense_orders(
     assert np.abs(got - dense).max() <= 1e-12 * dense[-1]
 
 
-def test_bracket_oracle_takes_the_block_spectrum_above_the_dense_orders(
+def test_bracket_oracle_takes_no_eigensolve_above_the_dense_orders(
     tmp_path, capsys, monkeypatch
 ):
-    # The regular: oracle takes the operator's spectrum by analyze's rule:
-    # on a cyclic product of order 72 that is the kernel's DFT, with no
-    # dense operator and no eigvalsh.
+    # The regular: oracle reads |psi^|^2 over the invariant factors: on a
+    # cyclic product of order 72 that takes no dense operator and no eigvalsh.
     rng = np.random.default_rng(14)
     psi = rng.standard_normal(72) + 1j * rng.standard_normal(72)
     path = tmp_path / "psi.json"
@@ -278,9 +277,9 @@ def test_bracket_oracle_takes_the_block_spectrum_above_the_dense_orders(
 
 @pytest.mark.parametrize("spec", ["regular:Z2xZ48", "regular:Z200"])
 def test_bracket_oracle_flags_a_scaled_fft(spec, tmp_path, capsys, monkeypatch):
-    # Above BLOCK_SPECTRUM_ORDER the operator's spectrum of a cyclic product
-    # is the multiplier's own FFT, so a wrong FFT moves both alike; the
-    # oracle still sees it at analyze's seeded characters, summed directly.
+    # The oracle's |psi^|^2 takes the same fftn as the multiplier, but the
+    # multiplier is linear in it and the classical bracket quadratic, so a
+    # scaled FFT moves them apart.
     rep = parse_rep_spec(spec)
     psi = np.random.default_rng(4).standard_normal(rep.dim)
     path = tmp_path / "psi.json"
@@ -354,50 +353,38 @@ def test_scalar_route_flags_a_scaled_block_spectrum(spec, monkeypatch):
     assert analyze_orbit(OrbitSystem(rep, psi)).route_agreement["scalar"] > 1e-9
 
 
-def _refuse_character_tables(monkeypatch) -> list[int]:
-    """Make character_table raise; return the row counts _character_rows is asked for."""
+def _refuse_character_tables(monkeypatch) -> None:
+    """Make character_table, the one builder of character values, raise."""
 
     def refuse(group):
         raise AssertionError(f"the character table of {group.spec} was built")
 
-    asked = []
-    rows = groups._character_rows
-
-    def counted(group, indices):
-        asked.append(int(np.size(indices)))
-        return rows(group, indices)
-
     for module in (groups, abelian, frames, cli):
         monkeypatch.setattr(module, "character_table", refuse, raising=False)
-    for module in (groups, frames):
-        monkeypatch.setattr(module, "_character_rows", counted)
-    return asked
 
 
 @pytest.mark.parametrize("spec", ["regular:Z1024", "regular:Z2xZ48"])
 def test_block_route_builds_no_character_table(spec, monkeypatch):
-    asked = _refuse_character_tables(monkeypatch)
+    _refuse_character_tables(monkeypatch)
     rep = parse_rep_spec(spec)
     psi = np.random.default_rng(5).standard_normal(rep.dim)
     assert analyze_orbit(OrbitSystem(rep, psi)).route_agreement["scalar"] <= 1e-12
-    assert asked == [4]
 
 
 @pytest.mark.parametrize("oracle", [(), ("--oracle",)], ids=["plain", "oracle"])
 @pytest.mark.parametrize("fmt", ["json", "csv"])
 @pytest.mark.parametrize("spec", ["regular:Z1024", "regular:Z2xZ48", "shift:2048,2", "gabor:10,12"])
 def test_bracket_builds_no_character_table(spec, fmt, oracle, tmp_path, capsys, monkeypatch):
-    # The multiplier is an FFT over the invariant factors; only the regular:
-    # oracle sums characters directly, at analyze's 4 seeded indices.
+    # The multiplier and the oracle's classical bracket are both FFTs of
+    # their own input; no character value is formed.
     rep = parse_rep_spec(spec)
     psi = np.random.default_rng(5).standard_normal(rep.dim)
     path = tmp_path / "psi.json"
     path.write_text(json.dumps({"values": pairs_from_complex(psi)}))
-    asked = _refuse_character_tables(monkeypatch)
+    _refuse_character_tables(monkeypatch)
     argv = ["bracket", *oracle, "--rep", spec, "--psi", str(path), "--format", fmt]
     assert cli.main(argv) == 0
     capsys.readouterr()
-    assert asked == ([4] if oracle and spec.startswith("regular:") else [])
 
 
 @pytest.mark.parametrize(

@@ -19,7 +19,7 @@ from hypothesis import given, settings, strategies as st
 import framelab
 from framelab.cli import main
 from framelab.io import dump_json, load_generator, pairs_from_complex, spectrum_csv, values_csv
-from framelab import NonFiniteResultError, ParseError, make_abelian_group
+from framelab import NonFiniteResultError, ParseError, make_abelian_group, parse_rep_spec
 
 from conftest import affine_table, faulty_rows, relabelled
 
@@ -309,12 +309,17 @@ def test_bracket_oracle_on_models(tmp_path, capsys, rep, dim):
 
 
 @pytest.mark.parametrize("scale", [1.0, 1e-3, 1e-6])
-@pytest.mark.parametrize("rep,dim", [("shift:60,4", 240), ("gabor:10,12", 120), ("regular:Z2xZ48", 96)])
+@pytest.mark.parametrize(
+    "rep,dim",
+    [("shift:60,4", 240), ("gabor:10,12", 120), ("regular:Z2xZ48", 96), ("regular:Z12", 12),
+     ("regular:Z200", 200)],
+)
 def test_bracket_oracle_sees_a_planted_fault_at_any_scale(
     tmp_path, capsys, monkeypatch, rep, dim, scale
 ):
     # The deviation is relative to the largest value, so one doubled value
-    # fails the oracle however small the generator.
+    # fails the oracle however small the generator.  The oracle compares
+    # value by value, so the right values at the wrong characters fail it too.
     rng = np.random.default_rng(12)
     psi = _write_psi(tmp_path, scale * (rng.standard_normal(dim) + 1j * rng.standard_normal(dim)))
     code, out, _ = run_cli(capsys, "bracket", "--rep", rep, "--psi", psi, "--oracle")
@@ -322,16 +327,21 @@ def test_bracket_oracle_sees_a_planted_fault_at_any_scale(
     assert json.loads(out)["oracle_deviation"] < 1e-12
     transform = framelab.cli.fourier_on_group
 
-    def planted(kernel):
-        mult = transform(kernel)
-        values = mult.values.copy()
+    def doubled(values):
+        values = values.copy()
         values[values.size // 3] *= 2
-        return framelab.DualFunction(mult.group, values)
+        return values
 
-    monkeypatch.setattr(framelab.cli, "fourier_on_group", planted)
-    code, out, _ = run_cli(capsys, "bracket", "--rep", rep, "--psi", psi, "--oracle")
-    assert code == 1
-    assert json.loads(out)["oracle_deviation"] > 1e-6
+    for fault in (doubled, lambda values: np.roll(values, 1)):
+
+        def planted(kernel):
+            mult = transform(kernel)
+            return framelab.DualFunction(mult.group, fault(mult.values))
+
+        monkeypatch.setattr(framelab.cli, "fourier_on_group", planted)
+        code, out, _ = run_cli(capsys, "bracket", "--rep", rep, "--psi", psi, "--oracle")
+        assert code == 1
+        assert json.loads(out)["oracle_deviation"] > 1e-6
 
 
 def test_bracket_oracle_reads_zero_for_a_zero_generator(tmp_path, capsys):
@@ -400,6 +410,24 @@ def test_bracket_kernel_fallback_notice(tmp_path, capsys, rep, wording):
     assert err == (
         f"notice: the multiplier transform needs {needs}; "
         "emitting the operator kernel and spectrum instead\n"
+    )
+
+
+@pytest.mark.parametrize("rep", ["regular:D4", "klein"])
+def test_bracket_oracle_on_a_kernel_says_it_checks_nothing(tmp_path, capsys, rep):
+    # With no multiplier there is no classical bracket to compare with:
+    # --oracle says so on stderr and leaves stdout as it is without it.
+    if rep == "klein":
+        rep = _z2xz2_table(tmp_path)
+    order = parse_rep_spec(rep).group.order
+    psi = _write_psi(tmp_path, np.random.default_rng(14).standard_normal(order))
+    plain = run_cli(capsys, "bracket", "--rep", rep, "--psi", psi)
+    code, out, err = run_cli(capsys, "bracket", "--oracle", "--rep", rep, "--psi", psi)
+    assert plain[0] == code == 0
+    assert out == plain[1] and "oracle_deviation" not in json.loads(out)
+    assert err == plain[2].replace(
+        "instead\n",
+        "instead; --oracle checks nothing: the operator kernel has no independent route\n",
     )
 
 

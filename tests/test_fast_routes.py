@@ -118,4 +118,4 @@ def test_bracket_oracle_builds_no_group(spec, monkeypatch):
         raise AssertionError("the oracle built a group")
 
     monkeypatch.setattr(abelian, "make_abelian_group", refuse)
-    assert _bracket_oracle(rep, op, psi, values) <= 1e-12
+    assert _bracket_oracle(rep, psi, values) <= 1e-12

@@ -29,6 +29,7 @@ _RUNS = [
     ("bracket", "shift:72,3", 216, 7),
     ("bracket", "gabor:20,6", 120, 8),
     ("bracket", "regular:D4", 8, 9),
+    ("bracket", "regular:Z2xZ36", 72, 10),
 ]
 # (name, argv, generator dim, generator seed); run_case adds --psi and --out.
 CASES = [
@@ -73,21 +74,27 @@ DIGESTS = {
         "exit": 0,
         "out.txt": "cd5ed4136fcb8ccedd6df0535043e00fa9d51a7fc17c095792eb5ab27127d65a",
     },
-    # Recorded when the block route's seeded columns came to be drawn by
-    # random.Random(0).sample: only routes.scalar differs from the 7a1e290
-    # bytes (2.076783204337308e-16 with the former draw, now
-    # 2.6302897960708657e-16).
+    # Recorded when routes.scalar came to compare the spectrum with the
+    # classical bracket read from psi's own transform, on both routes.  Only
+    # routes.scalar moved: here 2.6302897960708657e-16 with the multiplier at
+    # the seeded characters, now 5.260579592141731e-16; in "analyze
+    # gabor:4,3 json" 4.0494065939082264e-16 with the multiplier of the
+    # kernel, now 2.6996043959388176e-16.  "analyze regular:Z12 json" kept its
+    # bytes (2.3448253243982914e-16 both ways).  Before that, the seeded
+    # columns' draw by random.Random(0).sample had moved only routes.scalar
+    # here from the 7a1e290 bytes.
     "analyze regular:Z2xZ36 json": {
         "exit": 0,
-        "out.txt": "2be3920ee7b6fc0cb38f948a88c603e6626a4ac7ad28c2b7c3be65ca3bff83e7",
+        "out.txt": "1e468e601bbe429a47f79db2c15300b7880566db3f5296e49ea462df1a91ab2b",
     },
     "analyze regular:Z2xZ36 csv": {
         "exit": 0,
         "out.txt": "d52b4bcb4a45205607d6c113a0c25db5a320d2bb360f9597a58bbfad15923d5f",
     },
+    # routes.scalar moved, see "analyze regular:Z2xZ36 json".
     "analyze gabor:4,3 json": {
         "exit": 0,
-        "out.txt": "f19937496584b98fac7f4d360e7d19e38da8b99cea5f354ae539a15a670144c7",
+        "out.txt": "7a635663653f64dfa1f0c0a0c4a94e6d7add9dddb5dc44c4a525b1c519c73c20",
     },
     "analyze gabor:4,3 csv": {
         "exit": 0,
@@ -133,6 +140,16 @@ DIGESTS = {
         "exit": 0,
         "out.spectrum.csv": "b261c4724b87bd4e229a29958b0f99d7b03b9d4131454a72af4028bb65ddb2d7",
         "out.txt": "0a1defcfa1d9e65466eac82c6d25d5f8d137423b153eacb3f3c8ed7489331628",
+    },
+    # Recorded when the regular: oracle came to compare the multiplier with
+    # |psi^|^2 character by character (oracle_deviation 4.0070126351027005e-16).
+    "bracket regular:Z2xZ36 json": {
+        "exit": 0,
+        "out.txt": "01a85610f332383a8fe940eea2734e43b2571f43178f3d56981b48eb5a7a273b",
+    },
+    "bracket regular:Z2xZ36 csv": {
+        "exit": 0,
+        "out.txt": "549cd97499d96ca82fa431d2602b57f3254d323ecdd7822e0ebf3a949553bf58",
     },
     # Recorded when duallemma and sandwich_equivalence began to report the
     # 1e-10 slack they forgive (only the two details.slack keys were new),
