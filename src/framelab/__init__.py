@@ -65,7 +65,6 @@ from .frames import (
     verify_bracket_equals_gramian,
 )
 from .groups import (
-    AbelianStructure,
     Character,
     FiniteGroup,
     GroupFunction,

@@ -85,7 +85,7 @@ class SandwichReport:
 
 
 def _require_abelian(group: FiniteGroup) -> None:
-    if group.abelian is None:
+    if group.factors is None:
         raise NotAbelianError("the multiplier transform needs an abelian group")
 
 
@@ -101,7 +101,7 @@ def _multipliers(group: FiniteGroup, kernels: np.ndarray) -> np.ndarray:
     np.fft.fftn over the invariant factors (last fastest), equal to
     conj(character_table) @ kernel; each row keeps the bits it has alone.
     """
-    shaped = kernels.reshape(-1, *group.structure[1])
+    shaped = kernels.reshape(-1, *group.factors)
     return np.fft.fftn(shaped, axes=range(1, shaped.ndim)).reshape(kernels.shape)
 
 
@@ -120,7 +120,7 @@ def inverse_lambda(mult: DualFunction) -> ConvolutionOperator:
 
 def _inverse_multipliers(group: FiniteGroup, values: np.ndarray) -> np.ndarray:
     """Kernels whose multipliers are one row or each row of a stack, by np.fft.ifftn."""
-    shaped = values.reshape(-1, *group.structure[1])
+    shaped = values.reshape(-1, *group.factors)
     return np.fft.ifftn(shaped, axes=range(1, shaped.ndim)).reshape(values.shape)
 
 
@@ -238,16 +238,21 @@ def _transform_bracket(rep: UnitaryRepresentation, psi: np.ndarray) -> np.ndarra
     the periodization for shift: and the Zak product for gabor:
     (Hernandez, Sikic, Weiss and Wilson, Colloq. Math. 118, 2010).  Indexed
     like fourier_on_group's values of the bracket kernel, which it equals on
-    a sound action; it reads only the sizes in rep.model and builds no group.
-    The Zak product stays complex, its imaginary part the rounding of a
-    fused multiply-add.
+    a sound action; it reads only the sizes in rep.model and the group's
+    factors.  The Zak product stays complex, its imaginary part the rounding
+    of a fused multiply-add.  The regular DFT runs np.fft.fft one axis at a
+    time, last axis first, as np.fft.fftn does: it has fftn's bits but
+    shares no call with the multiplier's fftn.
     """
     kind, *sizes = rep.model
     if kind == "shift":
         return _periodization_values(psi, *sizes)
     if kind == "gabor":
         return _zak_values(psi, psi, *sizes)
-    return np.abs(np.fft.fftn(psi.reshape(rep.group.structure[1]))).ravel() ** 2
+    values = psi.reshape(rep.group.factors)
+    for axis in reversed(range(values.ndim)):
+        values = np.fft.fft(values, axis=axis)
+    return np.abs(values).ravel() ** 2
 
 
 def support_indicator(mult: DualFunction, tol: float = 1e-10) -> DualFunction:
@@ -306,7 +311,7 @@ def _sandwich_sides(
     k = kernels.shape[0]
     mats = _convolution_matrices(group, kernels)
     herm = (mats + mats.conj().transpose(0, 2, 1)) / 2.0
-    proj = _convolution_matrices(group, _support_projections(group, mats, tol))
+    _, proj = _support_projections(group, mats, tol)
     lower = a[:, None, None] * proj
     upper = b[:, None, None] * proj
     w = np.linalg.eigvalsh(np.concatenate([herm, herm - lower, upper - herm]))

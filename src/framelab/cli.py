@@ -143,7 +143,7 @@ def _cmd_bracket(args) -> int:
     kernel = correlation_function(rep, psi, psi)
     _require_finite(kernel.values, "the bracket kernel")
 
-    if rep.group.abelian is None:
+    if rep.group.factors is None:
         # Taken by analyze's rule, with no order x order matrix at the cap.
         spectrum = _kernel_spectrum(kernel)
         _require_finite(spectrum, "the bracket spectrum")

@@ -340,7 +340,7 @@ def _dense_routes(orbit: OrbitSystem) -> tuple[np.ndarray, dict[str, float]]:
     dev_spec = float(np.abs(_hermitian_spectrum(op_matrix) - w).max()) / lam_max
     routes = {"bracket": max(dev_matrix, dev_spec)}
 
-    if rep.group.abelian is not None:
+    if rep.group.factors is not None:
         routes["scalar"] = _scalar_route(orbit, w, lam_max)
     return w, routes
 
@@ -385,7 +385,7 @@ def _block_routes(orbit: OrbitSystem) -> tuple[np.ndarray, dict[str, float]]:
     dev_frob = abs(float(np.sum(w**2)) - order * frobenius) / (order * lam_max**2)
     routes = {"bracket": max(dev_cols, dev_trace, dev_frob)}
 
-    if group.abelian is not None:
+    if group.factors is not None:
         routes["scalar"] = _scalar_route(orbit, w, lam_max)
     return w, routes
 

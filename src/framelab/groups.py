@@ -31,7 +31,6 @@ from .errors import (
 
 __all__ = [
     "DEFAULT_MAX_ORDER",
-    "AbelianStructure",
     "Character",
     "FiniteGroup",
     "GroupFunction",
@@ -61,24 +60,14 @@ _MAX_COUNT_DIGITS = 100
 
 
 @dataclass(frozen=True, eq=False)
-class AbelianStructure:
-    """Coordinate data for a product of cyclic groups.
-
-    The factor list is kept exactly as given (no invariant-factor
-    normalization), since the element indexing depends on it.
-    """
-
-    invariant_factors: tuple[int, ...]
-    coords: np.ndarray  # (order, k) integer coordinates, row per element
-
-
-@dataclass(frozen=True, eq=False)
 class FiniteGroup:
     """A finite group presented by its parsed structure and its product law.
 
     `structure` is ("cyclic-product", factors), ("dihedral", n),
     ("heisenberg", N) or ("custom-table",).  A builtin group evaluates its
     product law row by row; a group built from a table keeps that table.
+    Only this module reads the structure: every other one asks for the
+    cyclic factors or the coset layout it implies.
     """
 
     structure: tuple
@@ -103,14 +92,41 @@ class FiniteGroup:
             return f"H{self.structure[1]}"
         return None
 
+    @property
+    def factors(self) -> tuple[int, ...] | None:
+        """The cyclic factors of a cyclic product, as given; None for any other group.
+
+        Elements and characters are their mixed-radix digits, last factor
+        fastest.
+        """
+        return self.structure[1] if self.structure_tag == "cyclic-product" else None
+
     @cached_property
-    def abelian(self) -> AbelianStructure | None:
-        """Coordinates of a cyclic product; None for every other structure."""
-        if self.structure_tag != "cyclic-product":
-            return None
-        factors = self.structure[1]
-        coords = np.stack(np.unravel_index(np.arange(self.order), factors), axis=1)
-        return AbelianStructure(factors, _freeze(coords.astype(np.int64)))
+    def layout(self) -> np.ndarray:
+        """The group as T x A for an abelian subgroup A: entry [t, b] = b t.
+
+        T starts at the identity; A's axes, one per cyclic factor, run through
+        the powers of its generators.  The builtin indexings are such layouts:
+        A is the cyclic product, the rotations of D<n>, or {(0, b, c)} in H<N>.
+        A table group's A is generated by its first element of largest order.
+        """
+        if self.structure_tag != "custom-table":
+            shape = _KINDS[self.structure_tag][1](self.structure[1])
+            return _freeze(np.arange(self.order).reshape(shape))
+        table, e = self.table, self.identity
+        # Power all elements at once; the last to reach e have the largest order.
+        live, power = np.arange(self.order), np.full(self.order, e)
+        while live.size:
+            g, power = live[0], table[power, live]
+            live, power = live[power != e], power[power != e]
+        powers = [e]
+        while (x := table[powers[-1], g]) != e:
+            powers.append(x)
+        taken, cosets = np.zeros(self.order, dtype=bool), []
+        while not taken.all():
+            cosets.append(table[powers, np.argmin(taken) if cosets else e])
+            taken[cosets[-1]] = True
+        return _freeze(np.array(cosets))
 
     @cached_property
     def generators(self) -> tuple[np.ndarray, np.ndarray]:
@@ -140,7 +156,7 @@ class FiniteGroup:
         table = vars(self).get("table")
         if table is not None:
             return table[elements]
-        law, size = _LAWS[self.structure_tag], self.structure[1]
+        law, size = _KINDS[self.structure_tag][0], self.structure[1]
         flat = elements.reshape(-1)
         out = np.empty((flat.size, self.order), dtype=np.int64)
         step = max(1, _TABLE_BATCH_ENTRIES // self.order)
@@ -261,12 +277,12 @@ def _heisenberg_law(p: int, rows: np.ndarray, out: np.ndarray) -> None:
     view += wrapped[shift[:, :, None] + digits][:, None, :, :]
 
 
-# The product law of each builtin structure kind, called as
-# law(size, rows, out) on a block of rows.
-_LAWS = {
-    "cyclic-product": _cyclic_law,
-    "dihedral": _dihedral_law,
-    "heisenberg": _heisenberg_law,
+# Each builtin structure kind as (law, layout): law(size, rows, out) fills a
+# block of rows, and layout(size) is the shape of FiniteGroup.layout.
+_KINDS = {
+    "cyclic-product": (_cyclic_law, lambda factors: (1, *factors)),
+    "dihedral": (_dihedral_law, lambda n: (2, n)),
+    "heisenberg": (_heisenberg_law, lambda p: (p, p, p)),
 }
 
 
@@ -511,12 +527,12 @@ def character_table(group: FiniteGroup) -> np.ndarray:
     give equal floats.  Built on each call, it is the reference for
     characters() and the tests; no command builds it.
     """
-    if group.abelian is None:
+    factors = group.factors
+    if factors is None:
         raise NotAbelianError("characters need an abelian group with coordinates")
-    factors = group.abelian.invariant_factors
     denom = math.lcm(*factors)
     weights = np.asarray([denom // d for d in factors], dtype=np.int64)
-    coords = group.abelian.coords
+    coords = np.indices(factors, dtype=np.int64).reshape(len(factors), -1).T
     numer = (coords @ (coords * weights).T) % denom
     roots = np.exp(2j * np.pi * np.arange(denom) / denom)
     return _freeze(roots[numer])
@@ -525,8 +541,7 @@ def character_table(group: FiniteGroup) -> np.ndarray:
 def characters(group: FiniteGroup) -> list[Character]:
     """The dual group of an abelian group, enumerated by mixed-radix exponents."""
     table = character_table(group)
-    coords = group.abelian.coords
-    return [Character(tuple(map(int, coords[m])), table[m]) for m in range(group.order)]
+    return [Character(m, row) for m, row in zip(np.ndindex(*group.factors), table)]
 
 
 def convolve(u: GroupFunction, v: GroupFunction) -> GroupFunction:

@@ -285,7 +285,7 @@ def check_lambda_structure(
     worst = 0.0
     count = 0
     for group in groups:
-        if group.abelian is None:
+        if group.factors is None:
             continue
         c1, c2 = _cvec(rng, pairs, 2, group.order).transpose(1, 0, 2)
         m1 = _multipliers(group, c1)
@@ -340,7 +340,7 @@ def check_support_lemma(
     count = 0
     for rep in reps:
         group = rep.group
-        if group.abelian is None:
+        if group.factors is None:
             continue
         # Even samples are masked multipliers, odd ones self-brackets of a
         # generator under the regular representation.
@@ -354,7 +354,7 @@ def check_support_lemma(
         psis = np.array(draws[1::2]).reshape(-1, group.order)
         kernels[1::2] = _kernel_values(_orbit_stack(rep, psis), psis)
         mats = _convolution_matrices(group, kernels)
-        via_proj = _multipliers(group, _support_projections(group, mats, tol))
+        via_proj = _multipliers(group, _support_projections(group, mats, tol)[0])
         chi = _support_indicators(_multipliers(group, kernels), tol)
         rounded = (via_proj.real > 0.5).astype(float)
         mismatches += int((rounded != chi.real).any(axis=1).sum())
@@ -414,7 +414,7 @@ def check_sandwich_suite(
     disagreements = 0
     wrong_calls = 0
     count = 0
-    reps = [rep for rep in reps if rep.group.abelian is not None]
+    reps = [rep for rep in reps if rep.group.factors is not None]
     if not reps:
         return CheckResult(
             "sandwich_equivalence", True, 0.0, tol, 0, {"skipped": 1, "slack": tol}
@@ -522,7 +522,7 @@ def run_verification_suite(
     rng = np.random.default_rng(seed)
     specs = list(group_specs)
     groups = [group_from_spec(s, max_order=max_order) for s in specs]
-    abelian = [g for g in groups if g.abelian is not None]
+    abelian = [g for g in groups if g.factors is not None]
 
     reps = [regular_representation(g) for g in groups]
     models = [parse_rep_spec(spec) for spec in _DEFAULT_MODELS]

@@ -275,15 +275,15 @@ def _spectral_stack(mats: np.ndarray, tol: float) -> tuple[np.ndarray, np.ndarra
 def block_spectrum(kernel: GroupFunction) -> np.ndarray:
     """Ascending spectrum of a selfadjoint convolution operator, block by block.
 
-    Over the cosets A t of an abelian subgroup A (see _cosets), the entries
-    F[b t, b' s] = c(s^-1 b'^-1 b t) depend on b'^-1 b alone, so the
+    Over the cosets A t of an abelian subgroup A (FiniteGroup.layout), the
+    entries F[b t, b' s] = c(s^-1 b'^-1 b t) depend on b'^-1 b alone, so the
     characters of A split F into one [G:A] x [G:A] block per character: the
     DFT over A of c(s^-1 b t).  Any group is accepted; on a cyclic product
     A is the group and the spectrum is the DFT of c.  The kernel must be
     selfadjoint, c(g^-1) = conj(c(g)), as every self-bracket is.
     """
     group, c = kernel.group, kernel.values
-    cosets = _cosets(group)  # cosets[t, b] = b t
+    cosets = group.layout  # cosets[t, b] = b t
     if (index := len(cosets)) == 1:
         return np.sort(np.fft.fftn(c[cosets[0]]).real.ravel())
     left = group.rows(group.inverses[cosets.reshape(index, -1)[:, 0]])  # s^-1 g
@@ -291,37 +291,6 @@ def block_spectrum(kernel: GroupFunction) -> np.ndarray:
     blocks = np.fft.fftn(c[left[:, cosets]], axes=tuple(range(2, cosets.ndim + 1)))
     stack = np.moveaxis(blocks.reshape(index, index, -1), -1, 0)
     return np.sort(np.linalg.eigvalsh(stack).ravel())
-
-
-def _cosets(group: FiniteGroup) -> np.ndarray:
-    """The group as T x A for an abelian subgroup A: entry [t, b] = b t.
-
-    T starts at the identity; A's axes, one per cyclic factor, run through
-    the powers of its generators.  The builtin indexings are such layouts:
-    A is the cyclic product, the rotations of D<n>, or {(0, b, c)} in H<N>.
-    A table group's A is generated by its first element of largest order.
-    """
-    kind = group.structure_tag
-    if kind == "cyclic-product":
-        return np.arange(group.order).reshape(1, *group.structure[1])
-    if kind == "dihedral":
-        return np.arange(group.order).reshape(2, group.structure[1])
-    if kind == "heisenberg":
-        return np.arange(group.order).reshape((group.structure[1],) * 3)
-    table, e = group.table, group.identity
-    # Power all elements at once; the last to reach e have the largest order.
-    live, power = np.arange(group.order), np.full(group.order, e)
-    while live.size:
-        g, power = live[0], table[power, live]
-        live, power = live[power != e], power[power != e]
-    powers = [e]
-    while (x := table[powers[-1], g]) != e:
-        powers.append(x)
-    taken, cosets = np.zeros(group.order, dtype=bool), []
-    while not taken.all():
-        cosets.append(table[powers, np.argmin(taken) if cosets else e])
-        taken[cosets[-1]] = True
-    return np.array(cosets)
 
 
 def is_positive(op: ConvolutionOperator, tol: float = 1e-10) -> bool:
@@ -389,13 +358,16 @@ def support_projection(
     The projection is itself a convolution operator; that is verified by
     rebuilding it from its kernel.
     """
-    kernel = _support_projections(op.group, op.matrix[None], tol)[0]
-    return ProjectionOperator(group_function(op.group, kernel))
+    kernels, _ = _support_projections(op.group, op.matrix[None], tol)
+    return ProjectionOperator(group_function(op.group, kernels[0]))
 
 
-def _support_projections(group: FiniteGroup, mats: np.ndarray, tol: float) -> np.ndarray:
-    """Support projection kernels of a (k, n, n) stack of selfadjoint matrices.
+def _support_projections(
+    group: FiniteGroup, mats: np.ndarray, tol: float
+) -> tuple[np.ndarray, np.ndarray]:
+    """Support projections of a (k, n, n) stack of selfadjoint matrices.
 
+    Returns their kernels and the convolution matrices rebuilt from them.
     Projections of equal rank are formed in one product, so each keeps the
     bits of its own basis @ basis* product.
     """
@@ -416,4 +388,4 @@ def _support_projections(group: FiniteGroup, mats: np.ndarray, tol: float) -> np
     bad = np.flatnonzero(idem > bound)
     if bad.size:
         raise AffiliationError(f"support projection not idempotent ({idem[bad[0]]:.3e})")
-    return kernels
+    return kernels, mat

@@ -243,7 +243,7 @@ def test_bracket_takes_the_block_spectrum_above_the_dense_orders(
     # bracket on a group with no multiplier transform reports the spectrum
     # of the kernel's blocks, as analyze does, and builds no dense operator.
     rep = parse_rep_spec(spelled(spec))
-    assert rep.group.abelian is None and rep.group.order > BLOCK_SPECTRUM_ORDER
+    assert rep.group.factors is None and rep.group.order > BLOCK_SPECTRUM_ORDER
     rng = np.random.default_rng(12)
     psi = rng.standard_normal(rep.dim) + 1j * rng.standard_normal(rep.dim)
     path = tmp_path / "psi.json"
@@ -277,9 +277,8 @@ def test_bracket_oracle_takes_no_eigensolve_above_the_dense_orders(
 
 @pytest.mark.parametrize("spec", ["regular:Z2xZ48", "regular:Z200"])
 def test_bracket_oracle_flags_a_scaled_fft(spec, tmp_path, capsys, monkeypatch):
-    # The oracle's |psi^|^2 takes the same fftn as the multiplier, but the
-    # multiplier is linear in it and the classical bracket quadratic, so a
-    # scaled FFT moves them apart.
+    # The multiplier is linear in its fftn and the classical bracket
+    # |psi^|^2 is read without it, so a scaled fftn moves them apart.
     rep = parse_rep_spec(spec)
     psi = np.random.default_rng(4).standard_normal(rep.dim)
     path = tmp_path / "psi.json"
@@ -291,6 +290,19 @@ def test_bracket_oracle_flags_a_scaled_fft(spec, tmp_path, capsys, monkeypatch):
     monkeypatch.setattr(abelian.np.fft, "fftn", lambda *a, **k: fftn(*a, **k) * (1 + 1e-6))
     assert cli.main(argv) == 1
     assert json.loads(capsys.readouterr().out)["oracle_deviation"] > 1e-9
+
+
+def test_bracket_oracle_flags_a_rolled_fftn(tmp_path, capsys, monkeypatch):
+    # Characters mislabelled inside fftn move the multiplier but not the
+    # oracle's |psi^|^2, which takes np.fft.fft one axis at a time.
+    psi = np.random.default_rng(4).standard_normal(96)
+    path = tmp_path / "psi.json"
+    path.write_text(json.dumps({"values": pairs_from_complex(psi)}))
+    argv = ["bracket", "--oracle", "--rep", "regular:Z2xZ48", "--psi", str(path)]
+    fftn = np.fft.fftn
+    monkeypatch.setattr(np.fft, "fftn", lambda *a, **k: np.roll(fftn(*a, **k), 1, axis=-1))
+    assert cli.main(argv) == 1
+    assert json.loads(capsys.readouterr().out)["oracle_deviation"] > 1e-6
 
 
 @pytest.mark.parametrize(
@@ -407,7 +419,7 @@ def test_block_route_at_the_cap_peaks_below_two_orbits(spec):
     finally:
         tracemalloc.stop()
     assert max(report.route_agreement.values()) <= 1e-12
-    assert ("scalar" in report.route_agreement) == (rep.group.abelian is not None)
+    assert ("scalar" in report.route_agreement) == (rep.group.factors is not None)
     assert peak < 64 * 2**20
 
 
@@ -491,3 +503,42 @@ def test_large_shift_and_gabor_orbits_match_dense_routes(spec):
         for psi in (f, _invariant_under(rep, f, 2))
     }
     assert verdicts == {"riesz", "frame_not_riesz"}
+
+
+# Builtins of order 8 to 64 whose direct products of order 256 to 2048 are
+# passed on as tables, so their blocks come from a searched layout.
+_SMALL_ORDERS = {
+    spec: groups.make_builtin_group(spec).order
+    for spec in (
+        "Z8", "Z16", "Z32", "Z64", "Z3xZ9", "Z5xZ7", "D4", "D8", "D12", "D16", "D32", "H2", "H3", "H4",
+    )
+}
+_PRODUCTS = [
+    (s1, s2)
+    for s1, s2 in itertools.product(_SMALL_ORDERS, repeat=2)
+    if 256 <= _SMALL_ORDERS[s1] * _SMALL_ORDERS[s2] <= 2048
+]
+
+
+@settings(max_examples=8, deadline=None)
+@given(specs=st.sampled_from(_PRODUCTS), data=st.data())
+def test_tensor_product_blocks_match_the_factors_dense_spectra(specs, data):
+    # The orbit of psi1 (x) psi2 under G1 x G2 has the Kronecker product of
+    # the factors' Gram matrices as its Gram matrix.
+    g1, g2 = (groups.make_builtin_group(s) for s in specs)
+    n2 = g2.order
+    table = (g1.table[:, None, :, None] * n2 + g2.table[None, :, None, :]).reshape(
+        g1.order * n2, -1
+    )  # index g1 * |G2| + g2
+    group = make_group_from_table(table)
+    spectra = []
+    for factor in (g1, g2):
+        rep = regular_representation(factor)
+        psi = _psi(data, factor)
+        synthesis = orbit_matrix(OrbitSystem(rep, psi))
+        spectra.append((psi, np.linalg.eigvalsh(gram_matrix(vector_system(synthesis)))))
+    (psi1, w1), (psi2, w2) = spectra
+    want = np.sort(np.outer(w1, w2).ravel())
+    got = analyze_orbit(OrbitSystem(regular_representation(group), np.kron(psi1, psi2)))
+    assert group.order > BLOCK_SPECTRUM_ORDER
+    assert np.abs(got.gram_spectrum - want).max() <= 1e-12 * want[-1]

@@ -65,9 +65,9 @@ def test_mixed_radix_last_factor_fastest():
     g = make_abelian_group([2, 4])
     # element (1, 3) has index 1*4 + 3 = 7; its inverse is (1, 1) = index 5
     assert g.inverse(7) == 5
-    coords = g.abelian.coords
-    assert tuple(coords[7]) == (1, 3)
-    assert tuple(coords[5]) == (1, 1)
+    dual = characters(g)
+    assert dual[7].exponents == (1, 3)
+    assert dual[5].exponents == (1, 1)
 
 
 def test_abelian_group_is_commutative_table():
@@ -495,15 +495,15 @@ def test_abelian_table_matches_row_loop(factors):
     table, inverses, coords = _loop_abelian(factors)
     spec = "x".join(f"Z{d}" for d in factors)
     _assert_fields(group, table, inverses, "cyclic-product", spec, True)
-    assert np.array_equal(group.abelian.coords, coords)
-    assert group.abelian.invariant_factors == tuple(factors)
+    assert [chi.exponents for chi in characters(group)] == [tuple(row) for row in coords]
+    assert group.factors == tuple(factors)
 
 
 @given(n=st.integers(2, 100))
 def test_dihedral_table_matches_row_loop(n):
     table, inverses = _broadcast_dihedral(n)
     _assert_fields(dihedral_group(n), table, inverses, "dihedral", f"D{n}", n <= 2)
-    assert dihedral_group(n).abelian is None
+    assert dihedral_group(n).factors is None
 
 
 @given(p=st.integers(2, 7))
@@ -511,7 +511,32 @@ def test_heisenberg_table_matches_row_loop(p):
     table, inverses = _loop_heisenberg(p)
     group = heisenberg_group(p)
     _assert_fields(group, table, inverses, "heisenberg", f"H{p}", False)
-    assert group.abelian is None
+    assert group.factors is None
+
+
+@pytest.mark.parametrize(
+    "build,shape",
+    [
+        (lambda: make_abelian_group([4, 6]), (1, 4, 6)),
+        (lambda: dihedral_group(5), (2, 5)),
+        (lambda: heisenberg_group(3), (3, 3, 3)),
+        (lambda: make_group_from_table(relabelled(affine_table(7), np.arange(42)[::-1])), (6, 7)),
+        (lambda: make_group_from_table(make_abelian_group([2, 4]).table), (2, 4)),
+    ],
+    ids=["Z4xZ6", "D5", "H3", "AGL(1,7)", "Z2xZ4-table"],
+)
+def test_layout_is_the_cosets_of_an_abelian_subgroup(build, shape):
+    group = build()
+    layout = group.layout
+    assert layout.shape == shape and not layout.flags.writeable
+    assert sorted(layout.ravel()) == list(range(group.order))
+    subgroup, reps = layout[0].ravel(), layout.reshape(shape[0], -1)[:, 0]
+    assert subgroup[0] == reps[0] == group.identity
+    products = group.table[np.ix_(subgroup, subgroup)]
+    assert np.array_equal(products, products.T)
+    assert set(products.ravel()) == set(subgroup)
+    # Entry [t, b] is b t.
+    assert np.array_equal(layout.reshape(shape[0], -1), group.table[subgroup[None, :], reps[:, None]])
 
 
 # One builtin group of order 4096 of each shape.

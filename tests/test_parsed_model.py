@@ -145,7 +145,7 @@ _GROUPS_BY_TAG = {
 
 
 def test_every_block_structure_has_a_group_here():
-    assert set(_GROUPS_BY_TAG) == {*groups._LAWS, "custom-table"}
+    assert set(_GROUPS_BY_TAG) == {*groups._KINDS, "custom-table"}
 
 
 @pytest.mark.parametrize("tag", sorted(_GROUPS_BY_TAG))

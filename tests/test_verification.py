@@ -219,7 +219,9 @@ def test_support_lemma_counts_each_mismatching_sample(monkeypatch):
     import framelab.verification as verification
 
     monkeypatch.setattr(
-        verification, "_support_projections", lambda group, mats, tol: np.zeros(mats.shape[:2])
+        verification,
+        "_support_projections",
+        lambda group, mats, tol: (np.zeros(mats.shape[:2]), np.zeros_like(mats)),
     )
     result = check_support_lemma(_reps("Z4", "Z3xZ4"), np.random.default_rng(0), samples=6)
     assert result.details["mismatches"] == 12
