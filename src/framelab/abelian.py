@@ -28,6 +28,7 @@ from .vnalgebra import (
     _convolution_matrices,
     _exponent,
     _support_projections,
+    _zero_level,
     operator_from_coefficients,
 )
 
@@ -256,7 +257,7 @@ def _transform_bracket(rep: UnitaryRepresentation, psi: np.ndarray) -> np.ndarra
 
 
 def support_indicator(mult: DualFunction, tol: float = 1e-10) -> DualFunction:
-    """0/1 indicator of where a real multiplier exceeds the zero threshold."""
+    """0/1 indicator of where a real multiplier exceeds tol times its largest value."""
     indicator = _support_indicators(mult.values[None], tol)[0]
     return DualFunction(mult.group, _freeze(indicator))
 
@@ -270,9 +271,7 @@ def _support_indicators(values: np.ndarray, tol: float) -> np.ndarray:
         raise NotRealValuedError(
             f"multiplier has imaginary part up to {imag_max[bad[0]]:.3e}"
         )
-    real = values.real
-    thresh = tol * np.maximum(real.max(axis=1, initial=0.0), 1.0)
-    return (real > thresh[:, None]).astype(np.complex128)
+    return (values.real > _zero_level(values.real, tol)).astype(np.complex128)
 
 
 def check_sandwich_equivalence(
@@ -283,7 +282,7 @@ def check_sandwich_equivalence(
     The operator side compares the bracket operator against A and B times
     its support projection through eigenvalue margins; the scalar side
     checks A chi <= multiplier <= B chi pointwise on the support indicator.
-    Both sides share the tolerance scale max(1, lambda_max).
+    Both sides read zero at tol * lambda_max, as analyze does, and forgive that much.
     """
     _require_abelian(rep.group)
     kernel = correlation_function(rep, psi, psi).values
@@ -315,7 +314,7 @@ def _sandwich_sides(
     lower = a[:, None, None] * proj
     upper = b[:, None, None] * proj
     w = np.linalg.eigvalsh(np.concatenate([herm, herm - lower, upper - herm]))
-    slack = tol * np.maximum(1.0, w[:k, -1])
+    slack = _zero_level(w[:k], tol)[:, 0]
     lower_op, upper_op = w[k : 2 * k, 0], w[2 * k :, 0]
     operator_ok = (lower_op >= -slack) & (upper_op >= -slack)
 

@@ -24,7 +24,7 @@ from .representations import (
     _orbit_blocks,
     _orbit_stack,
 )
-from .vnalgebra import _convolution_matrices, _hermitian_spectrum, block_spectrum
+from .vnalgebra import _convolution_matrices, _hermitian_spectrum, _zero_level, block_spectrum
 
 __all__ = [
     "BLOCK_SPECTRUM_ORDER",
@@ -184,7 +184,8 @@ def check_duallemma(
     (ii) A G <= G^2 <= B G, (iii) every eigenvalue of G lies in {0} or
     [A, B], and (iv) A P_ran(K*) <= G <= B P_ran(K*).  Each test is run
     independently from its own eigenvalue computation; deviations record the
-    worst violation per test, scaled decisions use tol * max(1, B, |G|).
+    worst violation per test.  With s = max(B, |G|), test (ii) forgives
+    tol * s^2 and the others tol * s.
     """
     return _duallemma_reports(k_matrix, (a,), b, tol)[0]
 
@@ -204,11 +205,10 @@ def _duallemma_reports(
     f = k @ k.conj().T
     u, s, vh = np.linalg.svd(k)
     s2 = s**2
-    lam_max = float(s2[0]) if s2.size else 0.0
-    rank = int(np.sum(s2 > tol * max(lam_max, 0.0)))
+    rank = int(np.sum(s2 > _zero_level(s2, tol)))
     p_ran_k = u[:, :rank] @ u[:, :rank].conj().T
     p_ran_kstar = vh[:rank].conj().T @ vh[:rank]
-    scale = max(1.0, float(b), lam_max)
+    scale = max(float(b), float(s2.max(initial=0.0)))
     slack = tol * scale
     g2 = g @ g
     count = len(lower_bounds)
@@ -258,7 +258,7 @@ def _duallemma_reports(
         reports.append(
             DualLemmaReport(
                 frame_operator_sandwich=m_i >= -slack,
-                gram_quadratic_sandwich=m_ii >= -slack,
+                gram_quadratic_sandwich=m_ii >= -slack * scale,
                 gram_spectrum_in_band=m_iii >= -slack,
                 gram_projection_sandwich=m_iv >= -slack,
                 deviations={name: max(0.0, -m) for name, m in margins.items()},
@@ -271,7 +271,7 @@ def _verdict_from_spectrum(
     w: np.ndarray, tol: float
 ) -> tuple[str, tuple[float, float] | None, tuple[float, float] | None, int, float]:
     lam_max = float(w[-1]) if w.size else 0.0
-    kept = w[w > tol * max(lam_max, 0.0)]
+    kept = w[w > _zero_level(w, tol)]
     kernel_dim = int(w.size - kept.size)
     if kept.size == 0:
         return VERDICT_ZERO, None, None, kernel_dim, 0.0

@@ -36,7 +36,7 @@ from .representations import (
     shift_model_representation,
     verify_representation,
 )
-from .vnalgebra import _convolution_matrices, _lp_norms, _support_projections
+from .vnalgebra import _convolution_matrices, _lp_norms, _support_projections, _zero_level
 
 __all__ = [
     "CheckResult",
@@ -378,17 +378,17 @@ def _sandwich_bounds(
     Regular cases cycle through a bracketing pair, a raised lower bound and a
     lowered upper bound; adversarial ones move a bound by a relative 1e-6
     across the support's extreme values.  A raised lower bound moves at least
-    10 * tol * max(1, lambda_max), past the slack both sides of the check
-    forgive, so that the violation it makes is one they must see.
+    10 times the zero level tol * lambda_max, past the slack both sides of
+    the check forgive, so that the violation it makes is one they must see.
     """
-    scale = max(1.0, mult.max())
-    nonzero = mult[mult > tol * scale]
+    level = _zero_level(mult, tol)[0]
+    nonzero = mult[mult > level]
     lo, hi = float(nonzero.min()), float(nonzero.max())
     if adversarial:
         eps = 1e-6
         if i % 2 == 0:
             return lo * (1.0 - eps), hi * (1.0 + eps), True
-        return max(lo * (1.0 + eps), lo + 10.0 * tol * scale), hi * (1.0 + eps), False
+        return max(lo * (1.0 + eps), lo + 10.0 * level), hi * (1.0 + eps), False
     mode = i % 3
     if mode == 0:
         return 0.9 * lo, 1.1 * hi, True

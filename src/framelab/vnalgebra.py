@@ -233,6 +233,11 @@ def _lp_norms(mats: np.ndarray, identity: int, p_values) -> np.ndarray:
     return out
 
 
+def _zero_level(values: np.ndarray, tol: float) -> np.ndarray:
+    """tol times the largest value along the last axis, never below 0; kept dims."""
+    return tol * values.max(axis=-1, keepdims=True, initial=0.0)
+
+
 def _check_selfadjoint(mats: np.ndarray, tol: float) -> None:
     """NotSelfAdjointError unless every matrix of the stack is selfadjoint."""
     scale = np.maximum(1.0, np.abs(mats).max(axis=(1, 2), initial=0.0))
@@ -354,7 +359,7 @@ def support_projection(
 ) -> ProjectionOperator:
     """Projection onto the range of a selfadjoint operator.
 
-    Eigenvalues with |value| <= tol * max(1, operator norm) count as zero.
+    Eigenvalues with |value| <= tol * operator norm count as zero, as in analyze.
     The projection is itself a convolution operator; that is verified by
     rebuilding it from its kernel.
     """
@@ -372,8 +377,7 @@ def _support_projections(
     bits of its own basis @ basis* product.
     """
     w, v = _spectral_stack(mats, 1e-12)
-    norm_inf = np.abs(w).max(axis=1, initial=0.0)
-    keep = np.abs(w) > tol * np.maximum(1.0, norm_inf)[:, None]
+    keep = np.abs(w) > _zero_level(np.abs(w), tol)
     ranks = keep.sum(axis=1)
     proj = np.empty_like(mats)
     # The ranks present, in increasing order; np.unique would import numpy.ma.

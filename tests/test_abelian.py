@@ -426,8 +426,11 @@ def test_support_indicator_values():
     g = make_abelian_group([2])
     ind = support_indicator(DualFunction(g, np.array([4.0, 0.0])))
     np.testing.assert_allclose(ind.values, [1.0, 0.0])
+    # Zero is read relative to the largest value, whatever its scale.
+    small = support_indicator(DualFunction(g, np.array([4.0, 4e-11])))
+    np.testing.assert_allclose(small.values, [1.0, 0.0])
     tiny = support_indicator(DualFunction(g, np.array([1e-13, 0.0])))
-    np.testing.assert_allclose(tiny.values, [0.0, 0.0])
+    np.testing.assert_allclose(tiny.values, [1.0, 0.0])
 
 
 def test_support_indicator_rejects_complex():
@@ -446,6 +449,56 @@ def test_support_projection_multiplier_is_indicator():
         proj = support_projection(op)
         got = np.round(lambda_multiplier(proj).values.real)
         np.testing.assert_array_equal(got, mask)
+
+
+_EQUIVARIANT_SPECS = ("Z8", "Z2xZ6", "Z12", "Z3xZ4", "D4", "D5", "H3")
+
+
+def _zero_answers(rep, psi, bounds):
+    """Every reading of which bracket values count as zero, for one generator.
+
+    analyze's verdict and kernel dimension, the kernel dimension of the
+    support projection and, on a cyclic product, that of the support
+    indicator and both sides of the sandwich check at each pair of bounds.
+    """
+    report = analyze_orbit(OrbitSystem(rep, psi))
+    op = bracket_operator(rep, psi, psi)
+    rank = round(float(np.trace(support_projection(op).matrix).real))
+    answers = [report.verdict, report.kernel_dim, rep.group.order - rank]
+    if rep.group.factors is not None:
+        support = support_indicator(lambda_multiplier(op)).values.real
+        answers.append(rep.group.order - int(support.sum()))
+        for a, b in bounds:
+            sandwich = check_sandwich_equivalence(rep, psi, a, b)
+            answers += [sandwich.operator_side, sandwich.scalar_side]
+    return answers
+
+
+@settings(max_examples=40)
+@given(
+    spec=st.sampled_from(_EQUIVARIANT_SPECS),
+    planted=st.booleans(),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_zero_is_read_at_every_scale_of_psi(spec, planted, seed):
+    # Scaling psi by 2^e scales every bracket value by 4^e exactly; what
+    # counts as zero, and so every support and bound decision, stays.
+    rep = parse_rep_spec(f"regular:{spec}")
+    rng = np.random.default_rng(seed)
+    psi = _cvec(rng, rep.dim)
+    factors = rep.group.factors
+    if planted and factors is not None:
+        # Zero some characters of psi's transform: the bracket gets a kernel.
+        hat = np.fft.fftn(psi.reshape(factors)).ravel()
+        hat[rng.permutation(hat.size)[: int(rng.integers(1, hat.size))]] = 0.0
+        psi = np.fft.ifftn(hat.reshape(factors)).ravel()
+    w = analyze_orbit(OrbitSystem(rep, psi)).gram_spectrum
+    kept = w[w > 1e-10 * w[-1]]
+    bounds = [(0.5 * kept[0], 2.0 * kept[-1]), (2.0 * kept[0], 2.0 * kept[-1])]
+    base = _zero_answers(rep, psi, bounds)
+    for e in (-40, -20, 20, 40):
+        scaled = [(a * 4.0**e, b * 4.0**e) for a, b in bounds]
+        assert _zero_answers(rep, 2.0**e * psi, scaled) == base, e
 
 
 def test_sandwich_equivalence_worked_cases():

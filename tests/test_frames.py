@@ -208,6 +208,24 @@ def test_duallemma_false_on_pushed_lower_bound():
     assert hits >= 5
 
 
+@pytest.mark.parametrize("scale", [1e-6, 1e-3, 1.0, 1e4, 1e8])
+def test_duallemma_decides_at_the_scale_of_k(scale):
+    # G^2 - A G grows with the square of K's scale, the other tests with
+    # its scale: at every scale the bracketing bounds pass all four tests
+    # and a lower bound between the two smallest eigenvalues fails all four.
+    rng = np.random.default_rng(5)
+    for _ in range(200):
+        rows, cols = int(rng.integers(2, 9)), int(rng.integers(2, 9))
+        k = scale * _cvec(rng, rows * cols).reshape(rows, cols)
+        s2 = np.linalg.svd(k, compute_uv=False) ** 2
+        pos = np.sort(s2[s2 > 1e-10 * s2[0]])
+        report = check_duallemma(k, 0.999 * pos[0], 1.001 * pos[-1])
+        assert report.as_tuple() == (True, True, True, True)
+        a_bad = pos[0] + 0.5 * (pos[1] - pos[0])
+        report = check_duallemma(k, a_bad, 1.001 * pos[-1])
+        assert report.as_tuple() == (False, False, False, False)
+
+
 def test_duallemma_handles_rank_deficiency():
     rng = np.random.default_rng(17)
     base = _cvec(rng, 12).reshape(4, 3)
