@@ -25,6 +25,7 @@ from .representations import (
 )
 from .vnalgebra import (
     ConvolutionOperator,
+    _check_rounding,
     _convolution_matrices,
     _exponent,
     _support_projections,
@@ -257,7 +258,11 @@ def _transform_bracket(rep: UnitaryRepresentation, psi: np.ndarray) -> np.ndarra
 
 
 def support_indicator(mult: DualFunction, tol: float = 1e-10) -> DualFunction:
-    """0/1 indicator of where a real multiplier exceeds tol times its largest value."""
+    """0/1 indicator of where a real multiplier exceeds tol times its largest value.
+
+    NotRealValuedError when the imaginary part exceeds 1e-10 times the
+    largest |value|, at every scale alike.
+    """
     indicator = _support_indicators(mult.values[None], tol)[0]
     return DualFunction(mult.group, _freeze(indicator))
 
@@ -265,12 +270,8 @@ def support_indicator(mult: DualFunction, tol: float = 1e-10) -> DualFunction:
 def _support_indicators(values: np.ndarray, tol: float) -> np.ndarray:
     """support_indicator of each row of a (k, order) stack of multipliers."""
     imag_max = np.abs(values.imag).max(axis=1, initial=0.0)
-    scale = np.maximum(1.0, np.abs(values).max(axis=1, initial=0.0))
-    bad = np.flatnonzero(imag_max > 1e-10 * scale)
-    if bad.size:
-        raise NotRealValuedError(
-            f"multiplier has imaginary part up to {imag_max[bad[0]]:.3e}"
-        )
+    size = np.abs(values).max(axis=1, initial=0.0)
+    _check_rounding(imag_max, size, 1e-10, NotRealValuedError, "multiplier is not real")
     return (values.real > _zero_level(values.real, tol)).astype(np.complex128)
 
 

@@ -238,19 +238,24 @@ def _zero_level(values: np.ndarray, tol: float) -> np.ndarray:
     return tol * values.max(axis=-1, keepdims=True, initial=0.0)
 
 
-def _check_selfadjoint(mats: np.ndarray, tol: float) -> None:
-    """NotSelfAdjointError unless every matrix of the stack is selfadjoint."""
-    scale = np.maximum(1.0, np.abs(mats).max(axis=(1, 2), initial=0.0))
-    dev = np.abs(mats - mats.conj().transpose(0, 2, 1)).max(axis=(1, 2), initial=0.0)
-    bad = np.flatnonzero(dev > tol * scale)
+def _check_rounding(dev: np.ndarray, size: np.ndarray, tol: float, error, what: str) -> None:
+    """error unless each deviation is within tol times the size of what it guards.
+
+    No max(1, ...) floor: a guard refuses the same inputs at every scale.
+    """
+    bad = np.flatnonzero(dev > tol * size)
     if bad.size:
-        raise NotSelfAdjointError(
-            f"operator deviates from selfadjoint by {dev[bad[0]]:.3e}"
-        )
+        i = bad[0]
+        raise error(f"{what}: deviation {dev[i]:.3e} above {tol * size[i]:.3e}")
 
 
 def spectral_data(op: ConvolutionOperator, tol: float = 1e-12) -> SpectralData:
-    """Eigendecomposition of a selfadjoint convolution operator."""
+    """Eigendecomposition of a selfadjoint convolution operator.
+
+    NotSelfAdjointError when the operator deviates from selfadjoint by more
+    than tol times its largest entry, or the decomposition fails to rebuild it
+    within 1e-9 times its norm: the same refusal at every scale.
+    """
     w, v = _spectral_stack(op.matrix[None], tol)
     w, v = w[0], v[0]
     w.setflags(write=False)
@@ -261,19 +266,19 @@ def spectral_data(op: ConvolutionOperator, tol: float = 1e-12) -> SpectralData:
 def _spectral_stack(mats: np.ndarray, tol: float) -> tuple[np.ndarray, np.ndarray]:
     """Eigenvalues and eigenvectors of a (k, n, n) selfadjoint stack.
 
-    Every matrix must be selfadjoint and rebuild from its decomposition.
+    Every matrix must be selfadjoint within tol times its largest entry and
+    rebuild from its decomposition within 1e-9 times its norm, max |w|:
+    entries understate the norm by up to a factor of the order.
     """
-    _check_selfadjoint(mats, tol)
+    size = np.abs(mats).max(axis=(1, 2), initial=0.0)
+    dev = np.abs(mats - mats.conj().transpose(0, 2, 1)).max(axis=(1, 2), initial=0.0)
+    _check_rounding(dev, size, tol, NotSelfAdjointError, "operator is not selfadjoint")
     w, v = np.linalg.eigh(mats)
     recon = (v * w[:, None, :]) @ v.conj().transpose(0, 2, 1)
     err = np.abs(recon - mats).max(axis=(1, 2), initial=0.0)
-    bound = _RECONSTRUCTION_TOL * (1.0 + np.abs(w).max(axis=1, initial=0.0))
-    bad = np.flatnonzero(err > bound)
-    if bad.size:
-        i = bad[0]
-        raise NotSelfAdjointError(
-            f"eigendecomposition reconstruction error {err[i]:.3e} exceeds {bound[i]:.3e}"
-        )
+    norm = np.abs(w).max(axis=1, initial=0.0)
+    what = "eigendecomposition does not rebuild the operator"
+    _check_rounding(err, norm, _RECONSTRUCTION_TOL, NotSelfAdjointError, what)
     return w, v
 
 
@@ -299,23 +304,33 @@ def block_spectrum(kernel: GroupFunction) -> np.ndarray:
 
 
 def is_positive(op: ConvolutionOperator, tol: float = 1e-10) -> bool:
-    """True when the operator is selfadjoint with spectrum above -tol."""
-    mat = op.matrix
-    try:
-        _check_selfadjoint(mat[None], max(tol, 1e-12))
-    except NotSelfAdjointError:
-        return False
-    w = np.linalg.eigvalsh(mat)
-    return bool(w[0] >= -tol)
+    """True when the operator is selfadjoint with spectrum above -tol * size.
+
+    size is the operator's largest entry, against which the selfadjoint
+    deviation is weighed too, so the answer is the same at every scale.
+    """
+    return _is_positive(op, (op,), tol)
 
 
 def operator_leq(
     lhs: ConvolutionOperator, rhs: ConvolutionOperator, tol: float = 1e-10
 ) -> bool:
-    """Operator order: true when rhs - lhs is positive semidefinite."""
+    """Operator order: true when rhs - lhs is positive semidefinite.
+
+    Read as is_positive(rhs - lhs), with size the largest entry of lhs and
+    rhs, never of their difference, which may be all rounding.
+    """
     if not same_group(lhs.group, rhs.group):
         raise GroupMismatchError("operator comparison needs one common group")
-    return is_positive(rhs - lhs, tol)
+    return _is_positive(rhs - lhs, (lhs, rhs), tol)
+
+
+def _is_positive(op: ConvolutionOperator, operands, tol: float) -> bool:
+    """is_positive of op, its rounding weighed against the operands' largest entry."""
+    size = max(np.abs(x.coefficients.values).max() for x in operands)
+    mat = op.matrix
+    dev = np.abs(mat - mat.conj().T).max()
+    return bool(dev <= max(tol, 1e-12) * size and np.linalg.eigvalsh(mat)[0] >= -tol * size)
 
 
 def operator_from_matrix(
@@ -344,13 +359,9 @@ def _kernels_from_matrices(
     """
     kernels = mats[:, group.identity, group.inverses]
     rebuilt = _convolution_matrices(group, kernels)
-    scale = np.maximum(1.0, np.abs(mats).max(axis=(1, 2), initial=0.0))
+    size = np.abs(mats).max(axis=(1, 2), initial=0.0)
     dev = np.abs(rebuilt - mats).max(axis=(1, 2), initial=0.0)
-    bad = np.flatnonzero(dev > tol * scale)
-    if bad.size:
-        raise AffiliationError(
-            f"matrix is not a convolution operator (deviation {dev[bad[0]]:.3e})"
-        )
+    _check_rounding(dev, size, tol, AffiliationError, "matrix is not a convolution operator")
     return kernels, rebuilt
 
 
@@ -361,7 +372,8 @@ def support_projection(
 
     Eigenvalues with |value| <= tol * operator norm count as zero, as in analyze.
     The projection is itself a convolution operator; that is verified by
-    rebuilding it from its kernel.
+    rebuilding it from its kernel.  Each guard weighs rounding against the
+    size of what it checks, so the refusals are the same at every scale.
     """
     kernels, _ = _support_projections(op.group, op.matrix[None], tol)
     return ProjectionOperator(group_function(op.group, kernels[0]))
@@ -388,8 +400,6 @@ def _support_projections(
         proj[rows] = basis @ basis.conj().transpose(0, 2, 1)
     kernels, mat = _kernels_from_matrices(group, proj, max(tol, 1e-10))
     idem = np.abs(mat @ mat - mat).max(axis=(1, 2), initial=0.0)
-    bound = 1e-10 * np.maximum(1.0, np.abs(mat).max(axis=(1, 2), initial=0.0))
-    bad = np.flatnonzero(idem > bound)
-    if bad.size:
-        raise AffiliationError(f"support projection not idempotent ({idem[bad[0]]:.3e})")
+    size = np.abs(mat).max(axis=(1, 2), initial=0.0)
+    _check_rounding(idem, size, 1e-10, AffiliationError, "support projection is not idempotent")
     return kernels, mat

@@ -5,11 +5,14 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from framelab import (
+    AffiliationError,
     DimMismatchError,
     DualFunction,
+    FrameLabError,
     InvalidPError,
     NotAbelianError,
     NotRealValuedError,
+    NotSelfAdjointError,
     OrbitSystem,
     analyze_orbit,
     bracket_operator,
@@ -34,12 +37,15 @@ from framelab import (
     make_abelian_group,
     make_builtin_group,
     operator_from_coefficients,
+    operator_from_matrix,
+    operator_leq,
     ParseError,
     parse_rep_spec,
     periodization_bracket,
     regular_representation,
     scalar_bracket,
     shift_model_representation,
+    spectral_data,
     support_indicator,
     support_projection,
     zak_transform,
@@ -499,6 +505,80 @@ def test_zero_is_read_at_every_scale_of_psi(spec, planted, seed):
     for e in (-40, -20, 20, 40):
         scaled = [(a * 4.0**e, b * 4.0**e) for a, b in bounds]
         assert _zero_answers(rep, 2.0**e * psi, scaled) == base, e
+
+
+_GUARD_SPECS = ("Z6", "Z8", "Z2xZ6", "Z3xZ4", "D4", "D5", "H3")
+
+
+def _outcome(call):
+    """A guard's answer: the bool it returns, True if it accepts, or its error type."""
+    try:
+        result = call()
+    except FrameLabError as exc:
+        return type(exc)
+    return result if isinstance(result, bool) else True
+
+
+def _guard_answers(group, kernel, fault, mult, proj, scale):
+    """Every rounding guard on a sound input and a planted fault, all times scale."""
+    sound = operator_from_coefficients(group_function(group, scale * kernel))
+    bad = operator_from_coefficients(group_function(group, scale * fault))
+    diagonal = np.diag(scale * np.arange(1.0, group.order + 1))
+    unit = scale * identity_operator(group)
+    calls = [
+        lambda: support_projection(sound),
+        lambda: support_projection(bad),
+        lambda: spectral_data(sound),
+        lambda: spectral_data(bad),
+        lambda: operator_from_matrix(group, sound.matrix),
+        lambda: operator_from_matrix(group, diagonal),
+        lambda: is_positive(sound),
+        lambda: is_positive(bad),
+        lambda: operator_leq(scale * proj, unit),
+        lambda: operator_leq(unit, scale * proj),
+    ]
+    if mult is not None:
+        # The sound multiplier keeps the imaginary rounding of its FFT.
+        imaginary = mult.copy()
+        imaginary[-1] += 0.3j * np.abs(mult).max()
+        calls += [
+            lambda: support_indicator(DualFunction(group, scale * mult)),
+            lambda: support_indicator(DualFunction(group, scale * imaginary)),
+        ]
+    return [_outcome(call) for call in calls]
+
+
+@settings(max_examples=40)
+@given(spec=st.sampled_from(_GUARD_SPECS), seed=st.integers(0, 2**32 - 1))
+def test_guards_answer_alike_at_every_scale(spec, seed):
+    # A guard weighs rounding against the size of what it guards, so
+    # scaling every input by 2^e changes no refusal and no positivity answer.
+    rep = parse_rep_spec(f"regular:{spec}")
+    group = rep.group
+    rng = np.random.default_rng(seed)
+    # Averaging over the cyclic subgroup of h is a projection in the algebra;
+    # psi in its range gives the bracket a kernel of dimension >= order / 2.
+    h = (group.identity + int(rng.integers(1, group.order))) % group.order
+    subgroup = [h]
+    while subgroup[-1] != group.identity:
+        subgroup.append(group.product(subgroup[-1], h))
+    average = np.zeros(group.order, dtype=np.complex128)
+    average[subgroup] = 1.0 / len(subgroup)
+    psi = operator_from_coefficients(group_function(group, average)).apply(
+        group_function(group, _cvec(rng, group.order))
+    ).values
+    bracket = bracket_operator(rep, psi, psi)
+    kernel = bracket.coefficients.values
+    fault = kernel.copy()
+    fault[rng.integers(group.order)] += 0.3j * np.abs(kernel).max()
+    mult = lambda_multiplier(bracket).values if group.factors is not None else None
+    proj = support_projection(bracket)
+    base = _guard_answers(group, kernel, fault, mult, proj, 1.0)
+    expected = [True, NotSelfAdjointError, True, NotSelfAdjointError, True, AffiliationError]
+    expected += [True, False, True, False] + [True, NotRealValuedError] * (mult is not None)
+    assert base == expected
+    for e in (-60, -40, -20, 20, 40, 60):
+        assert _guard_answers(group, kernel, fault, mult, proj, 2.0**e) == base, e
 
 
 def test_sandwich_equivalence_worked_cases():

@@ -283,10 +283,10 @@ def test_criterion_8_representations_verify_and_gabor_commutes():
     gabors = [gabor_representation(l, m) for l, m in ((2, 2), (2, 3), (4, 3))]
     commute = check_gabor_commutativity(models=gabors)
     assert commute.passed
-    assert commute.details["integer_phases_exact"] is True
+    assert commute.samples == 4**2 + 6**2 + 12**2
     _announce(
         "criterion 8",
         f"8 built-in representations verify to {validity.max_deviation:.2e} "
-        f"(tol {validity.tolerance:.0e}); shift-modulation commutativity is exact on integer "
-        f"phases and dense products agree to {commute.max_deviation:.2e}",
+        f"(tol {validity.tolerance:.0e}); shift-modulation products commute to "
+        f"{commute.max_deviation:.2e} on all {commute.samples} pairs",
     )

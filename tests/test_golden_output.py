@@ -153,14 +153,16 @@ DIGESTS = {
     },
     # Recorded when duallemma and sandwich_equivalence began to report the
     # 1e-10 slack they forgive (only the two details.slack keys were new),
-    # and again with the FFT multiplier (see the first entry).
+    # again with the FFT multiplier (see the first entry), and again when
+    # gabor_commutativity dropped details.integer_phases_exact, true for
+    # every action (only that object went).
     "verify seed 0": {
         "exit": 0,
-        "out.txt": "4981ba0d87e754d7553263a424c70307f6e071fc922b9a74f7339998b9573e0d",
+        "out.txt": "c11f4b4f4049d33f4fb0de5e9e96121a920b47e01e25624e61a6b80b4ec3f92c",
     },
     "verify seed 0 groups": {
         "exit": 0,
-        "out.txt": "2a1ea527149be3b2e7c2d39e2b08709698826fb1e8eaf7a56f88d124f106fd3d",
+        "out.txt": "878da915a2174a24357853943a008d96bc0d838c514fa9c0dc7c7d94ea3ed799",
     },
 }
 

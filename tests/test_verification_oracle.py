@@ -345,31 +345,15 @@ def oracle_sandwich_suite(specs, rng, samples, adversarial, tol=1e-10):
 
 def oracle_gabor_commutativity(models):
     worst = 0.0
-    exact = True
     count = 0
     for l, m in models:
-        n = l * m
-        x = np.arange(n)
         mats = gabor_representation(l, m).matrices
-        for k1 in range(l):
-            for j1 in range(m):
-                for k2 in range(l):
-                    for j2 in range(m):
-                        t12 = (l * j1 * x + l * j2 * ((x - m * k1) % n)) % n
-                        t21 = (l * j2 * x + l * j1 * ((x - m * k2) % n)) % n
-                        exact = exact and np.array_equal(t12, t21)
-                        a, b = k1 * m + j1, k2 * m + j2
-                        dev = float(np.abs(mats[a] @ mats[b] - mats[b] @ mats[a]).max())
-                        worst = max(worst, dev)
-                        count += 1
-    return CheckResult(
-        "gabor_commutativity",
-        exact and worst <= 1e-14,
-        worst,
-        1e-14,
-        count,
-        {"integer_phases_exact": exact},
-    )
+        for a in range(l * m):
+            for b in range(l * m):
+                dev = float(np.abs(mats[a] @ mats[b] - mats[b] @ mats[a]).max())
+                worst = max(worst, dev)
+                count += 1
+    return CheckResult("gabor_commutativity", worst <= 1e-14, worst, 1e-14, count)
 
 
 def oracle_periodization_calibration(rng, samples, tol=1e-10, max_n=16, max_m=8):
